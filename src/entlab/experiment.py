@@ -1,17 +1,19 @@
 """Monte Carlo engine: sample states, run the circuit, reduce to statistics.
 
-Trial t of a run draws from substream t of the run seed, so the record list
-is identical whatever the execution order or worker count. Chunks of trials
-are evaluated with the batched entanglement kernels; per-trial numerical
-failures (which should essentially never happen) are retried on a disjoint
-substream and counted against a 1e-6 budget.
+Trial t of a run draws from substream t of the run seed, so results are
+identical whatever the execution order or worker count. A chunk of trials
+is sampled as one stack and evaluated with the batched entanglement kernel.
+The one retry path: a trial whose sampled state is not finite (a
+measure-zero degenerate draw) is redrawn through the same `_sample_chunk`
+on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel
+runs; each redraw counts against a 1e-6 failure budget.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Union
+from typing import Literal
 
 import numpy as np
 
@@ -20,12 +22,16 @@ from .errors import NumericError, UsageError
 from .gates import apply, circuit
 from .qstate import DensityMatrix, densify
 from .sampling import (
+    MIXED_DRAW,
     RandomStream,
-    haar_phase_fix,
-    mixed_state_matrix,
+    haar_phase_fix,  # noqa: F401 - looked up here by bench/tracer.py
+    haar_unitaries,
+    mixed_draw,
     pure_state_vector,
     random_mixed_state,
     random_pure_state,
+    simplex_spacings,
+    spectral_states,
 )
 
 Kind = Literal["pure", "mixed"]
@@ -53,6 +59,8 @@ class EnsembleSpec:
             raise UsageError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
             raise UsageError(f"trials capped at {MAX_TRIALS} (memory guard)")
+        if not 0 <= self.seed < 1 << 64:
+            raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,7 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Column-wise record storage for a whole ensemble run.
-
-    Behaves as a sequence of TrialRecord while keeping the trial data in
-    three flat float arrays.
-    """
+    """Per-trial initial EoF, final EoF and their difference, as flat arrays."""
 
     e0: np.ndarray
     ef: np.ndarray
@@ -79,24 +83,6 @@ class EnsembleResult:
 
     def __len__(self) -> int:
         return self.e0.shape[0]
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield TrialRecord(float(self.e0[i]), float(self.ef[i]), float(self.delta[i]))
-
-    def __getitem__(self, i: int) -> TrialRecord:
-        return TrialRecord(float(self.e0[i]), float(self.ef[i]), float(self.delta[i]))
-
-
-Records = Union[EnsembleResult, Iterable[TrialRecord]]
-
-
-def _record_arrays(records: Records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(records, EnsembleResult):
-        return records.e0, records.ef, records.delta
-    rows = [(r.e0, r.ef, r.delta) for r in records]
-    arr = np.asarray(rows, dtype=float).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 def run_trial(kind: Kind, rng: RandomStream, state: DensityMatrix | None = None) -> TrialRecord:
@@ -112,57 +98,35 @@ def run_trial(kind: Kind, rng: RandomStream, state: DensityMatrix | None = None)
     return TrialRecord(e0=e0, ef=ef, delta=ef - e0)
 
 
-def _sample_chunk(kind: Kind, seed: int, start: int, count: int) -> np.ndarray:
-    """Stack of `count` raw density matrices for trials start..start+count-1.
-
-    Draws per trial are identical to the scalar samplers; only the linear
-    algebra (QR, outer products) is batched.
-    """
+def _sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
+    """Stack of raw density matrices, one per substream index in `streams`."""
+    rngs = (RandomStream(seed, s) for s in streams.tolist())
     if kind == "pure":
-        vecs = np.empty((count, 4), dtype=complex)
-        for i in range(count):
-            vecs[i] = pure_state_vector(RandomStream(seed, start + i))
+        vecs = np.fromiter(map(pure_state_vector, rngs), dtype=(complex, 4), count=len(streams))
         return vecs[:, :, None] * vecs.conj()[:, None, :]
-
-    gin = np.empty((count, 4, 4), dtype=complex)
-    uni = np.empty((count, 3))
-    for i in range(count):
-        gen = RandomStream(seed, start + i).generator
-        z = gen.standard_normal((2, 4, 4))
-        gin[i] = z[0] + 1j * z[1]
-        uni[i] = gen.random(3)
-    q, r = np.linalg.qr(gin)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    q = haar_phase_fix(q, r)
-    lam = np.diff(np.sort(uni, axis=1), prepend=0.0, append=1.0, axis=1)
-    rhos = (q * lam[:, None, :]) @ q.conj().transpose(0, 2, 1)
-    for i in np.flatnonzero(diag.min(axis=1) == 0.0):
-        # measure-zero degenerate QR draw: redo via the scalar sampler,
-        # which replays the same substream and keeps drawing
-        rhos[i] = mixed_state_matrix(RandomStream(seed, start + int(i)))
-    return rhos
+    draws = np.fromiter(map(mixed_draw, rngs), dtype=MIXED_DRAW, count=len(streams))
+    return spectral_states(haar_unitaries(draws["ginibre"]), simplex_spacings(draws["uniforms"]))
 
 
 def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate one chunk of trials; returns (e0, ef, failure count)."""
-    rhos = _sample_chunk(kind, seed, start, count)
-    u = circuit().matrix
-    e0 = eof_batch(rhos)
-    ef = eof_batch(u @ rhos @ u.conj().T)
+    trials = np.arange(start, start + count)
+    rhos = _sample_chunk(kind, seed, trials)
     failures = 0
-    bad = np.flatnonzero(~(np.isfinite(e0) & np.isfinite(ef)))
-    for i in bad:
-        t = start + int(i)
-        for retry in range(1, MAX_RETRIES + 1):
-            failures += 1
-            try:
-                rec = run_trial(kind, RandomStream(seed, t + retry * RETRY_STRIDE))
-            except NumericError:
-                continue
-            e0[i], ef[i] = rec.e0, rec.ef
+    for k in range(1, MAX_RETRIES + 2):
+        bad = np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))
+        if not bad.size:
             break
-        else:
-            raise NumericError(f"trial {t} failed {MAX_RETRIES} consecutive resamples")
+        if k > MAX_RETRIES:
+            raise NumericError(f"trial {trials[bad[0]]} failed {MAX_RETRIES} consecutive resamples")
+        failures += bad.size
+        rhos[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
+    u = circuit().matrix
+    try:
+        e0 = eof_batch(rhos)
+        ef = eof_batch(u @ rhos @ u.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
     return e0, ef, failures
 
 
@@ -224,16 +188,14 @@ def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int) -> Hist
     return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts.astype(np.int64), total=int(values.shape[0]))
 
 
-def histogram_delta(records: Records, bin_count: int) -> Histogram:
+def histogram_delta(result: EnsembleResult, bin_count: int) -> Histogram:
     """P(delta E) histogram over the fixed range [-1, 1]."""
-    _, _, delta = _record_arrays(records)
-    return _histogram(delta, -1.0, 1.0, bin_count)
+    return _histogram(result.delta, -1.0, 1.0, bin_count)
 
 
-def entanglement_histogram(records: Records, bin_count: int) -> Histogram:
+def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
     """P(E_0) histogram over [0, 1], the optional companion output."""
-    e0, _, _ = _record_arrays(records)
-    return _histogram(e0, 0.0, 1.0, bin_count)
+    return _histogram(result.e0, 0.0, 1.0, bin_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +220,11 @@ class ConditionalProfile:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def conditional_mean(records: Records, bin_count: int, min_count: int = DEFAULT_MIN_OCCUPANCY) -> ConditionalProfile:
+def conditional_mean(result: EnsembleResult, bin_count: int, min_count: int = DEFAULT_MIN_OCCUPANCY) -> ConditionalProfile:
     """Mean E_F per E_0 bin over [0, 1]."""
     if bin_count < 2:
         raise UsageError("bin_count must be >= 2")
-    e0, ef, _ = _record_arrays(records)
+    e0, ef = result.e0, result.ef
     edges = np.linspace(0.0, 1.0, bin_count + 1)
     idx = np.clip(np.searchsorted(edges, e0, side="right") - 1, 0, bin_count - 1)
     counts = np.bincount(idx, minlength=bin_count)

@@ -1,15 +1,12 @@
 """Dense complex matrix kernel for 2x2 and 4x4 Hermitian problems.
 
 Matrices are plain complex ndarrays; the functions here add the validation
-and the small set of operations the rest of the package needs (products,
-adjoints, Kronecker products, Hermitian eigendecomposition, PSD square
-root). Everything is sized for dimension 2 or 4 and backed by LAPACK via
-numpy.
+and the small set of operations the rest of the package needs (Kronecker
+products, Hermitian eigendecomposition, PSD square root). Everything is
+sized for dimension 2 or 4 and backed by LAPACK via numpy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +15,6 @@ from .errors import NumericError, UsageError
 VALID_DIMS = (2, 4)
 
 HERMITIAN_TOL = 1e-10
-PSD_CLAMP_TOL = 1e-10
 PSD_REJECT_TOL = 1e-6
 
 
@@ -40,19 +36,6 @@ def as_matrix(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b; both operands must share a dimension."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise UsageError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 matrices; the first factor acts on the
     first (control) qubit, basis ordering |00>,|01>,|10>,|11>."""
@@ -64,27 +47,10 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_matrix(a)
-    return max_abs(m - m.conj().T) <= tol
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Hermitian eigendecomposition with eigenvalues sorted non-increasing.
-
-    `vectors[:, i]` is the orthonormal eigenvector paired with `values[i]`.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eigensystem(a, tol: float = HERMITIAN_TOL) -> EigenSystem:
-    """Diagonalize a Hermitian matrix; eigenvalues in non-increasing order."""
+def hermitian_eigensystem(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a Hermitian matrix: (values, vectors), eigenvalues in
+    non-increasing order, `vectors[:, i]` the orthonormal eigenvector paired
+    with `values[i]`."""
     m = as_matrix(a)
     if max_abs(m - m.conj().T) > tol:
         raise UsageError("matrix is not Hermitian within tolerance")
@@ -93,7 +59,7 @@ def hermitian_eigensystem(a, tol: float = HERMITIAN_TOL) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     # eigh returns ascending order
-    return EigenSystem(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def clamp_spectrum(w: np.ndarray) -> np.ndarray:
@@ -112,9 +78,9 @@ def psd_sqrt(a) -> np.ndarray:
     rank-deficient root); anything below -1e-6 means the input is genuinely
     not PSD.
     """
-    eig = hermitian_eigensystem(a)
-    if eig.values.min() < -PSD_REJECT_TOL:
-        raise UsageError(f"matrix is not PSD: min eigenvalue {eig.values.min():.3e}")
-    w = np.sqrt(clamp_spectrum(eig.values))
-    b = (eig.vectors * w) @ eig.vectors.conj().T
+    w, v = hermitian_eigensystem(a)
+    if w.min() < -PSD_REJECT_TOL:
+        raise UsageError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
+    w = np.sqrt(clamp_spectrum(w))
+    b = (v * w) @ v.conj().T
     return 0.5 * (b + b.conj().T)

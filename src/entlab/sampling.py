@@ -8,8 +8,17 @@ states are Haar-uniform on the unit sphere via normalized complex Gaussians.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_index): trial t of a run owns substream t, so sequences are
-reproducible independently of execution order. The draw order inside each
-sampler is fixed and documented in the function bodies.
+reproducible independently of execution order. The draw order of a trial,
+shared by every sampler here and by the engine, is:
+
+- pure: one (2, 4) block of standard normals, real part first;
+- mixed: one (2, 4, 4) block of standard normals, real part first (the
+  Ginibre matrix), then 3 uniforms on [0, 1) (the simplex spacings).
+
+`haar_unitary` draws only the normal block and `simplex_point` only the
+uniforms; both are batch-of-one calls of the batched builders. A
+measure-zero draw (zero vector, zero diagonal entry of R) gives non-finite
+entries, which the engine screens for and redraws.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .gates import UnitaryGate
 from .qstate import DensityMatrix, PureState
 
 SIMPLEX_SUM_TOL = 1e-12
-_MASK64 = (1 << 64) - 1
+MIXED_DRAW = np.dtype([("ginibre", complex, (4, 4)), ("uniforms", float, 3)])  # a `mixed_draw` record
 
 
 @dataclass
@@ -31,7 +40,8 @@ class RandomStream:
     """Deterministic substream of a 64-bit seeded Philox generator.
 
     Equal (seed, stream_index) pairs reproduce identical sequences; distinct
-    stream_index values give statistically independent streams.
+    stream_index values give statistically independent streams. Both must
+    lie in [0, 2^64).
     """
 
     seed: int
@@ -41,7 +51,8 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = [self.seed & _MASK64, self.stream_index & _MASK64]
+            # an explicit uint64 key: a plain list above 2^63 would pass through float64
+            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
@@ -64,10 +75,21 @@ class SimplexPoint:
         object.__setattr__(self, "lambdas", lam)
 
 
-def _ginibre(rng: RandomStream) -> np.ndarray:
-    # draw order: one (2, 4, 4) block of standard normals; real part first
-    z = rng.generator.standard_normal((2, 4, 4))
+def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    z = gen.standard_normal((2, *shape))
     return z[0] + 1j * z[1]
+
+
+def pure_state_vector(rng: RandomStream) -> np.ndarray:
+    """Raw Haar-uniform unit vector (no validation)."""
+    v = _complex_normals(rng.generator, (4,))
+    return v / np.linalg.norm(v)
+
+
+def mixed_draw(rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Raw draws of one mixed trial: a 4x4 Ginibre matrix, then 3 uniforms."""
+    gen = rng.generator
+    return _complex_normals(gen, (4, 4)), gen.random(3)
 
 
 def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -77,43 +99,36 @@ def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+def haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries from an (n, 4, 4) stack of Ginibre matrices."""
+    q, r = np.linalg.qr(ginibre)
+    return haar_phase_fix(q, r)
+
+
+def simplex_spacings(uniforms: np.ndarray) -> np.ndarray:
+    """Uniform simplex points from an (n, 3) stack of uniforms on [0, 1)."""
+    return np.diff(np.sort(uniforms, axis=-1), prepend=0.0, append=1.0, axis=-1)
+
+
+def spectral_states(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) stack of U diag(lambda) U^dag."""
+    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
 def haar_unitary(rng: RandomStream) -> UnitaryGate:
     """One 4x4 unitary distributed per the Haar measure on U(4)."""
-    while True:
-        g = _ginibre(rng)
-        q, r = np.linalg.qr(g)
-        if np.abs(np.diagonal(r)).min() > 0.0:
-            return UnitaryGate(haar_phase_fix(q, r))
-        # measure-zero degenerate draw: keep consuming the same stream
+    return UnitaryGate(haar_unitaries(_complex_normals(rng.generator, (1, 4, 4)))[0])
 
 
 def simplex_point(rng: RandomStream) -> SimplexPoint:
     """Uniform point on the 3-simplex via sorted-uniform spacings."""
-    # draw order: 3 uniforms on [0, 1)
-    u = np.sort(rng.generator.random(3))
-    lam = np.diff(u, prepend=0.0, append=1.0)
-    return SimplexPoint(lam)
+    return SimplexPoint(simplex_spacings(rng.generator.random((1, 3)))[0])
 
 
 def mixed_state_matrix(rng: RandomStream) -> np.ndarray:
-    """Raw density matrix of a product-measure mixed draw (no validation).
-
-    Draw order: Haar unitary first, then the simplex point.
-    """
-    u = haar_unitary(rng).matrix
-    lam = simplex_point(rng).lambdas
-    return (u * lam) @ u.conj().T
-
-
-def pure_state_vector(rng: RandomStream) -> np.ndarray:
-    """Raw Haar-uniform unit vector (no validation)."""
-    while True:
-        # draw order: one (2, 4) block of standard normals; real part first
-        z = rng.generator.standard_normal((2, 4))
-        v = z[0] + 1j * z[1]
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return v / norm
+    """Raw density matrix of a product-measure mixed draw (no validation)."""
+    g, u = mixed_draw(rng)
+    return spectral_states(haar_unitaries(g[None]), simplex_spacings(u[None]))[0]
 
 
 def random_mixed_state(rng: RandomStream) -> DensityMatrix:

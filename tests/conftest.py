@@ -24,3 +24,21 @@ def mixed_matrices(seed: int, count: int) -> np.ndarray:
 
 def pure_states(seed: int, count: int):
     return [random_pure_state(RandomStream(seed, i)) for i in range(count)]
+
+
+def poison_draws(monkeypatch, streams):
+    """Make the engine's per-trial draws non-finite on the given substreams,
+    as a measure-zero degenerate draw would; other draws are unchanged."""
+    from entlab import experiment
+
+    pure, mixed = experiment.pure_state_vector, experiment.mixed_draw
+
+    def scale(rng):
+        return np.nan if rng.stream_index in streams else 1.0
+
+    def mixed_draw(rng):
+        g, u = mixed(rng)
+        return g * scale(rng), u
+
+    monkeypatch.setattr(experiment, "pure_state_vector", lambda rng: pure(rng) * scale(rng))
+    monkeypatch.setattr(experiment, "mixed_draw", mixed_draw)

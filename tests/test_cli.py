@@ -1,10 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from entlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, execute, main, parse_args
+from entlab import experiment
+from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, execute, main, parse_args
 from entlab.errors import UsageError
+from entlab.experiment import MAX_RETRIES, RETRY_STRIDE
+
+from conftest import poison_draws
 
 
 class TestParseArgs:
@@ -170,3 +175,54 @@ class TestMain:
         )
         assert code == EXIT_OK
         assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_seed_out_of_range_exit_code(self, tmp_path, capsys):
+        # out-of-range seeds would otherwise alias in-range ones
+        for seed in ("-1", str(2**64)):
+            code = main(["--trials", "10", "--seed", seed, "--workers", "1", "--output-dir", str(tmp_path / "run")])
+            assert code == EXIT_USAGE
+            assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+class TestNumericHealth:
+    """Exit statuses and the failure count when draws or the kernel misbehave."""
+
+    @staticmethod
+    def run(tmp_path, capsys):
+        code = main(["--trials", "500", "--seed", "3", "--workers", "1", "--formats", "json",
+                     "--output-dir", str(tmp_path / "run")])
+        return code, capsys.readouterr().err
+
+    def test_kernel_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(rhos):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(experiment, "eof_batch", broken)
+        code, err = self.run(tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert "numeric quality breach" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_retried_draw_is_counted(self, tmp_path, capsys, monkeypatch):
+        # at the real 1e-6 budget a single failure is allowed only from 10^6 trials
+        monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
+        poison_draws(monkeypatch, {7})
+        code, _ = self.run(tmp_path, capsys)
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["failures"] == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exhausted_retries_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
+        poison_draws(monkeypatch, {7 + k * RETRY_STRIDE for k in range(MAX_RETRIES + 1)})
+        code, err = self.run(tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert "resamples" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        poison_draws(monkeypatch, {7})
+        code, err = self.run(tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert "budget" in err

@@ -4,8 +4,12 @@ import pytest
 from entlab.entanglement import eof_from_concurrence, pure_concurrence_oracle
 from entlab.errors import UsageError
 from entlab.experiment import (
+    CHUNK_SIZE,
+    RETRY_STRIDE,
+    EnsembleResult,
     EnsembleSpec,
     TrialRecord,
+    _chunk_task,
     conditional_mean,
     entanglement_histogram,
     histogram_delta,
@@ -16,7 +20,14 @@ from entlab.gates import circuit
 from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.sampling import RandomStream, pure_state_vector
 
+from conftest import poison_draws
+
 I4 = np.eye(4, dtype=complex)
+
+
+def result(e0, ef) -> EnsembleResult:
+    e0, ef = np.asarray(e0, dtype=float), np.asarray(ef, dtype=float)
+    return EnsembleResult(e0=e0, ef=ef, delta=ef - e0)
 
 
 class TestRunTrial:
@@ -56,6 +67,13 @@ class TestEnsembleSpec:
         with pytest.raises(UsageError):
             EnsembleSpec("thermal", 10, 1)
 
+    def test_seed_range(self):
+        EnsembleSpec("pure", 10, 0)
+        EnsembleSpec("pure", 10, 2**64 - 1)
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(UsageError, match="seed"):
+                EnsembleSpec("pure", 10, seed)
+
 
 class TestRunEnsemble:
     def test_single_trial(self):
@@ -70,11 +88,15 @@ class TestRunEnsemble:
         assert np.array_equal(a.delta, b.delta)
 
     def test_worker_count_does_not_change_results(self):
-        spec = EnsembleSpec("pure", 20_000, 5)  # spans multiple chunks
-        seq = run_ensemble(spec, workers=1)
-        par = run_ensemble(spec, workers=2)
-        assert np.array_equal(seq.e0, par.e0)
-        assert np.array_equal(seq.ef, par.ef)
+        # chunk edges, and (at 1 and CHUNK_SIZE trials) more workers than chunks
+        for trials in (1, CHUNK_SIZE, 20_000, 2 * CHUNK_SIZE + 5):
+            spec = EnsembleSpec("pure", trials, 5)
+            seq = run_ensemble(spec, workers=1)
+            assert len(seq) == trials
+            for workers in (2, 3):
+                par = run_ensemble(spec, workers=workers)
+                assert np.array_equal(seq.e0, par.e0)
+                assert np.array_equal(seq.ef, par.ef)
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
@@ -95,28 +117,36 @@ class TestRunEnsemble:
             expected = eof_from_concurrence(2 * abs(v[0] * v[3] - v[1] * v[2]))
             assert res.ef[t] == pytest.approx(expected, abs=1e-9)
 
-    def test_record_iteration(self):
-        res = run_ensemble(EnsembleSpec("mixed", 5, 8))
-        records = list(res)
-        assert len(records) == 5
-        assert records[2] == res[2]
-        assert isinstance(records[0], TrialRecord)
+
+class TestRetryPath:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_nonfinite_draw_takes_retry_substream(self, monkeypatch, kind):
+        clean = _chunk_task(kind, 3, 0, 10)
+        poison_draws(monkeypatch, {5})
+        e0, ef, failures = _chunk_task(kind, 3, 0, 10)
+        assert failures == 1
+        ref = run_trial(kind, RandomStream(3, 5 + RETRY_STRIDE))
+        assert e0[5] == pytest.approx(ref.e0, abs=1e-10)
+        assert ef[5] == pytest.approx(ref.ef, abs=1e-10)
+        others = np.arange(10) != 5
+        assert np.array_equal(e0[others], clean[0][others])
+        assert np.array_equal(ef[others], clean[1][others])
 
 
 class TestHistogramDelta:
     def test_single_zero_record(self):
-        h = histogram_delta([TrialRecord(0.3, 0.3, 0.0)], 100)
+        h = histogram_delta(result([0.3], [0.3]), 100)
         assert h.counts.sum() == 1
         assert h.counts[h.bin_index(0.0)] == 1
 
     def test_extremes_two_bins(self):
-        recs = [TrialRecord(1.0, 0.0, -1.0), TrialRecord(0.0, 1.0, 1.0)]
-        h = histogram_delta(recs, 2)
+        h = histogram_delta(result([1.0, 0.0], [0.0, 1.0]), 2)
         assert list(h.counts) == [1, 1]
 
     def test_rejects_single_bin(self):
         with pytest.raises(UsageError):
-            histogram_delta([TrialRecord(0, 0, 0)], 1)
+            histogram_delta(result([0.0], [0.0]), 1)
 
     def test_mode_at_zero_for_sampled_ensembles(self):
         res = run_ensemble(EnsembleSpec("mixed", 20_000, 9))
@@ -144,21 +174,19 @@ class TestEntanglementHistogram:
 
 class TestConditionalMean:
     def test_all_mass_in_first_bin(self):
-        recs = [TrialRecord(0.0, 1.0, 1.0)] * 5
-        prof = conditional_mean(recs, 10, min_count=1)
+        prof = conditional_mean(result([0.0] * 5, [1.0] * 5), 10, min_count=1)
         assert prof.mean_ef[0] == pytest.approx(1.0)
         assert np.all(np.isnan(prof.mean_ef[1:]))
 
     def test_occupancy_threshold(self):
-        recs = [TrialRecord(0.0, 0.5, 0.5)] * 99
-        prof = conditional_mean(recs, 10, min_count=100)
+        prof = conditional_mean(result([0.0] * 99, [0.5] * 99), 10, min_count=100)
         assert not prof.occupied[0]
         assert np.isnan(prof.mean_ef[0])
 
     def test_rejects_single_bin(self):
         with pytest.raises(UsageError):
-            conditional_mean([TrialRecord(0, 0, 0)], 1)
+            conditional_mean(result([0.0], [0.0]), 1)
 
     def test_top_edge_lands_in_last_bin(self):
-        prof = conditional_mean([TrialRecord(1.0, 0.2, -0.8)], 10, min_count=1)
+        prof = conditional_mean(result([1.0], [0.2]), 10, min_count=1)
         assert prof.counts[-1] == 1

@@ -38,9 +38,11 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
-        a = RandomStream(1, 0).generator.random(100)
-        b = RandomStream(2, 0).generator.random(100)
-        assert not np.array_equal(a, b)
+        # includes seeds above 2^53, which a float64 key would merge
+        for s, t in ((1, 2), (2**64 - 1, 2**64 - 2), (2**63, 2**63 + 1)):
+            a = RandomStream(s, 0).generator.random(100)
+            b = RandomStream(t, 0).generator.random(100)
+            assert not np.array_equal(a, b)
 
     def test_substream_helper(self):
         s = RandomStream(9).substream(3)
