@@ -78,8 +78,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("--delta-bins must be >= 2")
     if ns.e0_bins < 2:
         raise UsageError("--e0-bins must be >= 2")
-    if ns.workers == "auto":
-        workers = os.cpu_count() or 1
+    if ns.workers == "auto":  # the CPUs this process may run on, where the OS reports them
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     else:
         try:
             workers = int(ns.workers)

@@ -1,10 +1,10 @@
 """Wootters concurrence and entanglement of formation for two-qubit states.
 
-The concurrence eigenproblem is solved in Hermitian form: the eigenvalues of
-rho @ rho_tilde equal those of the Hermitian PSD matrix
-sqrt(rho) @ rho_tilde @ sqrt(rho) (the two are similar), so only a Hermitian
-eigensolver is ever needed. Batched variants operating on stacks of raw
-(n, 4, 4) arrays back the Monte Carlo hot path.
+One batched kernel, `wootters_lambdas`, solves the concurrence eigenproblem
+for a stack of states; `concurrence_batch`/`eof_batch` back the Monte Carlo
+hot path, and the validated scalar `concurrence`/`eof` are stack-of-one
+calls of it. `binary_entropy` and `eof_from_concurrence` are elementwise
+and serve both.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linalg import clamp_spectrum, psd_sqrt
+from .linalg import psd_sqrt
 from .qstate import DensityMatrix, PureState
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)  # real: antidiag(-1, 1, 1, -1)
 
-LAMBDA_CLAMP = 1e-12
 ENTROPY_DOMAIN_TOL = 1e-12
 
 
@@ -46,36 +45,61 @@ def rho_tilde(rho: DensityMatrix) -> np.ndarray:
     return _YY @ rho.matrix.conj() @ _YY
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of a bit, -x log2 x - (1-x) log2 (1-x), with the
-    continuous-extension convention 0 log 0 = 0."""
-    if x < -ENTROPY_DOMAIN_TOL or x > 1.0 + ENTROPY_DOMAIN_TOL:
-        raise UsageError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(np.where(x > 0, x, 1.0))  # 0 log 0 = 0
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation as a function of concurrence."""
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+def binary_entropy(x):
+    """Shannon entropy of a bit, -x log2 x - (1-x) log2 (1-x), elementwise,
+    with the continuous-extension convention 0 log 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < -ENTROPY_DOMAIN_TOL) | (x > 1.0 + ENTROPY_DOMAIN_TOL)):
+        raise UsageError(f"binary_entropy argument outside [0, 1]: range [{x.min()}, {x.max()}]")
+    x = np.clip(x, 0.0, 1.0)
+    return np.clip(-_xlog2x(x) - _xlog2x(1.0 - x), 0.0, 1.0)
+
+
+def eof_from_concurrence(c):
+    """Entanglement of formation as a function of concurrence, elementwise."""
+    return binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+
+
+def concurrence_from_lambdas(lam: np.ndarray):
+    """max(0, l1 - l2 - l3 - l4) along the last axis of non-increasing lambdas."""
+    return np.maximum(0.0, 2.0 * lam[..., 0] - lam.sum(axis=-1))
+
+
+def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
+    """Wootters' lambdas of each state in a (..., 4, 4) stack, non-increasing
+    along the last axis. No per-state validation: callers guarantee valid
+    density matrices by construction.
+
+    The lambdas, square roots of the eigenvalues of rho @ rho_tilde, equal
+    the eigenvalues of the Hermitian sqrt(rho) rho_tilde sqrt(rho) and hence
+    the singular values of sqrt(rho_tilde) @ sqrt(rho). The SVD form is used
+    because it delivers the small lambdas at absolute machine accuracy,
+    whereas square-rooting near-zero eigenvalues loses half the digits.
+    """
+    sq = psd_sqrt(rhos)
+    sq_tilde = _YY @ sq.conj() @ _YY  # sqrt commutes with the spin flip
+    return np.linalg.svd(sq_tilde @ sq, compute_uv=False)
+
+
+def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in an (n, 4, 4) stack."""
+    return concurrence_from_lambdas(wootters_lambdas(rhos))
+
+
+def eof_batch(rhos: np.ndarray) -> np.ndarray:
+    """Entanglement of formation of each state in an (n, 4, 4) stack."""
+    return eof_from_concurrence(concurrence_batch(rhos))
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
-    """Full concurrence computation for an arbitrary two-qubit state.
-
-    The lambdas are the eigenvalue square roots of rho @ rho_tilde, equal to
-    the eigenvalues of the Hermitian sqrt(rho) rho_tilde sqrt(rho) and hence
-    to the singular values of sqrt(rho_tilde) @ sqrt(rho). The SVD form is
-    used because it delivers the small lambdas at absolute machine accuracy,
-    whereas square-rooting near-zero eigenvalues loses half the digits.
-    """
-    sq = psd_sqrt(rho.matrix)
-    sq_tilde = _YY @ sq.conj() @ _YY  # sqrt commutes with the spin flip
-    lambdas = np.linalg.svd(sq_tilde @ sq, compute_uv=False)
-    c = max(0.0, float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
-    return ConcurrenceReport(lambdas=lambdas, concurrence=c, eof=eof_from_concurrence(c))
+    """Concurrence of one validated state: a stack-of-one kernel call."""
+    lambdas = wootters_lambdas(rho.matrix[None])[0]
+    c = float(concurrence_from_lambdas(lambdas))
+    return ConcurrenceReport(lambdas=lambdas, concurrence=c, eof=float(eof_from_concurrence(c)))
 
 
 def eof(rho: DensityMatrix) -> float:
@@ -88,39 +112,3 @@ def pure_concurrence_oracle(psi: PureState) -> float:
     cross-check for the general spectral route."""
     a, b, c, d = psi.amplitudes
     return float(2.0 * abs(a * d - b * c))
-
-
-# --- batched hot path -------------------------------------------------------
-#
-# These operate on raw (n, 4, 4) complex stacks without per-state validation;
-# callers guarantee valid density matrices by construction.
-
-
-def _psd_sqrt_batch(rhos: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rhos)
-    w = np.sqrt(clamp_spectrum(w))
-    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of each state in an (n, 4, 4) stack (SVD route, see
-    `concurrence`)."""
-    sq = _psd_sqrt_batch(rhos)
-    sq_tilde = _YY @ sq.conj() @ _YY
-    lam = np.linalg.svd(sq_tilde @ sq, compute_uv=False)  # descending per row
-    return np.maximum(0.0, 2.0 * lam[:, 0] - lam.sum(axis=1))
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    mask = x > 0
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
-
-
-def eof_batch(rhos: np.ndarray) -> np.ndarray:
-    """Entanglement of formation of each state in an (n, 4, 4) stack."""
-    c = concurrence_batch(rhos)
-    x = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
-    h = -_xlog2x(x) - _xlog2x(1.0 - x)
-    return np.clip(h, 0.0, 1.0)

@@ -136,7 +136,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     starts = list(range(0, spec.trials, CHUNK_SIZE))
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in starts]
     if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_chunk_task_star, tasks))
     else:
         parts = [_chunk_task(*t) for t in tasks]

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestParseArgs:
             parse_args(["--workers", "many"])
         with pytest.raises(UsageError, match="workers"):
             parse_args(["--workers", "0"])
+
+    def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parse_args(["--workers", "auto"]).workers == 1
+
+    def test_auto_workers_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert parse_args(["--workers", "auto"]).workers == 3
 
     def test_rejects_bad_formats(self):
         with pytest.raises(UsageError, match="formats"):

@@ -14,7 +14,7 @@ from entlab.entanglement import (
 )
 from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
-from entlab.sampling import RandomStream, random_mixed_state
+from entlab.sampling import RandomStream, haar_unitaries, random_mixed_state, spectral_states
 
 from conftest import mixed_matrices, mixed_states, pure_states
 
@@ -35,6 +35,47 @@ def werner(x: float) -> DensityMatrix:
 
 def werner_concurrence_closed_form(x: float) -> float:
     return max(0.0, (3 * x - 1) / 2)
+
+
+# The spin flip built here, not taken from the package, so the definition
+# route below shares no code with the kernel under test.
+YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def definition_concurrence(rhos: np.ndarray) -> np.ndarray:
+    """Wootters' definition on a (..., 4, 4) stack: lambda = sqrt(eig(rho rho~))
+    from the general (non-Hermitian) eigensolver, C = max(0, l1 - l2 - l3 - l4).
+    Square-rooting near-zero eigenvalues costs this route half its digits on
+    rank-deficient states."""
+    ev = np.linalg.eigvals(rhos @ YY @ rhos.conj() @ YY)
+    lam = np.sort(np.sqrt(np.abs(ev)), axis=-1)[..., ::-1]
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
+
+
+def definition_eof(c: np.ndarray) -> np.ndarray:
+    """h((1 + sqrt(1 - C^2)) / 2), with h = 0 where the argument rounds to 1."""
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where(x < 1.0, h, 0.0)
+
+
+def haar_spectral_stack(seed: int, spectra: np.ndarray) -> np.ndarray:
+    """U diag(lambda) U^dag with an independent Haar U per row of `spectra`."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((len(spectra), 4, 4)) + 1j * rng.standard_normal((len(spectra), 4, 4))
+    return spectral_states(haar_unitaries(g), spectra)
+
+
+def assert_kernel_matches_definition(rhos: np.ndarray, tol: float) -> None:
+    """Batched kernel and its scalar view against `definition_concurrence`."""
+    c_def = definition_concurrence(rhos)
+    assert np.max(np.abs(concurrence_batch(rhos) - c_def)) <= tol
+    assert np.max(np.abs(eof_batch(rhos) - definition_eof(c_def))) <= tol
+    for i in range(0, len(rhos), 10):
+        rep = concurrence(DensityMatrix(0.5 * (rhos[i] + rhos[i].conj().T)))
+        assert rep.concurrence == pytest.approx(c_def[i], abs=tol)
+        assert rep.eof == pytest.approx(definition_eof(c_def[i]), abs=tol)
 
 
 class TestRhoTilde:
@@ -76,6 +117,12 @@ class TestBinaryEntropy:
     def test_domain_error(self, x):
         with pytest.raises(UsageError):
             binary_entropy(x)
+        with pytest.raises(UsageError):
+            binary_entropy(np.array([0.5, x]))
+
+    def test_elementwise(self):
+        xs = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        assert np.array_equal(binary_entropy(xs), [binary_entropy(x) for x in xs])
 
 
 class TestConcurrence:
@@ -94,7 +141,7 @@ class TestConcurrence:
         rep = concurrence(werner(0.5))
         assert rep.concurrence == pytest.approx(0.25, abs=1e-9)
 
-    @pytest.mark.parametrize("x", [0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("x", [0.0, 0.2, 1 / 3 - 1e-6, 1 / 3, 1 / 3 + 1e-6, 0.5, 0.8, 1.0])
     def test_werner_family_closed_form(self, x):
         rep = concurrence(werner(x))
         assert rep.concurrence == pytest.approx(werner_concurrence_closed_form(x), abs=1e-9)
@@ -102,10 +149,7 @@ class TestConcurrence:
     @pytest.mark.parametrize("x", [0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0])
     def test_werner_closed_form_against_brute_force(self, x):
         # independent route: general (non-Hermitian) eigenvalues of rho @ rho_tilde
-        rho = werner(x)
-        ev = np.linalg.eigvals(rho.matrix @ rho_tilde(rho))
-        lam = np.sort(np.sqrt(np.abs(ev)))[::-1]
-        brute = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+        brute = definition_concurrence(werner(x).matrix)
         assert brute == pytest.approx(werner_concurrence_closed_form(x), abs=1e-9)
 
     def test_report_invariants(self):
@@ -123,6 +167,10 @@ class TestConcurrence:
 class TestEof:
     def test_zero_concurrence(self):
         assert eof_from_concurrence(0.0) == 0.0
+
+    def test_elementwise(self):
+        cs = np.array([0.0, 0.25, 0.5, 1.0])
+        assert np.array_equal(eof_from_concurrence(cs), [eof_from_concurrence(c) for c in cs])
 
     def test_unit_concurrence(self):
         assert eof_from_concurrence(1.0) == pytest.approx(1.0, abs=1e-12)
@@ -179,10 +227,20 @@ class TestLocalUnitaryInvariance:
 
 class TestBatchKernels:
     def test_match_scalar_route(self):
-        mats = mixed_matrices(26, 200)
-        batch_c = concurrence_batch(mats)
-        batch_e = eof_batch(mats)
-        for i in range(200):
-            rep = concurrence(DensityMatrix(0.5 * (mats[i] + mats[i].conj().T)))
-            assert batch_c[i] == pytest.approx(rep.concurrence, abs=1e-10)
-            assert batch_e[i] == pytest.approx(rep.eof, abs=1e-10)
+        # full-rank product-measure states against Wootters' definition
+        assert_kernel_matches_definition(mixed_matrices(26, 200), 1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_spectra(self, rank):
+        w = np.random.default_rng(27 + rank).random((200, rank))
+        spectra = np.pad(w / w.sum(axis=1, keepdims=True), ((0, 0), (0, 4 - rank)))
+        assert_kernel_matches_definition(haar_spectral_stack(rank, spectra), 1e-6)
+
+    @pytest.mark.parametrize(
+        "spectrum", [(1 / 2, 1 / 2, 0, 0), (1 / 3, 1 / 3, 1 / 3, 0), (1 / 4, 1 / 4, 1 / 4, 1 / 4)],
+        ids=["half-half", "thirds", "quarters"],
+    )
+    def test_degenerate_spectra(self, spectrum):
+        tol = 1e-10 if min(spectrum) > 0 else 1e-6  # eigvals route loses digits on zero eigenvalues
+        assert_kernel_matches_definition(haar_spectral_stack(31, np.tile(spectrum, (200, 1))), tol)
+

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ class TestRunEnsemble:
                 par = run_ensemble(spec, workers=workers)
                 assert np.array_equal(seq.e0, par.e0)
                 assert np.array_equal(seq.ef, par.ef)
+
+    def test_pool_no_larger_than_chunk_count(self, monkeypatch):
+        requested = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        res = run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=4)
+        assert requested == [2]  # two chunks: a third and fourth process would sit idle
+        assert len(res) == 2 * CHUNK_SIZE
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))

@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import SIGMA_Y
 from entlab.errors import UsageError
 from entlab.gates import circuit, cnot, hadamard
-from entlab.linalg import as_matrix, hermitian_eigensystem, kron, max_abs, psd_sqrt
+from entlab.linalg import as_matrix, kron, max_abs, psd_sqrt
 
 from conftest import mixed_matrices
 
@@ -60,8 +60,8 @@ class TestKron:
         assert np.allclose(kron(SIGMA_Y, SIGMA_Y), expected, atol=1e-15)
 
     def test_sigma_y_pair_spectrum(self):
-        values, _ = hermitian_eigensystem(kron(SIGMA_Y, SIGMA_Y))
-        assert np.allclose(values, [1, 1, -1, -1], atol=1e-12)
+        values = np.linalg.eigvalsh(kron(SIGMA_Y, SIGMA_Y))
+        assert np.allclose(values, [-1, -1, 1, 1], atol=1e-12)
 
     def test_bilinearity(self, rng):
         for _ in range(50):
@@ -75,35 +75,6 @@ class TestKron:
             kron(I4, I2)
 
 
-class TestHermitianEigensystem:
-    def test_identity(self):
-        values, _ = hermitian_eigensystem(I4)
-        assert np.allclose(values, 1.0)
-
-    def test_diagonal_sorted(self):
-        values, _ = hermitian_eigensystem(np.diag([0.1, 0.4, 0.2, 0.3]).astype(complex))
-        assert np.allclose(values, [0.4, 0.3, 0.2, 0.1], atol=1e-14)
-
-    def test_non_hermitian_rejected(self, rng):
-        with pytest.raises(UsageError):
-            hermitian_eigensystem(random_matrix(rng))
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        for _ in range(100):
-            a = random_matrix(rng)
-            a = a + a.conj().T
-            values, vectors = hermitian_eigensystem(a)
-            assert np.all(np.diff(values) <= 0)
-            gram = vectors.conj().T @ vectors
-            assert max_abs(gram - I4) <= 1e-10
-            assert max_abs((vectors * values) @ vectors.conj().T - a) <= 1e-10
-
-    def test_density_matrix_spectrum_sums_to_one(self):
-        for m in mixed_matrices(101, 50):
-            values, _ = hermitian_eigensystem(0.5 * (m + m.conj().T))
-            assert abs(values.sum() - 1.0) <= 1e-10
-
-
 class TestPsdSqrt:
     def test_identity(self):
         assert np.allclose(psd_sqrt(I4), I4)
@@ -112,13 +83,26 @@ class TestPsdSqrt:
         assert np.allclose(psd_sqrt(np.diag([4.0, 1.0, 0.0, 0.0])), np.diag([2.0, 1.0, 0.0, 0.0]))
 
     def test_square_recovers_sampled_states(self):
-        for m in mixed_matrices(202, 100):
-            b = psd_sqrt(m)
-            assert max_abs(b @ b - m) <= 1e-8
+        m = mixed_matrices(202, 100)
+        b = psd_sqrt(m)
+        assert max_abs(b - b.conj().swapaxes(-1, -2)) <= 1e-12
+        assert max_abs(b @ b - m) <= 1e-8
 
-    def test_rejects_non_psd(self):
-        with pytest.raises(UsageError):
-            psd_sqrt(np.diag([1.0, 1.0, 1.0, -0.5]))
+    def test_stack_matches_one_at_a_time(self):
+        m = mixed_matrices(203, 12).reshape(3, 4, 4, 4)
+        b = psd_sqrt(m)
+        assert b.shape == m.shape
+        for i in range(3):
+            for j in range(4):
+                assert max_abs(b[i, j] - psd_sqrt(m[i, j])) <= 1e-14
+
+    def test_rank_one_root_is_the_projector(self, rng):
+        # roundoff eigenvalues are clamped, so the root of |v><v| has rank exactly 1
+        for _ in range(50):
+            v = random_matrix(rng)[0]
+            v /= np.linalg.norm(v)
+            p = np.outer(v, v.conj())
+            assert max_abs(psd_sqrt(p) - p) <= 1e-12
 
 
 def test_as_matrix_rejects_nonfinite():
