@@ -29,6 +29,7 @@ from .experiment import (
 )
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
+MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,10 +75,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     if ns.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if ns.delta_bins < 2:
-        raise UsageError("--delta-bins must be >= 2")
-    if ns.e0_bins < 2:
-        raise UsageError("--e0-bins must be >= 2")
+    for flag, bins in (("--delta-bins", ns.delta_bins), ("--e0-bins", ns.e0_bins)):
+        if not 2 <= bins <= MAX_BINS:
+            raise UsageError(f"{flag} must lie in [2, {MAX_BINS}], got {bins}")
     if ns.workers == "auto":  # the CPUs this process may run on, where the OS reports them
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     else:

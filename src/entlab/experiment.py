@@ -17,10 +17,9 @@ from typing import Literal
 
 import numpy as np
 
-from .entanglement import eof, eof_batch
+from .entanglement import eof, eof_batch  # noqa: F401 - eof is looked up here by bench/tracer.py
 from .errors import NumericError, UsageError
-from .gates import apply, circuit
-from .qstate import DensityMatrix, densify
+from .gates import circuit
 from .sampling import (
     MIXED_DRAW,
     RandomStream,
@@ -28,8 +27,6 @@ from .sampling import (
     haar_unitaries,
     mixed_draw,
     pure_state_vector,
-    random_mixed_state,
-    random_pure_state,
     simplex_spacings,
     spectral_states,
 )
@@ -63,39 +60,20 @@ class EnsembleSpec:
             raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One sample's initial EoF, final EoF, and their difference."""
-
-    e0: float
-    ef: float
-    delta: float
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Per-trial initial EoF, final EoF and their difference, as flat arrays."""
+    """Per-trial initial and final EoF as flat arrays; `delta` is E_F - E_0."""
 
     e0: np.ndarray
     ef: np.ndarray
-    delta: np.ndarray
     failures: int = 0
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.ef - self.e0
 
     def __len__(self) -> int:
         return self.e0.shape[0]
-
-
-def run_trial(kind: Kind, rng: RandomStream, state: DensityMatrix | None = None) -> TrialRecord:
-    """One Monte Carlo trial: sample (or take the forced test state), push it
-    through the circuit, and report (E_0, E_F, delta)."""
-    if state is None:
-        if kind == "pure":
-            state = densify(random_pure_state(rng))
-        else:
-            state = random_mixed_state(rng)
-    e0 = eof(state)
-    ef = eof(apply(circuit(), state))
-    return TrialRecord(e0=e0, ef=ef, delta=ef - e0)
 
 
 def _sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
@@ -147,10 +125,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
         raise NumericError(
             f"{failures} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget"
         )
-    return EnsembleResult(e0=e0, ef=ef, delta=ef - e0, failures=failures)
+    return EnsembleResult(e0=e0, ef=ef, failures=failures)
 
 
 def _chunk_task_star(args):
+    # module-level so the pool pickles it by name, also when `_chunk_task` is wrapped
     return _chunk_task(*args)
 
 
@@ -176,16 +155,22 @@ class Histogram:
         return self.counts / (self.total * self.bin_width)
 
     def bin_index(self, x: float) -> int:
-        """Index of the half-open bin [edge, next) containing x (last bin closed)."""
-        i = int(np.floor((x - self.lo) / self.bin_width))
-        return min(max(i, 0), self.bin_count - 1)
+        """Index of the bin that counts x."""
+        return int(_bin_indices(x, self.edges))
+
+
+def _bin_indices(values, edges: np.ndarray):
+    """The one binning rule: bin i holds edges[i] <= x < edges[i + 1], the last
+    bin also holds its upper edge, and values beyond either end go to the end bins."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
 def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int) -> Histogram:
     if bin_count < 2:
         raise UsageError("bin_count must be >= 2")
-    counts, _ = np.histogram(values, bins=bin_count, range=(lo, hi))
-    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts.astype(np.int64), total=int(values.shape[0]))
+    idx = _bin_indices(values, np.linspace(lo, hi, bin_count + 1))
+    counts = np.bincount(idx, minlength=bin_count).astype(np.int64)
+    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=int(values.shape[0]))
 
 
 def histogram_delta(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -226,7 +211,7 @@ def conditional_mean(result: EnsembleResult, bin_count: int, min_count: int = DE
         raise UsageError("bin_count must be >= 2")
     e0, ef = result.e0, result.ef
     edges = np.linspace(0.0, 1.0, bin_count + 1)
-    idx = np.clip(np.searchsorted(edges, e0, side="right") - 1, 0, bin_count - 1)
+    idx = _bin_indices(e0, edges)
     counts = np.bincount(idx, minlength=bin_count)
     sums = np.bincount(idx, weights=ef, minlength=bin_count)
     mean = np.full(bin_count, np.nan)

@@ -1,4 +1,4 @@
-"""Two-qubit state representations and the partial-transpose separability test.
+"""Validated two-qubit state representations: pure states and density matrices.
 
 Basis ordering throughout is |00>, |01>, |10>, |11>, with the first (left)
 qubit acting as control for the CNOT gate and target of the Hadamard.
@@ -16,7 +16,6 @@ from .linalg import HERMITIAN_TOL, as_matrix, max_abs
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
-PPT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,26 +65,3 @@ def densify(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|."""
     amp = psi.amplitudes
     return DensityMatrix(np.outer(amp, amp.conj()))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in [1/4, 1]: 1 for pure states, 1/4 for maximally mixed."""
-    m = rho.matrix
-    return float(np.trace(m @ m).real)
-
-
-def partial_transpose(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Transpose the second qubit's indices: entry (ij),(kl) -> (il),(kj).
-
-    The result is Hermitian but generally not PSD, so it is returned as a
-    plain matrix. Accepts a raw 4x4 array as well, which makes the
-    involution property directly expressible.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho, dim=4)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def is_entangled_ppt(rho: DensityMatrix) -> bool:
-    """Peres-Horodecki test, exact for two qubits: entangled iff the partial
-    transpose has an eigenvalue below -1e-9."""
-    return bool(np.linalg.eigvalsh(partial_transpose(rho)).min() < -PPT_THRESHOLD)

@@ -56,9 +56,6 @@ class RandomStream:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def substream(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, index)
-
 
 @dataclass(frozen=True, eq=False)
 class SimplexPoint:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entlab import experiment
-from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, execute, main, parse_args
+from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
 from entlab.errors import UsageError
 from entlab.experiment import MAX_RETRIES, RETRY_STRIDE
 
@@ -193,6 +193,16 @@ class TestMain:
             assert code == EXIT_USAGE
             assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_huge_bin_count_exit_code(self, tmp_path, capsys):
+        # refused before the ensemble runs, not by a failed allocation after it
+        for flag in ("--delta-bins", "--e0-bins"):
+            code = main(["--trials", "1", flag, str(10**14), "--workers", "1", "--output-dir", str(tmp_path / "run")])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+        parse_args(["--delta-bins", str(MAX_BINS), "--e0-bins", str(MAX_BINS)])  # the cap itself is accepted
 
 
 class TestNumericHealth:

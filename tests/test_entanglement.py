@@ -16,7 +16,7 @@ from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.sampling import RandomStream, haar_unitaries, random_mixed_state, spectral_states
 
-from conftest import mixed_matrices, mixed_states, pure_states
+from conftest import definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
 
 I4 = np.eye(4, dtype=complex)
 
@@ -35,29 +35,6 @@ def werner(x: float) -> DensityMatrix:
 
 def werner_concurrence_closed_form(x: float) -> float:
     return max(0.0, (3 * x - 1) / 2)
-
-
-# The spin flip built here, not taken from the package, so the definition
-# route below shares no code with the kernel under test.
-YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-
-
-def definition_concurrence(rhos: np.ndarray) -> np.ndarray:
-    """Wootters' definition on a (..., 4, 4) stack: lambda = sqrt(eig(rho rho~))
-    from the general (non-Hermitian) eigensolver, C = max(0, l1 - l2 - l3 - l4).
-    Square-rooting near-zero eigenvalues costs this route half its digits on
-    rank-deficient states."""
-    ev = np.linalg.eigvals(rhos @ YY @ rhos.conj() @ YY)
-    lam = np.sort(np.sqrt(np.abs(ev)), axis=-1)[..., ::-1]
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
-
-
-def definition_eof(c: np.ndarray) -> np.ndarray:
-    """h((1 + sqrt(1 - C^2)) / 2), with h = 0 where the argument rounds to 1."""
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where(x < 1.0, h, 0.0)
 
 
 def haar_spectral_stack(seed: int, spectra: np.ndarray) -> np.ndarray:
@@ -217,9 +194,8 @@ class TestLocalUnitaryInvariance:
             q, _ = np.linalg.qr(g)
             return q
 
-        base = RandomStream(25)
         for i in range(100):
-            rho = random_mixed_state(base.substream(i))
+            rho = random_mixed_state(RandomStream(25, i))
             local = np.kron(random_local(), random_local())
             rotated = DensityMatrix(local @ rho.matrix @ local.conj().T)
             assert eof(rotated) == pytest.approx(eof(rho), abs=1e-9)

@@ -3,6 +3,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from entlab import experiment
 from entlab.entanglement import eof_from_concurrence, pure_concurrence_oracle
 from entlab.errors import UsageError
 from entlab.experiment import (
@@ -10,54 +11,75 @@ from entlab.experiment import (
     RETRY_STRIDE,
     EnsembleResult,
     EnsembleSpec,
-    TrialRecord,
     _chunk_task,
     conditional_mean,
     entanglement_histogram,
     histogram_delta,
     run_ensemble,
-    run_trial,
 )
 from entlab.gates import circuit
-from entlab.qstate import DensityMatrix, PureState, densify, ket
-from entlab.sampling import RandomStream, pure_state_vector
+from entlab.qstate import PureState, ket
+from entlab.sampling import RandomStream, mixed_draw, mixed_state_matrix, pure_state_vector
 
-from conftest import poison_draws
+from conftest import definition_concurrence, definition_eof, poison_draws
 
-I4 = np.eye(4, dtype=complex)
+# the definition route loses half its digits on rank-1 (pure) states
+REFERENCE_TOL = {"pure": 1e-6, "mixed": 1e-10}
 
 
 def result(e0, ef) -> EnsembleResult:
-    e0, ef = np.asarray(e0, dtype=float), np.asarray(ef, dtype=float)
-    return EnsembleResult(e0=e0, ef=ef, delta=ef - e0)
+    return EnsembleResult(e0=np.asarray(e0, dtype=float), ef=np.asarray(ef, dtype=float))
+
+
+def forced_trial(monkeypatch, kind, draw) -> tuple[float, float]:
+    """(E_0, E_F) of one trial run by the engine, with its per-trial draw
+    replaced by `draw`, the way `conftest.poison_draws` replaces it."""
+    monkeypatch.setattr(experiment, "pure_state_vector" if kind == "pure" else "mixed_draw", draw)
+    e0, ef, failures = _chunk_task(kind, 1, 0, 1)
+    assert failures == 0
+    return e0[0], ef[0]
+
+
+def reference_trial(kind, seed: int, stream: int) -> np.ndarray:
+    """(E_0, E_F) of the trial drawn from `stream`, by Wootters' definition:
+    shares the draw with the engine but none of its kernel."""
+    rng = RandomStream(seed, stream)
+    if kind == "pure":
+        v = pure_state_vector(rng)
+        rho = np.outer(v, v.conj())
+    else:
+        rho = mixed_state_matrix(rng)
+    u = circuit().matrix
+    return definition_eof(definition_concurrence(np.stack([rho, u @ rho @ u.conj().T])))
 
 
 class TestRunTrial:
-    def test_forced_ground_state(self):
-        rec = run_trial("pure", RandomStream(1, 0), state=densify(ket("00")))
-        assert rec.e0 == pytest.approx(0.0, abs=1e-12)
-        assert rec.ef == pytest.approx(1.0, abs=1e-9)
-        assert rec.delta == pytest.approx(1.0, abs=1e-9)
+    """One trial through the engine's `_chunk_task`, on forced or sampled draws."""
 
-    def test_forced_maximally_mixed(self):
-        rec = run_trial("mixed", RandomStream(1, 0), state=DensityMatrix(I4 / 4))
-        assert rec == TrialRecord(0.0, 0.0, 0.0)
+    def test_forced_ground_state(self, monkeypatch):
+        e0, ef = forced_trial(monkeypatch, "pure", lambda rng: ket("00").amplitudes)
+        assert e0 == pytest.approx(0.0, abs=1e-12)
+        assert ef == pytest.approx(1.0, abs=1e-9)
 
-    def test_forced_bell_state(self):
-        bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        rec = run_trial("pure", RandomStream(1, 0), state=densify(bell))
-        assert rec.e0 == pytest.approx(1.0, abs=1e-9)
+    def test_forced_maximally_mixed(self, monkeypatch):
+        # uniforms (1/4, 1/2, 3/4) space the simplex evenly, so rho = U (I/4) U^dag
+        forced = forced_trial(monkeypatch, "mixed", lambda rng: (mixed_draw(rng)[0], np.array([0.25, 0.5, 0.75])))
+        assert forced == (0.0, 0.0)
+
+    def test_forced_bell_state(self, monkeypatch):
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        e0, ef = forced_trial(monkeypatch, "pure", lambda rng: bell)
+        assert e0 == pytest.approx(1.0, abs=1e-9)
         # cross-check the final EoF against the pure-state closed form
-        evolved = PureState(circuit().matrix @ bell.amplitudes)
-        expected = eof_from_concurrence(pure_concurrence_oracle(evolved))
-        assert rec.ef == pytest.approx(expected, abs=1e-9)
+        expected = eof_from_concurrence(pure_concurrence_oracle(PureState(circuit().matrix @ bell)))
+        assert ef == pytest.approx(expected, abs=1e-9)
 
     def test_sampled_trials_consistent(self):
-        for i in range(50):
-            rec = run_trial("pure", RandomStream(2, i))
-            assert 0.0 <= rec.e0 <= 1.0
-            assert 0.0 <= rec.ef <= 1.0
-            assert rec.delta == pytest.approx(rec.ef - rec.e0, abs=1e-12)
+        e0, ef, failures = _chunk_task("pure", 2, 0, 50)
+        assert failures == 0
+        assert np.all((e0 >= 0) & (e0 <= 1)) and np.all((ef >= 0) & (ef <= 1))
+        for t in range(50):
+            assert (e0[t], ef[t]) == pytest.approx(reference_trial("pure", 2, t), abs=REFERENCE_TOL["pure"])
 
 
 class TestEnsembleSpec:
@@ -116,9 +138,7 @@ class TestRunEnsemble:
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
         for t in (0, 17, 63):
-            rec = run_trial("mixed", RandomStream(6, t))
-            assert res.e0[t] == pytest.approx(rec.e0, abs=1e-10)
-            assert res.ef[t] == pytest.approx(rec.ef, abs=1e-10)
+            assert (res.e0[t], res.ef[t]) == pytest.approx(reference_trial("mixed", 6, t), abs=REFERENCE_TOL["mixed"])
 
     def test_bounds_and_purity_preservation(self):
         res = run_ensemble(EnsembleSpec("pure", 1000, 7))
@@ -141,9 +161,8 @@ class TestRetryPath:
         poison_draws(monkeypatch, {5})
         e0, ef, failures = _chunk_task(kind, 3, 0, 10)
         assert failures == 1
-        ref = run_trial(kind, RandomStream(3, 5 + RETRY_STRIDE))
-        assert e0[5] == pytest.approx(ref.e0, abs=1e-10)
-        assert ef[5] == pytest.approx(ref.ef, abs=1e-10)
+        ref = reference_trial(kind, 3, 5 + RETRY_STRIDE)
+        assert (e0[5], ef[5]) == pytest.approx(ref, abs=REFERENCE_TOL[kind])
         others = np.arange(10) != 5
         assert np.array_equal(e0[others], clean[0][others])
         assert np.array_equal(ef[others], clean[1][others])
@@ -172,6 +191,33 @@ class TestHistogramDelta:
         res = run_ensemble(EnsembleSpec("mixed", 2000, 10))
         h = histogram_delta(res, 50)
         assert h.densities().sum() * h.bin_width == pytest.approx(1.0, abs=1e-12)
+
+
+def edge_values(lo: float, bins: int) -> np.ndarray:
+    """Every bin edge over [lo, 1], and the in-range values one ulp either side."""
+    edges = np.linspace(lo, 1.0, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
+    return np.unique(np.clip(near, lo, 1.0))
+
+
+class TestBinRule:
+    """Each value is counted in the bin that `bin_index` names."""
+
+    BINS = (2, 3, 7, 50, 100, 186, 399)
+
+    def test_delta_histogram(self):
+        for bins in self.BINS:
+            for x in edge_values(-1.0, bins):
+                h = histogram_delta(result([0.0], [x]), bins)
+                assert h.counts[h.bin_index(x)] == 1, (bins, x)
+
+    def test_e0_histogram_and_conditional_mean(self):
+        for bins in self.BINS:
+            for x in edge_values(0.0, bins):
+                rec = result([x], [x])
+                h = entanglement_histogram(rec, bins)
+                assert h.counts[h.bin_index(x)] == 1, (bins, x)
+                assert conditional_mean(rec, bins, min_count=1).counts[h.bin_index(x)] == 1, (bins, x)
 
 
 class TestEntanglementHistogram:

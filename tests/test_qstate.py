@@ -3,19 +3,10 @@ import pytest
 
 from entlab.entanglement import concurrence_batch
 from entlab.errors import UsageError
-from entlab.gates import apply, circuit
-from entlab.qstate import (
-    DensityMatrix,
-    PureState,
-    densify,
-    is_entangled_ppt,
-    ket,
-    partial_transpose,
-    purity,
-)
+from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.sampling import RandomStream, random_pure_state
 
-from conftest import mixed_matrices, mixed_states
+from conftest import mixed_matrices
 
 I4 = np.eye(4, dtype=complex)
 MAX_MIXED = DensityMatrix(I4 / 4)
@@ -23,6 +14,14 @@ MAX_MIXED = DensityMatrix(I4 / 4)
 
 def bell_phi_plus():
     return PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+
+
+def ppt_min_eigenvalue(rhos: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose (second qubit) of each state
+    in a (n, 4, 4) stack. By Peres-Horodecki, exact for two qubits, a state is
+    entangled iff it is negative."""
+    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    return np.linalg.eigvalsh(0.5 * (pt + pt.conj().transpose(0, 2, 1)))[:, 0]
 
 
 class TestPureState:
@@ -74,54 +73,29 @@ class TestDensify:
         assert np.max(np.abs(diff)) <= 1e-12
 
 
-class TestPurity:
-    def test_maximally_mixed(self):
-        assert purity(MAX_MIXED) == pytest.approx(0.25, abs=1e-12)
-
-    def test_pure_projectors(self):
-        for i in range(20):
-            rho = densify(random_pure_state(RandomStream(6, i)))
-            assert purity(rho) == pytest.approx(1.0, abs=1e-10)
-
-    def test_even_two_state_mixture(self):
-        rho = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
-        assert purity(rho) == pytest.approx(0.5, abs=1e-12)
-
-    def test_invariant_under_unitary(self):
-        u = circuit()
-        for rho in mixed_states(7, 50):
-            assert purity(apply(u, rho)) == pytest.approx(purity(rho), abs=1e-10)
-
-
-class TestPartialTranspose:
-    def test_maximally_mixed_fixed_point(self):
-        assert np.allclose(partial_transpose(MAX_MIXED), I4 / 4)
-
-    def test_bell_min_eigenvalue(self):
-        # brute-force spectrum of the partially transposed Bell projector
-        pt = partial_transpose(densify(bell_phi_plus()))
-        assert np.linalg.eigvalsh(pt).min() == pytest.approx(-0.5, abs=1e-12)
-
-    def test_involution(self):
-        for rho in mixed_states(8, 50):
-            twice = partial_transpose(partial_transpose(rho))
-            assert np.max(np.abs(twice - rho.matrix)) <= 1e-12
-
-
 class TestPptCriterion:
+    """The concurrence kernel against the partial-transpose (Peres-Horodecki)
+    verdict, on named states and on sampled ones."""
+
     def test_maximally_mixed_separable(self):
-        assert not is_entangled_ppt(MAX_MIXED)
+        assert ppt_min_eigenvalue(MAX_MIXED.matrix[None])[0] == pytest.approx(0.25, abs=1e-12)
+        assert concurrence_batch(MAX_MIXED.matrix[None])[0] == 0.0
 
     def test_bell_entangled(self):
-        assert is_entangled_ppt(densify(bell_phi_plus()))
+        bell = densify(bell_phi_plus()).matrix[None]
+        assert ppt_min_eigenvalue(bell)[0] == pytest.approx(-0.5, abs=1e-12)
+        assert concurrence_batch(bell)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_product_pure_separable(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-            assert not is_entangled_ppt(densify(PureState(v)))
+        a = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        b = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        v = (a[:, :, None] * b[:, None, :]).reshape(20, 4)
+        rhos = v[:, :, None] * v.conj()[:, None, :]
+        assert np.all(ppt_min_eigenvalue(rhos) > -1e-9)
+        assert np.all(concurrence_batch(rhos) < 1e-6)
 
     def test_agrees_with_concurrence_outside_boundary_band(self):
         # Peres-Horodecki <=> positive concurrence, exact in 2x2. States
@@ -130,8 +104,7 @@ class TestPptCriterion:
         # are roundoff-dominated.
         mats = mixed_matrices(10, 10_000)
         conc = concurrence_batch(mats)
-        pt = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-        min_eig = np.linalg.eigvalsh(0.5 * (pt + pt.conj().transpose(0, 2, 1)))[:, 0]
+        min_eig = ppt_min_eigenvalue(mats)
         boundary = (np.abs(min_eig) < 1e-6) | ((conc > 0.0) & (conc < 1e-6))
         clear = ~boundary
         assert clear.sum() > 5000  # the band must not swallow the sample

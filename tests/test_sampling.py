@@ -44,10 +44,6 @@ class TestRandomStream:
             b = RandomStream(t, 0).generator.random(100)
             assert not np.array_equal(a, b)
 
-    def test_substream_helper(self):
-        s = RandomStream(9).substream(3)
-        assert (s.seed, s.stream_index) == (9, 3)
-
     def test_identical_state_sequences(self):
         a = [mixed_state_matrix(RandomStream(5, i)) for i in range(10)]
         b = [mixed_state_matrix(RandomStream(5, i)) for i in range(10)]
