@@ -1,8 +1,10 @@
 """Command-line front end: run an ensemble and write CSV/JSON outputs.
 
 Each run writes into one directory: delta_hist.csv, conditional_mean.csv,
-e0_hist.csv (one file per figure-style output) and summary.json. Exit
-statuses: 0 success, 1 usage, 2 I/O failure, 3 numeric-quality breach.
+e0_hist.csv (one file per figure-style output) and summary.json. The files
+are written in a temporary directory beside it and moved in only once all
+are written, summary.json last. Exit statuses: 0 success, 1 usage, 2 I/O
+failure, 3 numeric-quality breach.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -137,22 +141,30 @@ def execute(config: RunConfig) -> int:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "csv" in config.formats:
-        _write_histogram_csv(out / "delta_hist.csv", delta_hist)
-        _write_histogram_csv(out / "e0_hist.csv", e0_hist)
-        _write_profile_csv(out / "conditional_mean.csv", profile)
-    if "json" in config.formats:
-        half_width = delta_hist.bin_width / 2.0
-        summary = {
-            "config": {**asdict(config), "formats": list(config.formats)},
-            "mean_e0": float(result.e0.mean()),
-            "mean_ef": float(result.ef.mean()),
-            "mean_delta": float(result.delta.mean()),
-            "zero_delta_fraction": float(np.mean(np.abs(result.delta) < half_width)),
-            "failures": result.failures,
-            "wall_time_s": time.monotonic() - t0,
-        }
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    # the files are written next to `out` and then moved in one by one,
+    # summary.json last, so a failed write leaves the previous set whole
+    tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
+    try:
+        if "csv" in config.formats:
+            _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
+            _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
+            _write_profile_csv(tmp / "conditional_mean.csv", profile)
+        if "json" in config.formats:
+            half_width = delta_hist.bin_width / 2.0
+            summary = {
+                "config": {**asdict(config), "formats": list(config.formats)},
+                "mean_e0": float(result.e0.mean()),
+                "mean_ef": float(result.ef.mean()),
+                "mean_delta": float(result.delta.mean()),
+                "zero_delta_fraction": float(np.mean(np.abs(result.delta) < half_width)),
+                "failures": result.failures,
+                "wall_time_s": time.monotonic() - t0,
+            }
+            (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        for path in sorted(tmp.iterdir(), key=lambda p: p.name == "summary.json"):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Wootters concurrence and entanglement of formation for two-qubit states.
 
 One batched kernel, `wootters_lambdas`, solves the concurrence eigenproblem
-for a stack of states; `concurrence_batch`/`eof_batch` back the Monte Carlo
-hot path, and the validated scalar `concurrence`/`eof` are stack-of-one
-calls of it. `binary_entropy` and `eof_from_concurrence` are elementwise
-and serve both.
+for a stack of density matrices, and the validated scalar `concurrence`/`eof`
+are stack-of-one calls of it. Pure states given as state vectors take the
+closed form 2|ad - bc| instead, which `pure_concurrence_oracle` also calls.
+`concurrence_batch`/`eof_batch` accept either stack and back the Monte Carlo
+hot path. `binary_entropy` and `eof_from_concurrence` are elementwise and
+serve every route.
 """
 
 from __future__ import annotations
@@ -85,14 +87,19 @@ def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
     return np.linalg.svd(sq_tilde @ sq, compute_uv=False)
 
 
-def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of each state in an (n, 4, 4) stack."""
-    return concurrence_from_lambdas(wootters_lambdas(rhos))
+def concurrence_batch(states: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in an (n, 4) stack of unit state vectors
+    (a, b, c, d), by the closed form 2|ad - bc|, or in an (n, 4, 4) stack of
+    density matrices, by Wootters' lambdas."""
+    if states.ndim == 2:
+        return 2.0 * np.abs(states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2])
+    return concurrence_from_lambdas(wootters_lambdas(states))
 
 
-def eof_batch(rhos: np.ndarray) -> np.ndarray:
-    """Entanglement of formation of each state in an (n, 4, 4) stack."""
-    return eof_from_concurrence(concurrence_batch(rhos))
+def eof_batch(states: np.ndarray) -> np.ndarray:
+    """Entanglement of formation of each state in an (n, 4) stack of unit
+    state vectors or an (n, 4, 4) stack of density matrices."""
+    return eof_from_concurrence(concurrence_batch(states))
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
@@ -108,7 +115,7 @@ def eof(rho: DensityMatrix) -> float:
 
 
 def pure_concurrence_oracle(psi: PureState) -> float:
-    """Closed-form pure-state concurrence 2|ad - bc|, an independent
-    cross-check for the general spectral route."""
-    a, b, c, d = psi.amplitudes
-    return float(2.0 * abs(a * d - b * c))
+    """Closed-form pure-state concurrence 2|ad - bc| of one validated state:
+    a stack-of-one call of the vector kernel, and an independent cross-check
+    for the general spectral route."""
+    return float(concurrence_batch(psi.amplitudes[None])[0])

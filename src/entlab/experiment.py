@@ -2,7 +2,8 @@
 
 Trial t of a run draws from substream t of the run seed, so results are
 identical whatever the execution order or worker count. A chunk of trials
-is sampled as one stack and evaluated with the batched entanglement kernel.
+is sampled as one stack (state vectors for pure runs, density matrices for
+mixed ones) and evaluated with the batched entanglement kernel.
 The one retry path: a trial whose sampled state is not finite (a
 measure-zero degenerate draw) is redrawn through the same `_sample_chunk`
 on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel
@@ -76,33 +77,43 @@ class EnsembleResult:
         return self.e0.shape[0]
 
 
+def _restarted(rng: RandomStream, streams: np.ndarray):
+    """`rng` moved to each substream index in turn, for one trial's draws each."""
+    for s in streams.tolist():
+        rng.stream_index = s
+        yield rng
+
+
 def _sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
-    """Stack of raw density matrices, one per substream index in `streams`."""
-    rngs = (RandomStream(seed, s) for s in streams.tolist())
-    if kind == "pure":
-        vecs = np.fromiter(map(pure_state_vector, rngs), dtype=(complex, 4), count=len(streams))
-        return vecs[:, :, None] * vecs.conj()[:, None, :]
-    draws = np.fromiter(map(mixed_draw, rngs), dtype=MIXED_DRAW, count=len(streams))
-    return spectral_states(haar_unitaries(draws["ginibre"]), simplex_spacings(draws["uniforms"]))
+    """One state per substream index in `streams`: an (n, 4) stack of pure
+    state vectors or an (n, 4, 4) stack of mixed density matrices. One
+    generator serves the chunk; a degenerate draw comes out non-finite,
+    without a warning, for the caller to screen."""
+    rngs = _restarted(RandomStream(seed), streams)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "pure":
+            return np.fromiter(map(pure_state_vector, rngs), dtype=(complex, 4), count=len(streams))
+        draws = np.fromiter(map(mixed_draw, rngs), dtype=MIXED_DRAW, count=len(streams))
+        return spectral_states(haar_unitaries(draws["ginibre"]), simplex_spacings(draws["uniforms"]))
 
 
 def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate one chunk of trials; returns (e0, ef, failure count)."""
     trials = np.arange(start, start + count)
-    rhos = _sample_chunk(kind, seed, trials)
+    states = _sample_chunk(kind, seed, trials)
     failures = 0
     for k in range(1, MAX_RETRIES + 2):
-        bad = np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))
+        bad = np.flatnonzero(~np.isfinite(states.reshape(count, -1)).all(axis=1))
         if not bad.size:
             break
         if k > MAX_RETRIES:
             raise NumericError(f"trial {trials[bad[0]]} failed {MAX_RETRIES} consecutive resamples")
         failures += bad.size
-        rhos[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
+        states[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
     u = circuit().matrix
     try:
-        e0 = eof_batch(rhos)
-        ef = eof_batch(u @ rhos @ u.conj().T)
+        e0 = eof_batch(states)
+        ef = eof_batch(states @ u.T if kind == "pure" else u @ states @ u.conj().T)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
     return e0, ef, failures

@@ -8,8 +8,11 @@ states are Haar-uniform on the unit sphere via normalized complex Gaussians.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_index): trial t of a run owns substream t, so sequences are
-reproducible independently of execution order. The draw order of a trial,
-shared by every sampler here and by the engine, is:
+reproducible independently of execution order. A `RandomStream` restarts
+its one generator whenever it is moved to another substream, which resets
+the Philox key, counter, buffer and pending 32-bit half; trial t's draws
+therefore do not depend on whether its generator is fresh or reset. The
+draw order of a trial, shared by every sampler here and by the engine, is:
 
 - pure: one (2, 4) block of standard normals, real part first;
 - mixed: one (2, 4, 4) block of standard normals, real part first (the
@@ -41,19 +44,30 @@ class RandomStream:
 
     Equal (seed, stream_index) pairs reproduce identical sequences; distinct
     stream_index values give statistically independent streams. Both must
-    lie in [0, 2^64).
+    lie in [0, 2^64). Reading `generator` after either field changed puts
+    the one generator at the start of the new substream; reading it again
+    continues where the last draw stopped.
     """
 
     seed: int
     stream_index: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
+    _start: dict | None = field(default=None, init=False, repr=False, compare=False)  # a Philox state at counter 0
+    _at: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def generator(self) -> np.random.Generator:
-        if self._gen is None:
+        at = (self.seed, self.stream_index)
+        if self._at != at:
             # an explicit uint64 key: a plain list above 2^63 would pass through float64
-            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            key = np.array(at, dtype=np.uint64)
+            if self._gen is None:
+                self._gen = np.random.Generator(np.random.Philox(key=key))
+                self._start = self._gen.bit_generator.state  # empty buffer, no pending 32-bit half
+            else:
+                self._start["state"]["key"] = key
+                self._gen.bit_generator.state = self._start
+            self._at = at
         return self._gen
 
 

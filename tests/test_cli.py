@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entlab import experiment
+from entlab import cli, experiment
 from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
 from entlab.errors import UsageError
 from entlab.experiment import MAX_RETRIES, RETRY_STRIDE
@@ -160,6 +161,47 @@ class TestExecute:
         assert row[3] == format(float(row[3]), ".12g")
 
 
+class TestOutputWrites:
+    """Outputs move into place only once all are written."""
+
+    ARGS = ["--trials", "500", "--delta-bins", "10", "--e0-bins", "5", "--workers", "1"]
+
+    def test_failed_write_leaves_previous_set(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main([*self.ARGS, "--seed", "3", "--output-dir", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write, calls = cli._write_histogram_csv, []
+
+        def second_csv_fails(path, hist):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(path))
+            write(path, hist)
+
+        monkeypatch.setattr(cli, "_write_histogram_csv", second_csv_fails)
+        code = main([*self.ARGS, "--seed", "4", "--output-dir", str(out)])
+        assert code == EXIT_IO and calls == ["delta_hist.csv", "e0_hist.csv"]
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]  # no temporary directory left
+
+    def test_summary_moves_in_last(self, tmp_path, monkeypatch):
+        moved, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(Path(dst).name) or replace(src, dst))
+        assert main([*self.ARGS, "--seed", "3", "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+        assert sorted(moved[:-1]) == ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv"]
+        assert moved[-1] == "summary.json"
+
+    def test_current_directory_as_output(self, tmp_path, monkeypatch):
+        # files are replaced one by one, so the output directory may be the working directory
+        (tmp_path / "notes.txt").write_text("kept")
+        monkeypatch.chdir(tmp_path)
+        assert main([*self.ARGS, "--seed", "3", "--output-dir", "."]) == EXIT_OK
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv", "notes.txt", "summary.json"]
+        assert (tmp_path / "notes.txt").read_text() == "kept"
+
+
 class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main(["--trials", "0"]) == EXIT_USAGE
@@ -223,7 +265,6 @@ class TestNumericHealth:
         assert code == EXIT_NUMERIC
         assert "numeric quality breach" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_retried_draw_is_counted(self, tmp_path, capsys, monkeypatch):
         # at the real 1e-6 budget a single failure is allowed only from 10^6 trials
         monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
@@ -232,7 +273,6 @@ class TestNumericHealth:
         assert code == EXIT_OK
         assert json.loads((tmp_path / "run" / "summary.json").read_text())["failures"] == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exhausted_retries_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
         poison_draws(monkeypatch, {7 + k * RETRY_STRIDE for k in range(MAX_RETRIES + 1)})
@@ -240,7 +280,6 @@ class TestNumericHealth:
         assert code == EXIT_NUMERIC
         assert "resamples" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         poison_draws(monkeypatch, {7})
         code, err = self.run(tmp_path, capsys)

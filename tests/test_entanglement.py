@@ -14,7 +14,8 @@ from entlab.entanglement import (
 )
 from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
-from entlab.sampling import RandomStream, haar_unitaries, random_mixed_state, spectral_states
+from entlab.gates import circuit
+from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, random_mixed_state, spectral_states
 
 from conftest import definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
 
@@ -185,6 +186,72 @@ class TestPureOracle:
         spectral = concurrence_batch(rhos)
         closed = 2 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2])
         assert np.max(np.abs(spectral - closed)) <= 1e-9
+
+
+def projectors(vecs: np.ndarray) -> np.ndarray:
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
+
+
+def product_vectors(seed: int, count: int) -> np.ndarray:
+    """The four computational basis states, then a (x) b for random qubit states."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, count, 2)) + 1j * rng.standard_normal((2, count, 2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return np.concatenate([np.eye(4, dtype=complex), (a[:, :, None] * b[:, None, :]).reshape(count, 4)])
+
+
+BELL_VECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / np.sqrt(2)
+
+
+def phased_bell_vectors(seed: int, count: int) -> np.ndarray:
+    """(e^{ia}, 0, 0, e^{ib}) normalised; for some of them 2|ad - bc| rounds above 1."""
+    ph = np.exp(2j * np.pi * np.random.default_rng(seed).random((count, 2)))
+    v = np.zeros((count, 4), dtype=complex)
+    v[:, 0], v[:, 3] = ph[:, 0], ph[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestVectorKernel:
+    """`eof_batch` on (n, 4) state vectors against the general kernel on
+    |v><v| and C|v><v|C^dag, and against Wootters' definition."""
+
+    @staticmethod
+    def check(vecs: np.ndarray) -> np.ndarray:
+        u = circuit().matrix
+        for v, rhos in ((vecs, projectors(vecs)), (vecs @ u.T, u @ projectors(vecs) @ u.conj().T)):
+            e = eof_batch(v)
+            assert np.all((e >= 0.0) & (e <= 1.0))
+            assert np.max(np.abs(e - eof_batch(rhos))) <= 1e-12
+            assert np.max(np.abs(concurrence_batch(v) - concurrence_batch(rhos))) <= 1e-12
+            assert np.max(np.abs(e - definition_eof(definition_concurrence(rhos)))) <= 1e-6
+        return eof_batch(vecs)
+
+    def test_haar_samples(self):
+        self.check(np.array([pure_state_vector(RandomStream(42, i)) for i in range(2000)]))
+
+    def test_product_states(self):
+        vecs = product_vectors(43, 500)
+        assert np.all(concurrence_batch(vecs) <= 1e-15)
+        assert np.all(self.check(vecs) <= 1e-12)
+        assert np.all(eof_batch(vecs[:4]) == 0.0)
+        # the circuit carries the product basis onto the Bell basis
+        assert np.all(eof_batch(vecs[:4] @ circuit().matrix.T) == pytest.approx(1.0, abs=1e-12))
+
+    def test_bell_states(self):
+        assert np.all(concurrence_batch(BELL_VECTORS) == pytest.approx(1.0, abs=1e-15))
+        assert np.all(self.check(BELL_VECTORS) == pytest.approx(1.0, abs=1e-12))
+
+    def test_concurrence_rounding_above_one(self):
+        vecs = phased_bell_vectors(44, 2000)
+        above = concurrence_batch(vecs) > 1.0
+        assert above.any()
+        assert np.all(self.check(vecs[above]) == pytest.approx(1.0, abs=1e-12))
+
+    def test_oracle_is_the_vector_kernel(self):
+        vecs = np.array([pure_state_vector(RandomStream(45, i)) for i in range(50)])
+        oracle = [pure_concurrence_oracle(PureState(v)) for v in vecs]
+        assert np.array_equal(oracle, concurrence_batch(vecs))
 
 
 class TestLocalUnitaryInvariance:

@@ -153,8 +153,17 @@ class TestRunEnsemble:
             assert res.ef[t] == pytest.approx(expected, abs=1e-9)
 
 
+class TestSampleChunk:
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_matches_fresh_streams(self, kind):
+        # the chunk's one reset generator draws what a fresh one per trial draws
+        seed, streams = 2**63 + 12345, np.array([0, 1, 7, 5 + RETRY_STRIDE, 2**40])
+        draw = pure_state_vector if kind == "pure" else mixed_state_matrix
+        fresh = np.array([draw(RandomStream(seed, s)) for s in streams])
+        assert np.array_equal(experiment._sample_chunk(kind, seed, streams), fresh)
+
+
 class TestRetryPath:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_nonfinite_draw_takes_retry_substream(self, monkeypatch, kind):
         clean = _chunk_task(kind, 3, 0, 10)
@@ -166,6 +175,19 @@ class TestRetryPath:
         others = np.arange(10) != 5
         assert np.array_equal(e0[others], clean[0][others])
         assert np.array_equal(ef[others], clean[1][others])
+
+    def test_zero_vector_is_redrawn_silently(self, monkeypatch):
+        # normalising a zero draw divides 0 by 0; the screen catches the NaNs, numpy does not warn
+        draw = experiment.pure_state_vector
+
+        def degenerate(rng):
+            v = np.zeros(4, dtype=complex) if rng.stream_index == 5 else draw(rng)
+            return v / np.linalg.norm(v)
+
+        monkeypatch.setattr(experiment, "pure_state_vector", degenerate)
+        e0, ef, failures = _chunk_task("pure", 3, 0, 10)
+        assert failures == 1
+        assert (e0[5], ef[5]) == pytest.approx(reference_trial("pure", 3, 5 + RETRY_STRIDE), abs=REFERENCE_TOL["pure"])
 
 
 class TestHistogramDelta:

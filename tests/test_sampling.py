@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entlab.errors import UsageError
+from entlab.experiment import RETRY_STRIDE
 from entlab.sampling import (
     RandomStream,
     SimplexPoint,
@@ -43,6 +44,44 @@ class TestRandomStream:
             a = RandomStream(s, 0).generator.random(100)
             b = RandomStream(t, 0).generator.random(100)
             assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("leftover", ["partial-block", "pending-half"])
+    @pytest.mark.parametrize("seed", [0, 2**63 + 12345, 2**64 - 1])
+    def test_reset_matches_fresh_stream(self, seed, leftover):
+        """A stream moved to another substream draws what a fresh one draws,
+        even when the previous trial left the generator mid-buffer."""
+        rng = RandomStream(seed)
+        for index in (0, 5 + 3 * RETRY_STRIDE, 2**64 - 1):
+            rng.stream_index = 12  # the previous trial
+            gen = rng.generator
+            if leftover == "partial-block":
+                gen.random(3)  # 3 of the 4 words of a Philox block
+                assert gen.bit_generator.state["buffer_pos"] == 3
+            else:
+                gen.integers(0, 2**32, dtype=np.uint32)  # keeps the other 32 bits
+                assert gen.bit_generator.state["has_uint32"] == 1
+            rng.stream_index = index
+            fresh = RandomStream(seed, index).generator
+            assert rng.generator is gen
+            assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+            for draw in (
+                lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                lambda g: g.standard_normal((2, 4, 4)),
+                lambda g: g.random(3),
+            ):
+                assert np.array_equal(draw(rng.generator), draw(fresh))
+
+    def test_seed_change_restarts(self):
+        rng = RandomStream(1, 4)
+        rng.generator.random(2)
+        rng.seed = 2**64 - 1
+        assert np.array_equal(rng.generator.random(5), RandomStream(2**64 - 1, 4).generator.random(5))
+
+    def test_second_read_keeps_position(self):
+        rng = RandomStream(3, 9)
+        first = rng.generator.random(5)
+        second = rng.generator.random(5)  # continues, as mixed_draw's two draws need
+        assert np.array_equal(np.concatenate([first, second]), RandomStream(3, 9).generator.random(10))
 
     def test_identical_state_sequences(self):
         a = [mixed_state_matrix(RandomStream(5, i)) for i in range(10)]
