@@ -26,6 +26,7 @@ from .experiment import (
     ConditionalProfile,
     EnsembleSpec,
     Histogram,
+    available_cpus,
     conditional_mean,
     entanglement_histogram,
     histogram_delta,
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42, help="64-bit decimal seed")
     p.add_argument("--delta-bins", type=int, default=100, help="bins for the delta-E histogram over [-1, 1]")
     p.add_argument("--e0-bins", type=int, default=50, help="bins over initial EoF in [0, 1]")
-    p.add_argument("--workers", default="auto", help="worker process count, or 'auto'")
+    p.add_argument("--workers", default="auto", help="worker process count (capped at the CPU count), or 'auto'")
     p.add_argument("--output-dir", default=None,
                    help=f"output directory (default ./out, overridable via ${OUTPUT_DIR_ENV})")
     p.add_argument("--formats", default="csv,json",
@@ -82,8 +83,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     for flag, bins in (("--delta-bins", ns.delta_bins), ("--e0-bins", ns.e0_bins)):
         if not 2 <= bins <= MAX_BINS:
             raise UsageError(f"{flag} must lie in [2, {MAX_BINS}], got {bins}")
-    if ns.workers == "auto":  # the CPUs this process may run on, where the OS reports them
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if ns.workers == "auto":
+        workers = available_cpus()
     else:
         try:
             workers = int(ns.workers)

@@ -3,7 +3,7 @@
 One batched kernel, `wootters_lambdas`, solves the concurrence eigenproblem
 for a stack of density matrices, and the validated scalar `concurrence`/`eof`
 are stack-of-one calls of it. Pure states given as state vectors take the
-closed form 2|ad - bc| instead, which `pure_concurrence_oracle` also calls.
+closed form 2|ad - bc| instead.
 `concurrence_batch`/`eof_batch` accept either stack and back the Monte Carlo
 hot path. `binary_entropy` and `eof_from_concurrence` are elementwise and
 serve every route.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .linalg import psd_sqrt
-from .qstate import DensityMatrix, PureState
+from .qstate import DensityMatrix
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)  # real: antidiag(-1, 1, 1, -1)
@@ -113,9 +113,3 @@ def eof(rho: DensityMatrix) -> float:
     """Entanglement of formation of an arbitrary two-qubit state, in [0, 1]."""
     return concurrence(rho).eof
 
-
-def pure_concurrence_oracle(psi: PureState) -> float:
-    """Closed-form pure-state concurrence 2|ad - bc| of one validated state:
-    a stack-of-one call of the vector kernel, and an independent cross-check
-    for the general spectral route."""
-    return float(concurrence_batch(psi.amplitudes[None])[0])

@@ -2,37 +2,28 @@
 
 Trial t of a run draws from substream t of the run seed, so results are
 identical whatever the execution order or worker count. A chunk of trials
-is sampled as one stack (state vectors for pure runs, density matrices for
-mixed ones) and evaluated with the batched entanglement kernel.
-The one retry path: a trial whose sampled state is not finite (a
-measure-zero degenerate draw) is redrawn through the same `_sample_chunk`
-on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel
-runs; each redraw counts against a 1e-6 failure budget.
+is sampled as one stack by `sampling.sample_chunk` (state vectors for pure
+runs, density matrices for mixed ones) and evaluated with the batched
+entanglement kernel. The one retry path: a trial whose sampled state is not
+finite (a measure-zero degenerate draw) is redrawn through the same
+`_sample_chunk` on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES,
+before the kernel runs; each redraw counts against a 1e-6 failure budget.
+A run uses at most one process per chunk and per CPU it may run on.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .entanglement import eof, eof_batch  # noqa: F401 - eof is looked up here by bench/tracer.py
 from .errors import NumericError, UsageError
 from .gates import circuit
-from .sampling import (
-    MIXED_DRAW,
-    RandomStream,
-    haar_phase_fix,  # noqa: F401 - looked up here by bench/tracer.py
-    haar_unitaries,
-    mixed_draw,
-    pure_state_vector,
-    simplex_spacings,
-    spectral_states,
-)
-
-Kind = Literal["pure", "mixed"]
+from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
+from .sampling import sample_chunk as _sample_chunk  # under the name bench/tracer.py wraps
 
 CHUNK_SIZE = 8192
 RETRY_STRIDE = 1 << 48  # retry k of trial t uses substream t + k * stride
@@ -77,26 +68,6 @@ class EnsembleResult:
         return self.e0.shape[0]
 
 
-def _restarted(rng: RandomStream, streams: np.ndarray):
-    """`rng` moved to each substream index in turn, for one trial's draws each."""
-    for s in streams.tolist():
-        rng.stream_index = s
-        yield rng
-
-
-def _sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
-    """One state per substream index in `streams`: an (n, 4) stack of pure
-    state vectors or an (n, 4, 4) stack of mixed density matrices. One
-    generator serves the chunk; a degenerate draw comes out non-finite,
-    without a warning, for the caller to screen."""
-    rngs = _restarted(RandomStream(seed), streams)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "pure":
-            return np.fromiter(map(pure_state_vector, rngs), dtype=(complex, 4), count=len(streams))
-        draws = np.fromiter(map(mixed_draw, rngs), dtype=MIXED_DRAW, count=len(streams))
-        return spectral_states(haar_unitaries(draws["ginibre"]), simplex_spacings(draws["uniforms"]))
-
-
 def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate one chunk of trials; returns (e0, ef, failure count)."""
     trials = np.arange(start, start + count)
@@ -124,8 +95,9 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     spec alone, regardless of `workers`."""
     starts = list(range(0, spec.trials, CHUNK_SIZE))
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in starts]
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    processes = min(workers, len(tasks), available_cpus())
+    if processes > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_chunk_task_star, tasks))
     else:
         parts = [_chunk_task(*t) for t in tasks]
@@ -137,6 +109,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
             f"{failures} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget"
         )
     return EnsembleResult(e0=e0, ef=ef, failures=failures)
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on, where the OS reports them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _chunk_task_star(args):

@@ -9,33 +9,40 @@ states are Haar-uniform on the unit sphere via normalized complex Gaussians.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_index): trial t of a run owns substream t, so sequences are
 reproducible independently of execution order. A `RandomStream` restarts
-its one generator whenever it is moved to another substream, which resets
-the Philox key, counter, buffer and pending 32-bit half; trial t's draws
-therefore do not depend on whether its generator is fresh or reset. The
-draw order of a trial, shared by every sampler here and by the engine, is:
+its one generator whenever it is moved to another substream, so trial t's
+draws do not depend on whether its generator is fresh or reset.
 
-- pure: one (2, 4) block of standard normals, real part first;
-- mixed: one (2, 4, 4) block of standard normals, real part first (the
-  Ginibre matrix), then 3 uniforms on [0, 1) (the simplex spacings).
-
-`haar_unitary` draws only the normal block and `simplex_point` only the
-uniforms; both are batch-of-one calls of the batched builders. A
-measure-zero draw (zero vector, zero diagonal entry of R) gives non-finite
-entries, which the engine screens for and redraws.
+This module alone turns random numbers into states, by one rule for both
+ensembles. The per-trial step, `draw`, only draws: one `DRAW_RECORD[kind]`
+record, which for pure trials is a (2, 4) block of standard normals, real
+part first, and for mixed trials a (2, 4, 4) block (the Ginibre matrix)
+followed by 3 uniforms on [0, 1) (the simplex spacings). States are built
+once per chunk, by `build_states` on the stack of records; the scalar
+samplers are batch-of-one calls of it. The pure norm is summed in a fixed
+order, sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
+the order OpenBLAS's ddot used when it computed this norm, so no BLAS kernel
+choice enters the pure draw contract. A measure-zero draw (zero vector, zero
+diagonal entry of R) gives a non-finite state, which the engine screens for
+and redraws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .errors import UsageError
 from .gates import UnitaryGate
-from .qstate import DensityMatrix, PureState
+
+Kind = Literal["pure", "mixed"]
 
 SIMPLEX_SUM_TOL = 1e-12
-MIXED_DRAW = np.dtype([("ginibre", complex, (4, 4)), ("uniforms", float, 3)])  # a `mixed_draw` record
+DRAW_RECORD = {  # the raw numbers of one trial, per kind, in draw order
+    "pure": np.dtype([("normals", float, (2, 4))]),
+    "mixed": np.dtype([("normals", float, (2, 4, 4)), ("uniforms", float, 3)]),
+}
 
 
 @dataclass
@@ -86,21 +93,18 @@ class SimplexPoint:
         object.__setattr__(self, "lambdas", lam)
 
 
-def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = gen.standard_normal((2, *shape))
-    return z[0] + 1j * z[1]
-
-
-def pure_state_vector(rng: RandomStream) -> np.ndarray:
-    """Raw Haar-uniform unit vector (no validation)."""
-    v = _complex_normals(rng.generator, (4,))
-    return v / np.linalg.norm(v)
-
-
-def mixed_draw(rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Raw draws of one mixed trial: a 4x4 Ginibre matrix, then 3 uniforms."""
+def draw(kind: Kind, rng: RandomStream) -> tuple[np.ndarray, ...]:
+    """The raw numbers of one trial, the fields of a `DRAW_RECORD[kind]`
+    record; generator draws and nothing else."""
     gen = rng.generator
-    return _complex_normals(gen, (4, 4)), gen.random(3)
+    if kind == "pure":
+        return (gen.standard_normal((2, 4)),)
+    return gen.standard_normal((2, 4, 4)), gen.random(3)
+
+
+def _complex(normals: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from an (n, 2, ...) stack of normals, real part first."""
+    return normals[:, 0] + 1j * normals[:, 1]
 
 
 def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -126,28 +130,47 @@ def spectral_states(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
+def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
+    """The states of a stack of `DRAW_RECORD[kind]` records: (n, 4) unit
+    vectors for pure draws, (n, 4, 4) density matrices for mixed ones."""
+    z = draws["normals"]
+    if kind == "pure":
+        sq = z * z
+        halves = (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # (n, 2): real, imaginary
+        return _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
+    return spectral_states(haar_unitaries(_complex(z)), simplex_spacings(draws["uniforms"]))
+
+
+def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
+    """One state per substream index in `streams`, drawn through one
+    generator moved from substream to substream. A degenerate draw comes
+    out non-finite, without a warning, for the caller to screen."""
+    rng = RandomStream(seed)
+
+    def trial(stream: int) -> tuple[np.ndarray, ...]:
+        rng.stream_index = stream
+        return draw(kind, rng)
+
+    draws = np.fromiter(map(trial, streams.tolist()), dtype=DRAW_RECORD[kind], count=len(streams))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return build_states(kind, draws)
+
+
+def pure_state_vector(rng: RandomStream) -> np.ndarray:
+    """Raw Haar-uniform unit vector (no validation)."""
+    return build_states("pure", np.array([draw("pure", rng)], dtype=DRAW_RECORD["pure"]))[0]
+
+
+def mixed_state_matrix(rng: RandomStream) -> np.ndarray:
+    """Raw density matrix of a product-measure mixed draw (no validation)."""
+    return build_states("mixed", np.array([draw("mixed", rng)], dtype=DRAW_RECORD["mixed"]))[0]
+
+
 def haar_unitary(rng: RandomStream) -> UnitaryGate:
     """One 4x4 unitary distributed per the Haar measure on U(4)."""
-    return UnitaryGate(haar_unitaries(_complex_normals(rng.generator, (1, 4, 4)))[0])
+    return UnitaryGate(haar_unitaries(_complex(rng.generator.standard_normal((1, 2, 4, 4))))[0])
 
 
 def simplex_point(rng: RandomStream) -> SimplexPoint:
     """Uniform point on the 3-simplex via sorted-uniform spacings."""
     return SimplexPoint(simplex_spacings(rng.generator.random((1, 3)))[0])
-
-
-def mixed_state_matrix(rng: RandomStream) -> np.ndarray:
-    """Raw density matrix of a product-measure mixed draw (no validation)."""
-    g, u = mixed_draw(rng)
-    return spectral_states(haar_unitaries(g[None]), simplex_spacings(u[None]))[0]
-
-
-def random_mixed_state(rng: RandomStream) -> DensityMatrix:
-    """Mixed two-qubit state distributed per the product measure."""
-    m = mixed_state_matrix(rng)
-    return DensityMatrix(0.5 * (m + m.conj().T))
-
-
-def random_pure_state(rng: RandomStream) -> PureState:
-    """Haar-uniform pure two-qubit state."""
-    return PureState(pure_state_vector(rng))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from entlab.sampling import RandomStream, mixed_state_matrix, random_mixed_state, random_pure_state
+from entlab import sampling
+from entlab.qstate import DensityMatrix, PureState
+from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
+
+# asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01
+KS_COEFF_1PC = 1.628
 
 
 @pytest.fixture
@@ -9,39 +14,40 @@ def rng():
     return np.random.default_rng(20260823)
 
 
+def ks_statistic(samples: np.ndarray, cdf) -> float:
+    x = np.sort(samples)
+    n = x.size
+    f = cdf(x)
+    upper = np.max(np.arange(1, n + 1) / n - f)
+    lower = np.max(f - np.arange(0, n) / n)
+    return max(upper, lower)
+
+
 def mixed_states(seed: int, count: int):
     """Validated product-measure mixed states from consecutive substreams."""
-    return [random_mixed_state(RandomStream(seed, i)) for i in range(count)]
+    return [DensityMatrix(mixed_state_matrix(RandomStream(seed, i))) for i in range(count)]
 
 
 def mixed_matrices(seed: int, count: int) -> np.ndarray:
     """Raw (count, 4, 4) stack of product-measure mixed states."""
-    out = np.empty((count, 4, 4), dtype=complex)
-    for i in range(count):
-        out[i] = mixed_state_matrix(RandomStream(seed, i))
-    return out
+    return sample_chunk("mixed", seed, np.arange(count))
 
 
 def pure_states(seed: int, count: int):
-    return [random_pure_state(RandomStream(seed, i)) for i in range(count)]
+    return [PureState(pure_state_vector(RandomStream(seed, i))) for i in range(count)]
 
 
 def poison_draws(monkeypatch, streams):
-    """Make the engine's per-trial draws non-finite on the given substreams,
-    as a measure-zero degenerate draw would; other draws are unchanged."""
-    from entlab import experiment
+    """Make the per-trial raw draws non-finite on the given substreams, as a
+    measure-zero degenerate draw would give non-finite states; other draws
+    are unchanged."""
+    draw = sampling.draw
 
-    pure, mixed = experiment.pure_state_vector, experiment.mixed_draw
+    def poisoned(kind, rng):
+        normals, *rest = draw(kind, rng)
+        return (normals * np.nan if rng.stream_index in streams else normals, *rest)
 
-    def scale(rng):
-        return np.nan if rng.stream_index in streams else 1.0
-
-    def mixed_draw(rng):
-        g, u = mixed(rng)
-        return g * scale(rng), u
-
-    monkeypatch.setattr(experiment, "pure_state_vector", lambda rng: pure(rng) * scale(rng))
-    monkeypatch.setattr(experiment, "mixed_draw", mixed_draw)
+    monkeypatch.setattr(sampling, "draw", poisoned)
 
 
 # The spin flip built here, not taken from the package, so the definition

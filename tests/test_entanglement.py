@@ -9,13 +9,12 @@ from entlab.entanglement import (
     eof,
     eof_batch,
     eof_from_concurrence,
-    pure_concurrence_oracle,
     rho_tilde,
 )
 from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.gates import circuit
-from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, random_mixed_state, spectral_states
+from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, spectral_states
 
 from conftest import definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
 
@@ -168,15 +167,20 @@ class TestEof:
 
 
 class TestPureOracle:
+    """The closed form 2|ad - bc|, written out here, on named states."""
+
     def test_bell(self):
-        assert pure_concurrence_oracle(PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))) == pytest.approx(1.0)
+        a, b, c, d = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2)).amplitudes
+        assert 2 * abs(a * d - b * c) == pytest.approx(1.0)
 
     def test_product(self):
-        assert pure_concurrence_oracle(ket("01")) == 0.0
+        a, b, c, d = ket("01").amplitudes
+        assert 2 * abs(a * d - b * c) == 0.0
 
     def test_two_term_superposition(self):
         psi = PureState(np.array([0.6, 0.0, 0.0, 0.8]))
-        assert pure_concurrence_oracle(psi) == pytest.approx(0.96, abs=1e-12)
+        a, b, c, d = psi.amplitudes
+        assert 2 * abs(a * d - b * c) == pytest.approx(0.96, abs=1e-12)
         assert concurrence(densify(psi)).concurrence == pytest.approx(0.96, abs=1e-9)
 
     def test_agrees_with_spectral_route(self):
@@ -250,7 +254,7 @@ class TestVectorKernel:
 
     def test_oracle_is_the_vector_kernel(self):
         vecs = np.array([pure_state_vector(RandomStream(45, i)) for i in range(50)])
-        oracle = [pure_concurrence_oracle(PureState(v)) for v in vecs]
+        oracle = 2 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2])
         assert np.array_equal(oracle, concurrence_batch(vecs))
 
 
@@ -261,8 +265,7 @@ class TestLocalUnitaryInvariance:
             q, _ = np.linalg.qr(g)
             return q
 
-        for i in range(100):
-            rho = random_mixed_state(RandomStream(25, i))
+        for rho in mixed_states(25, 100):
             local = np.kron(random_local(), random_local())
             rotated = DensityMatrix(local @ rho.matrix @ local.conj().T)
             assert eof(rotated) == pytest.approx(eof(rho), abs=1e-9)

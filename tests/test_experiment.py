@@ -1,10 +1,11 @@
 import concurrent.futures
+import os
 
 import numpy as np
 import pytest
 
-from entlab import experiment
-from entlab.entanglement import eof_from_concurrence, pure_concurrence_oracle
+from entlab import sampling
+from entlab.entanglement import eof_from_concurrence
 from entlab.errors import UsageError
 from entlab.experiment import (
     CHUNK_SIZE,
@@ -18,8 +19,7 @@ from entlab.experiment import (
     run_ensemble,
 )
 from entlab.gates import circuit
-from entlab.qstate import PureState, ket
-from entlab.sampling import RandomStream, mixed_draw, mixed_state_matrix, pure_state_vector
+from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
 
 from conftest import definition_concurrence, definition_eof, poison_draws
 
@@ -32,9 +32,9 @@ def result(e0, ef) -> EnsembleResult:
 
 
 def forced_trial(monkeypatch, kind, draw) -> tuple[float, float]:
-    """(E_0, E_F) of one trial run by the engine, with its per-trial draw
+    """(E_0, E_F) of one trial run by the engine, with its per-trial raw draw
     replaced by `draw`, the way `conftest.poison_draws` replaces it."""
-    monkeypatch.setattr(experiment, "pure_state_vector" if kind == "pure" else "mixed_draw", draw)
+    monkeypatch.setattr(sampling, "draw", draw)
     e0, ef, failures = _chunk_task(kind, 1, 0, 1)
     assert failures == 0
     return e0[0], ef[0]
@@ -57,21 +57,22 @@ class TestRunTrial:
     """One trial through the engine's `_chunk_task`, on forced or sampled draws."""
 
     def test_forced_ground_state(self, monkeypatch):
-        e0, ef = forced_trial(monkeypatch, "pure", lambda rng: ket("00").amplitudes)
+        e0, ef = forced_trial(monkeypatch, "pure", lambda kind, rng: (np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]),))
         assert e0 == pytest.approx(0.0, abs=1e-12)
         assert ef == pytest.approx(1.0, abs=1e-9)
 
     def test_forced_maximally_mixed(self, monkeypatch):
         # uniforms (1/4, 1/2, 3/4) space the simplex evenly, so rho = U (I/4) U^dag
-        forced = forced_trial(monkeypatch, "mixed", lambda rng: (mixed_draw(rng)[0], np.array([0.25, 0.5, 0.75])))
+        draw = sampling.draw
+        forced = forced_trial(monkeypatch, "mixed", lambda kind, rng: (draw(kind, rng)[0], np.array([0.25, 0.5, 0.75])))
         assert forced == (0.0, 0.0)
 
     def test_forced_bell_state(self, monkeypatch):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        e0, ef = forced_trial(monkeypatch, "pure", lambda rng: bell)
+        e0, ef = forced_trial(monkeypatch, "pure", lambda kind, rng: (np.array([[1.0, 0, 0, 1], [0, 0, 0, 0]]),))
         assert e0 == pytest.approx(1.0, abs=1e-9)
-        # cross-check the final EoF against the pure-state closed form
-        expected = eof_from_concurrence(pure_concurrence_oracle(PureState(circuit().matrix @ bell)))
+        # cross-check the final EoF against the pure-state closed form 2|ad - bc|
+        a, b, c, d = circuit().matrix @ np.array([1, 0, 0, 1]) / np.sqrt(2)
+        expected = eof_from_concurrence(2 * abs(a * d - b * c))
         assert ef == pytest.approx(expected, abs=1e-9)
 
     def test_sampled_trials_consistent(self):
@@ -131,9 +132,15 @@ class TestRunEnsemble:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         res = run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=4)
         assert requested == [2]  # two chunks: a third and fourth process would sit idle
         assert len(res) == 2 * CHUNK_SIZE
+        # and no larger than the CPUs this process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        res = run_ensemble(EnsembleSpec("pure", 3 * CHUNK_SIZE, 5), workers=64)
+        assert requested == [2, 2]
+        assert len(res) == 3 * CHUNK_SIZE
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
@@ -155,12 +162,24 @@ class TestRunEnsemble:
 
 class TestSampleChunk:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    def test_matches_fresh_streams(self, kind):
-        # the chunk's one reset generator draws what a fresh one per trial draws
+    def test_matches_fresh_streams(self, monkeypatch, kind):
+        # the chunk's one reset generator draws what a fresh one per trial
+        # draws, and the stack builds what the scalar samplers build
         seed, streams = 2**63 + 12345, np.array([0, 1, 7, 5 + RETRY_STRIDE, 2**40])
-        draw = pure_state_vector if kind == "pure" else mixed_state_matrix
-        fresh = np.array([draw(RandomStream(seed, s)) for s in streams])
-        assert np.array_equal(experiment._sample_chunk(kind, seed, streams), fresh)
+        drawn, draw = [], sampling.draw
+
+        def recorded(kind, rng):
+            drawn.append(draw(kind, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(sampling, "draw", recorded)
+        states = sample_chunk(kind, seed, streams)
+        monkeypatch.undo()
+        for fields, s in zip(drawn, streams, strict=True):
+            for got, want in zip(fields, draw(kind, RandomStream(seed, s)), strict=True):
+                assert np.array_equal(got, want)
+        scalar = pure_state_vector if kind == "pure" else mixed_state_matrix
+        assert np.array_equal(states, [scalar(RandomStream(seed, s)) for s in streams])
 
 
 class TestRetryPath:
@@ -177,14 +196,14 @@ class TestRetryPath:
         assert np.array_equal(ef[others], clean[1][others])
 
     def test_zero_vector_is_redrawn_silently(self, monkeypatch):
-        # normalising a zero draw divides 0 by 0; the screen catches the NaNs, numpy does not warn
-        draw = experiment.pure_state_vector
+        # the chunk's normalisation of a zero draw divides 0 by 0; the screen
+        # catches the NaNs, numpy does not warn
+        draw = sampling.draw
 
-        def degenerate(rng):
-            v = np.zeros(4, dtype=complex) if rng.stream_index == 5 else draw(rng)
-            return v / np.linalg.norm(v)
+        def degenerate(kind, rng):
+            return (np.zeros((2, 4)),) if rng.stream_index == 5 else draw(kind, rng)
 
-        monkeypatch.setattr(experiment, "pure_state_vector", degenerate)
+        monkeypatch.setattr(sampling, "draw", degenerate)
         e0, ef, failures = _chunk_task("pure", 3, 0, 10)
         assert failures == 1
         assert (e0[5], ef[5]) == pytest.approx(reference_trial("pure", 3, 5 + RETRY_STRIDE), abs=REFERENCE_TOL["pure"])

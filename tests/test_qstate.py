@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import concurrence_batch
 from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
-from entlab.sampling import RandomStream, random_pure_state
+from entlab.sampling import RandomStream, pure_state_vector
 
 from conftest import mixed_matrices
 
@@ -61,13 +61,13 @@ class TestDensify:
         assert np.allclose(m, expected)
 
     def test_projector(self):
-        psi = random_pure_state(RandomStream(5, 0))
+        psi = PureState(pure_state_vector(RandomStream(5, 0)))
         rho = densify(psi)
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
         assert np.linalg.matrix_rank(rho.matrix, tol=1e-10) == 1
 
     def test_global_phase_irrelevant(self):
-        psi = random_pure_state(RandomStream(5, 1))
+        psi = PureState(pure_state_vector(RandomStream(5, 1)))
         shifted = PureState(psi.amplitudes * np.exp(0.7j))
         diff = densify(psi).matrix - densify(shifted).matrix
         assert np.max(np.abs(diff)) <= 1e-12

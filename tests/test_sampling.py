@@ -1,30 +1,57 @@
+import math
+
 import numpy as np
 import pytest
 
 from entlab.errors import UsageError
 from entlab.experiment import RETRY_STRIDE
+from entlab.qstate import DensityMatrix, PureState
 from entlab.sampling import (
     RandomStream,
     SimplexPoint,
+    haar_unitaries,
     haar_unitary,
     mixed_state_matrix,
     pure_state_vector,
-    random_mixed_state,
-    random_pure_state,
+    sample_chunk,
     simplex_point,
+    simplex_spacings,
 )
 
-# asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01
-KS_COEFF_1PC = 1.628
+from conftest import KS_COEFF_1PC, ks_statistic
+
+# the pure draw contract to the last bit: vectors as (real, imaginary) float.hex pairs
+GOLDEN_PURE = {
+    (0, 0): [
+        ("0x1.891f66ad89ea3p-5", "-0x1.82037d5d7fc1bp-7"),
+        ("-0x1.11a7d9c7a5eb6p-1", "-0x1.4077721c44635p-3"),
+        ("0x1.9935a8cbe7b61p-2", "-0x1.576f825d27f06p-2"),
+        ("0x1.73aa83888b274p-2", "-0x1.109b053a9780dp-1"),
+    ],
+    (42, 8191): [
+        ("0x1.e1dc5a0eb2708p-3", "-0x1.c01d38ed7d90dp-4"),
+        ("-0x1.da4e3971bd1aap-2", "0x1.5a42f4f5f62d7p-1"),
+        ("0x1.a8289fd44b76fp-4", "-0x1.1297abe441c6cp-4"),
+        ("0x1.ae65b992b5d57p-4", "0x1.efdf5d5a9683ep-2"),
+    ],
+    (2**64 - 1, 5 + 3 * RETRY_STRIDE): [
+        ("0x1.df8633b444f45p-4", "0x1.782c8ae327b0cp-2"),
+        ("-0x1.2701ce02fa8d1p-2", "0x1.954a073161303p-3"),
+        ("-0x1.87a3416f6f526p-2", "-0x1.427eedfe5910dp-1"),
+        ("0x1.b982606f61a0ap-2", "0x1.0b356db5b1cd7p-6"),
+    ],
+}
 
 
-def ks_statistic(samples: np.ndarray, cdf) -> float:
-    x = np.sort(samples)
-    n = x.size
-    f = cdf(x)
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
-    return max(upper, lower)
+def reset_draws(seed: int, count: int, draw) -> np.ndarray:
+    """`draw(generator)` on substreams 0..count-1 of `seed`, through one
+    `RandomStream` moved from substream to substream."""
+    rng = RandomStream(seed)
+    out = []
+    for i in range(count):
+        rng.stream_index = i
+        out.append(draw(rng.generator))
+    return np.array(out)
 
 
 class TestRandomStream:
@@ -80,7 +107,7 @@ class TestRandomStream:
     def test_second_read_keeps_position(self):
         rng = RandomStream(3, 9)
         first = rng.generator.random(5)
-        second = rng.generator.random(5)  # continues, as mixed_draw's two draws need
+        second = rng.generator.random(5)  # continues, as a mixed trial's two draws need
         assert np.array_equal(np.concatenate([first, second]), RandomStream(3, 9).generator.random(10))
 
     def test_identical_state_sequences(self):
@@ -92,25 +119,18 @@ class TestRandomStream:
 
 @pytest.fixture(scope="module")
 def haar_draws():
-    n = 100_000
-    out = np.empty((n, 4, 4), dtype=complex)
-    for i in range(n):
-        out[i] = haar_unitary(RandomStream(32, i)).matrix
-    return out
+    z = reset_draws(32, 100_000, lambda g: g.standard_normal((2, 4, 4)))
+    return haar_unitaries(z[:, 0] + 1j * z[:, 1])
 
 
 @pytest.fixture(scope="module")
 def simplex_draws():
-    return np.array([simplex_point(RandomStream(34, i)).lambdas for i in range(100_000)])
+    return simplex_spacings(reset_draws(34, 100_000, lambda g: g.random(3)))
 
 
 @pytest.fixture(scope="module")
 def mixed_mats():
-    n = 100_000
-    out = np.empty((n, 4, 4), dtype=complex)
-    for i in range(n):
-        out[i] = mixed_state_matrix(RandomStream(37, i))
-    return out
+    return sample_chunk("mixed", 37, np.arange(100_000))
 
 
 class TestHaarUnitary:
@@ -165,11 +185,11 @@ class TestSimplexPoint:
 class TestMixedStates:
     def test_valid_density_matrices(self):
         for i in range(100):
-            random_mixed_state(RandomStream(35, i))  # constructor validates
+            DensityMatrix(mixed_state_matrix(RandomStream(35, i)))  # constructor validates
 
     def test_spectrum_matches_simplex_draw(self):
         for i in range(100):
-            rho = random_mixed_state(RandomStream(36, i))
+            rho = DensityMatrix(mixed_state_matrix(RandomStream(36, i)))
             # replay the same substream to recover the lambda draw
             replay = RandomStream(36, i)
             haar_unitary(replay)
@@ -196,12 +216,29 @@ class TestMixedStates:
 class TestPureStates:
     def test_unit_norm_every_draw(self):
         for i in range(100):
-            psi = random_pure_state(RandomStream(38, i))
+            psi = PureState(pure_state_vector(RandomStream(38, i)))
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("at", list(GOLDEN_PURE), ids=["0-0", "42-8191", "max-retry3"])
+    def test_draw_contract_golden(self, at):
+        seed, stream = at
+        expected = np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in GOLDEN_PURE[at]])
+        assert np.array_equal(sample_chunk("pure", seed, np.array([stream]))[0], expected)
+        assert np.array_equal(pure_state_vector(RandomStream(seed, stream)), expected)
+
+    def test_norm_summed_in_fixed_order(self):
+        # the order the module docstring states, in Python floats; a running
+        # or pairwise sum of the same squares differs in the last bit on some draws
+        z = reset_draws(41, 2000, lambda g: g.standard_normal((2, 4)))
+        norms = [
+            math.sqrt(((r0 * r0 + r2 * r2) + (r1 * r1 + r3 * r3)) + ((i0 * i0 + i2 * i2) + (i1 * i1 + i3 * i3)))
+            for (r0, r1, r2, r3), (i0, i1, i2, i3) in z.tolist()
+        ]
+        expected = (z[:, 0] + 1j * z[:, 1]) / np.array(norms)[:, None]
+        assert np.array_equal(sample_chunk("pure", 41, np.arange(2000)), expected)
+
     def test_amplitude_symmetry(self):
-        vecs = np.array([pure_state_vector(RandomStream(39, i)) for i in range(100_000)])
-        probs = np.abs(vecs) ** 2
+        probs = np.abs(sample_chunk("pure", 39, np.arange(100_000))) ** 2
         assert np.max(np.abs(probs.mean(axis=0) - 0.25)) <= 0.003
 
     def test_mean_eof_consistency(self):
@@ -209,6 +246,6 @@ class TestPureStates:
         # the full-size one
         from entlab.entanglement import eof_batch
 
-        vecs = np.array([pure_state_vector(RandomStream(40, i)) for i in range(100_000)])
+        vecs = sample_chunk("pure", 40, np.arange(100_000))
         rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
         assert abs(eof_batch(rhos).mean() - 1 / (3 * np.log(2))) <= 0.01
