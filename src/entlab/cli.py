@@ -159,6 +159,7 @@ def execute(config: RunConfig) -> int:
                 "mean_delta": float(result.delta.mean()),
                 "zero_delta_fraction": float(np.mean(np.abs(result.delta) < half_width)),
                 "failures": result.failures,
+                "workers_used": result.processes,
                 "wall_time_s": time.monotonic() - t0,
             }
             (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

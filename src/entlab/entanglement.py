@@ -1,12 +1,13 @@
 """Wootters concurrence and entanglement of formation for two-qubit states.
 
-One batched kernel, `wootters_lambdas`, solves the concurrence eigenproblem
-for a stack of density matrices, and the validated scalar `concurrence`/`eof`
-are stack-of-one calls of it. Pure states given as state vectors take the
-closed form 2|ad - bc| instead.
-`concurrence_batch`/`eof_batch` accept either stack and back the Monte Carlo
-hot path. `binary_entropy` and `eof_from_concurrence` are elementwise and
-serve every route.
+One batched kernel, `factor_lambdas`, scores each state from a factor W of
+its density matrix, rho = W W^dag, with one 4x4 SVD. A unit state vector is
+its own rank-1 factor and takes the closed form 2|ad - bc|. The kernel has
+two entries: `factor_concurrence`/`factor_eof` on stacks of factors (the
+Monte Carlo hot path), and `concurrence_batch`/`eof_batch` on state vectors
+or density matrices, which `linalg.psd_factor` factors first. The validated
+scalar `concurrence`/`eof` are stack-of-one calls of the second.
+`binary_entropy` and `eof_from_concurrence` are elementwise.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linalg import psd_sqrt
+from .linalg import psd_factor
 from .qstate import DensityMatrix
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)  # real: antidiag(-1, 1, 1, -1)
+_YY_ROW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # _YY @ w is w with its rows reversed, then these signs
 
 ENTROPY_DOMAIN_TOL = 1e-12
 
@@ -71,34 +73,45 @@ def concurrence_from_lambdas(lam: np.ndarray):
     return np.maximum(0.0, 2.0 * lam[..., 0] - lam.sum(axis=-1))
 
 
-def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
-    """Wootters' lambdas of each state in a (..., 4, 4) stack, non-increasing
-    along the last axis. No per-state validation: callers guarantee valid
-    density matrices by construction.
+def factor_lambdas(w: np.ndarray) -> np.ndarray:
+    """Wootters' lambdas of each state rho = W W^dag in a (..., 4, 4) stack of
+    factors W, non-increasing along the last axis: the singular values of
+    M = W^T (sigma_y x sigma_y) W, as rho @ rho_tilde = W M^dag W^T
+    (sigma_y x sigma_y) has the eigenvalues of M^dag M. The SVD gives the
+    small lambdas at absolute machine accuracy, whereas square-rooting
+    near-zero eigenvalues loses half the digits."""
+    flipped = w[..., ::-1, :] * _YY_ROW_SIGNS  # (sigma_y x sigma_y) @ w
+    return np.linalg.svd(w.swapaxes(-1, -2) @ flipped, compute_uv=False)
 
-    The lambdas, square roots of the eigenvalues of rho @ rho_tilde, equal
-    the eigenvalues of the Hermitian sqrt(rho) rho_tilde sqrt(rho) and hence
-    the singular values of sqrt(rho_tilde) @ sqrt(rho). The SVD form is used
-    because it delivers the small lambdas at absolute machine accuracy,
-    whereas square-rooting near-zero eigenvalues loses half the digits.
-    """
-    sq = psd_sqrt(rhos)
-    sq_tilde = _YY @ sq.conj() @ _YY  # sqrt commutes with the spin flip
-    return np.linalg.svd(sq_tilde @ sq, compute_uv=False)
+
+def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
+    """`factor_lambdas` of a (..., 4, 4) stack of density matrices, which
+    callers guarantee valid by construction (no per-state validation)."""
+    return factor_lambdas(psd_factor(rhos))
+
+
+def factor_concurrence(factors: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in an (n, 4) stack of unit state vectors
+    (a, b, c, d), by the closed form 2|ad - bc|, or in an (n, 4, 4) stack of
+    factors W of rho = W W^dag, by `factor_lambdas`."""
+    if factors.ndim == 2:
+        return 2.0 * np.abs(factors[:, 0] * factors[:, 3] - factors[:, 1] * factors[:, 2])
+    return concurrence_from_lambdas(factor_lambdas(factors))
+
+
+def factor_eof(factors: np.ndarray) -> np.ndarray:
+    """Entanglement of formation of each state, as `factor_concurrence` takes them."""
+    return eof_from_concurrence(factor_concurrence(factors))
 
 
 def concurrence_batch(states: np.ndarray) -> np.ndarray:
-    """Concurrence of each state in an (n, 4) stack of unit state vectors
-    (a, b, c, d), by the closed form 2|ad - bc|, or in an (n, 4, 4) stack of
-    density matrices, by Wootters' lambdas."""
-    if states.ndim == 2:
-        return 2.0 * np.abs(states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2])
-    return concurrence_from_lambdas(wootters_lambdas(states))
+    """Concurrence of each state in an (n, 4) stack of unit state vectors or
+    an (n, 4, 4) stack of density matrices."""
+    return factor_concurrence(states if states.ndim == 2 else psd_factor(states))
 
 
 def eof_batch(states: np.ndarray) -> np.ndarray:
-    """Entanglement of formation of each state in an (n, 4) stack of unit
-    state vectors or an (n, 4, 4) stack of density matrices."""
+    """Entanglement of formation of each state, as `concurrence_batch` takes them."""
     return eof_from_concurrence(concurrence_batch(states))
 
 

@@ -2,10 +2,10 @@
 
 Trial t of a run draws from substream t of the run seed, so results are
 identical whatever the execution order or worker count. A chunk of trials
-is sampled as one stack by `sampling.sample_chunk` (state vectors for pure
-runs, density matrices for mixed ones) and evaluated with the batched
-entanglement kernel. The one retry path: a trial whose sampled state is not
-finite (a measure-zero degenerate draw) is redrawn through the same
+is sampled by `sampling.sample_chunk` as one stack of factors W of its
+density matrices, rho = W W^dag; the circuit C maps each to C W, and the
+entanglement kernel scores the factors. The one retry path: a trial whose
+sampled state is not finite (a measure-zero degenerate draw) is redrawn by
 `_sample_chunk` on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES,
 before the kernel runs; each redraw counts against a 1e-6 failure budget.
 A run uses at most one process per chunk and per CPU it may run on.
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import eof, eof_batch  # noqa: F401 - eof is looked up here by bench/tracer.py
+from .entanglement import eof  # noqa: F401 - looked up here by bench/tracer.py
+from .entanglement import factor_eof as eof_batch  # under the name bench/tracer.py wraps
 from .errors import NumericError, UsageError
 from .gates import circuit
 from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
@@ -54,11 +55,12 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Per-trial initial and final EoF as flat arrays; `delta` is E_F - E_0."""
+    """Per-trial initial and final EoF as flat arrays (`delta` is E_F - E_0), and the processes used."""
 
     e0: np.ndarray
     ef: np.ndarray
     failures: int = 0
+    processes: int = 1
 
     @property
     def delta(self) -> np.ndarray:
@@ -84,7 +86,7 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
     u = circuit().matrix
     try:
         e0 = eof_batch(states)
-        ef = eof_batch(states @ u.T if kind == "pure" else u @ states @ u.conj().T)
+        ef = eof_batch(states @ u.T if kind == "pure" else u @ states)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
     return e0, ef, failures
@@ -95,7 +97,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     spec alone, regardless of `workers`."""
     starts = list(range(0, spec.trials, CHUNK_SIZE))
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in starts]
-    processes = min(workers, len(tasks), available_cpus())
+    processes = max(1, min(workers, len(tasks), available_cpus()))
     if processes > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_chunk_task_star, tasks))
@@ -108,7 +110,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
         raise NumericError(
             f"{failures} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget"
         )
-    return EnsembleResult(e0=e0, ef=ef, failures=failures)
+    return EnsembleResult(e0=e0, ef=ef, failures=failures, processes=processes)
 
 
 def available_cpus() -> int:

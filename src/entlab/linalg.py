@@ -2,7 +2,7 @@
 
 Matrices are plain complex ndarrays; the functions here add the validation
 and the small set of operations the rest of the package needs (Kronecker
-products and the stacked PSD square root). Everything is sized for
+products and the stacked PSD factor). Everything is sized for
 dimension 2 or 4 and backed by LAPACK via numpy.
 """
 
@@ -54,14 +54,13 @@ def clamp_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < floor, 0.0, w)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of each matrix in a (..., n, n) stack:
-    eigh, then `clamp_spectrum`, then V diag(sqrt(w)) V^dag.
+def psd_factor(a: np.ndarray) -> np.ndarray:
+    """A factor F with F F^dag = A for each matrix in a (..., n, n) PSD stack:
+    eigh, then `clamp_spectrum`, then V diag(sqrt(w)).
 
     No validation: callers pass density matrices, PSD by construction, so
     the clamp only removes roundoff (a negative eigenvalue of any size is
     zeroed, not reported).
     """
     w, v = np.linalg.eigh(a)
-    w = np.sqrt(clamp_spectrum(w))
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return v * np.sqrt(clamp_spectrum(w))[..., None, :]

@@ -18,7 +18,9 @@ record, which for pure trials is a (2, 4) block of standard normals, real
 part first, and for mixed trials a (2, 4, 4) block (the Ginibre matrix)
 followed by 3 uniforms on [0, 1) (the simplex spacings). States are built
 once per chunk, by `build_states` on the stack of records; the scalar
-samplers are batch-of-one calls of it. The pure norm is summed in a fixed
+samplers are batch-of-one calls of it. Each state is built as a factor W of
+its density matrix, rho = W W^dag: a pure state's unit vector, or a mixed
+state's W = U diag(sqrt(lambda)). The pure norm is summed in a fixed
 order, sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
 the order OpenBLAS's ddot used when it computed this norm, so no BLAS kernel
 choice enters the pure draw contract. A measure-zero draw (zero vector, zero
@@ -125,20 +127,16 @@ def simplex_spacings(uniforms: np.ndarray) -> np.ndarray:
     return np.diff(np.sort(uniforms, axis=-1), prepend=0.0, append=1.0, axis=-1)
 
 
-def spectral_states(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The (n, 4, 4) stack of U diag(lambda) U^dag."""
-    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
-
-
 def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
-    """The states of a stack of `DRAW_RECORD[kind]` records: (n, 4) unit
-    vectors for pure draws, (n, 4, 4) density matrices for mixed ones."""
+    """The states of a stack of `DRAW_RECORD[kind]` records, each as a factor
+    of its density matrix: (n, 4) unit vectors for pure draws, (n, 4, 4)
+    factors W = U diag(sqrt(lambda)), rho = W W^dag, for mixed ones."""
     z = draws["normals"]
     if kind == "pure":
         sq = z * z
         halves = (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # (n, 2): real, imaginary
         return _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
-    return spectral_states(haar_unitaries(_complex(z)), simplex_spacings(draws["uniforms"]))
+    return haar_unitaries(_complex(z)) * np.sqrt(simplex_spacings(draws["uniforms"]))[:, None, :]
 
 
 def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
@@ -162,8 +160,9 @@ def pure_state_vector(rng: RandomStream) -> np.ndarray:
 
 
 def mixed_state_matrix(rng: RandomStream) -> np.ndarray:
-    """Raw density matrix of a product-measure mixed draw (no validation)."""
-    return build_states("mixed", np.array([draw("mixed", rng)], dtype=DRAW_RECORD["mixed"]))[0]
+    """Raw density matrix W W^dag of a product-measure mixed draw (no validation)."""
+    w = build_states("mixed", np.array([draw("mixed", rng)], dtype=DRAW_RECORD["mixed"]))[0]
+    return w @ w.conj().T
 
 
 def haar_unitary(rng: RandomStream) -> UnitaryGate:

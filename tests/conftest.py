@@ -29,8 +29,9 @@ def mixed_states(seed: int, count: int):
 
 
 def mixed_matrices(seed: int, count: int) -> np.ndarray:
-    """Raw (count, 4, 4) stack of product-measure mixed states."""
-    return sample_chunk("mixed", seed, np.arange(count))
+    """Raw (count, 4, 4) stack of product-measure mixed states, W W^dag of the sampled factors."""
+    w = sample_chunk("mixed", seed, np.arange(count))
+    return w @ w.conj().swapaxes(-1, -2)
 
 
 def pure_states(seed: int, count: int):

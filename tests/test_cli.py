@@ -228,6 +228,13 @@ class TestMain:
         assert code == EXIT_OK
         assert (tmp_path / "run" / "summary.json").exists()
 
+    def test_workers_used_reports_processes(self, tmp_path):
+        # one chunk runs in this process; config still echoes the request
+        assert main(["--trials", "100", "--workers", "64", "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"]["workers"] == 64
+        assert summary["workers_used"] == 1
+
     def test_seed_out_of_range_exit_code(self, tmp_path, capsys):
         # out-of-range seeds would otherwise alias in-range ones
         for seed in ("-1", str(2**64)):

@@ -9,12 +9,14 @@ from entlab.entanglement import (
     eof,
     eof_batch,
     eof_from_concurrence,
+    factor_concurrence,
+    factor_eof,
     rho_tilde,
 )
 from entlab.errors import UsageError
 from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.gates import circuit
-from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, spectral_states
+from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, sample_chunk
 
 from conftest import definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
 
@@ -37,11 +39,39 @@ def werner_concurrence_closed_form(x: float) -> float:
     return max(0.0, (3 * x - 1) / 2)
 
 
+def haar_stack(seed: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return haar_unitaries(rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4)))
+
+
 def haar_spectral_stack(seed: int, spectra: np.ndarray) -> np.ndarray:
     """U diag(lambda) U^dag with an independent Haar U per row of `spectra`."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((len(spectra), 4, 4)) + 1j * rng.standard_normal((len(spectra), 4, 4))
-    return spectral_states(haar_unitaries(g), spectra)
+    u = haar_stack(seed, len(spectra))
+    return (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def haar_factor_stack(seed: int, spectra: np.ndarray) -> np.ndarray:
+    """The factors U diag(sqrt(lambda)) of `haar_spectral_stack(seed, spectra)`."""
+    return haar_stack(seed, len(spectra)) * np.sqrt(spectra)[:, None, :]
+
+
+def rank_deficient_spectra(rank: int, count: int = 200) -> np.ndarray:
+    w = np.random.default_rng(27 + rank).random((count, rank))
+    return np.pad(w / w.sum(axis=1, keepdims=True), ((0, 0), (0, 4 - rank)))
+
+
+DEGENERATE_SPECTRA = pytest.mark.parametrize(
+    "spectrum", [(1 / 2, 1 / 2, 0, 0), (1 / 3, 1 / 3, 1 / 3, 0), (1 / 4, 1 / 4, 1 / 4, 1 / 4)],
+    ids=["half-half", "thirds", "quarters"],
+)
+
+
+def werner_factor(x: float) -> np.ndarray:
+    """The Werner state's eigen-decomposition as a factor: sqrt((1 + 3x)/4)
+    times the singlet, and sqrt((1 - x)/4) times each triplet state."""
+    triplet = np.array([[1, 0, 0, 0], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0], [0, 0, 0, 1]])
+    vecs = np.column_stack([singlet().amplitudes, *triplet])
+    return vecs * np.sqrt([(1 + 3 * x) / 4] + [(1 - x) / 4] * 3)
 
 
 def assert_kernel_matches_definition(rhos: np.ndarray, tol: float) -> None:
@@ -278,15 +308,55 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_rank_deficient_spectra(self, rank):
-        w = np.random.default_rng(27 + rank).random((200, rank))
-        spectra = np.pad(w / w.sum(axis=1, keepdims=True), ((0, 0), (0, 4 - rank)))
-        assert_kernel_matches_definition(haar_spectral_stack(rank, spectra), 1e-6)
+        assert_kernel_matches_definition(haar_spectral_stack(rank, rank_deficient_spectra(rank)), 1e-6)
 
-    @pytest.mark.parametrize(
-        "spectrum", [(1 / 2, 1 / 2, 0, 0), (1 / 3, 1 / 3, 1 / 3, 0), (1 / 4, 1 / 4, 1 / 4, 1 / 4)],
-        ids=["half-half", "thirds", "quarters"],
-    )
+    @DEGENERATE_SPECTRA
     def test_degenerate_spectra(self, spectrum):
         tol = 1e-10 if min(spectrum) > 0 else 1e-6  # eigvals route loses digits on zero eigenvalues
         assert_kernel_matches_definition(haar_spectral_stack(31, np.tile(spectrum, (200, 1))), tol)
 
+
+
+class TestFactorKernel:
+    """`factor_concurrence`/`factor_eof` on factors W, rho = W W^dag, against
+    the density-matrix route on W W^dag and against Wootters' definition."""
+
+    @staticmethod
+    def check(w: np.ndarray, tol: float) -> np.ndarray:
+        rhos = w @ w.conj().swapaxes(-1, -2)
+        c, e = factor_concurrence(w), factor_eof(w)
+        assert np.max(np.abs(c - concurrence_batch(rhos))) <= 1e-12
+        assert np.max(np.abs(e - eof_batch(rhos))) <= 1e-12
+        c_def = definition_concurrence(rhos)
+        assert np.max(np.abs(c - c_def)) <= tol
+        assert np.max(np.abs(e - definition_eof(c_def))) <= tol
+        return c
+
+    def test_sampled_factors(self):
+        self.check(sample_chunk("mixed", 26, np.arange(200)), 1e-10)
+
+    def test_sampled_factors_after_the_circuit(self):
+        self.check(circuit().matrix @ sample_chunk("mixed", 28, np.arange(200)), 1e-10)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_spectra(self, rank):
+        self.check(haar_factor_stack(rank, rank_deficient_spectra(rank)), 1e-6)
+
+    @DEGENERATE_SPECTRA
+    def test_degenerate_spectra(self, spectrum):
+        tol = 1e-10 if min(spectrum) > 0 else 1e-6
+        self.check(haar_factor_stack(31, np.tile(spectrum, (200, 1))), tol)
+
+    @pytest.mark.parametrize("x", [1 / 3 - 1e-6, 1 / 3 + 1e-6], ids=["below", "above"])
+    def test_werner_at_the_threshold(self, x):
+        c = self.check(werner_factor(x)[None], 1e-10)[0]
+        if x < 1 / 3:
+            assert c == 0.0
+        else:
+            assert c == pytest.approx(werner_concurrence_closed_form(x), abs=1e-14)
+
+    def test_vector_is_its_rank_one_factor(self):
+        vecs = np.array([pure_state_vector(RandomStream(46, i)) for i in range(200)])
+        w = np.zeros((200, 4, 4), dtype=complex)
+        w[:, :, 0] = vecs
+        assert np.max(np.abs(factor_concurrence(vecs) - factor_concurrence(w))) <= 1e-14

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from entlab import sampling
+from entlab import experiment, sampling
 from entlab.entanglement import eof_from_concurrence
 from entlab.errors import UsageError
 from entlab.experiment import (
@@ -136,11 +136,16 @@ class TestRunEnsemble:
         res = run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=4)
         assert requested == [2]  # two chunks: a third and fourth process would sit idle
         assert len(res) == 2 * CHUNK_SIZE
+        assert res.processes == 2
         # and no larger than the CPUs this process may run on
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         res = run_ensemble(EnsembleSpec("pure", 3 * CHUNK_SIZE, 5), workers=64)
         assert requested == [2, 2]
         assert len(res) == 3 * CHUNK_SIZE
+        assert res.processes == 2
+        # one chunk runs in this process, whatever was asked for
+        assert run_ensemble(EnsembleSpec("pure", 100, 5), workers=64).processes == 1
+        assert requested == [2, 2]
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
@@ -178,8 +183,32 @@ class TestSampleChunk:
         for fields, s in zip(drawn, streams, strict=True):
             for got, want in zip(fields, draw(kind, RandomStream(seed, s)), strict=True):
                 assert np.array_equal(got, want)
-        scalar = pure_state_vector if kind == "pure" else mixed_state_matrix
-        assert np.array_equal(states, [scalar(RandomStream(seed, s)) for s in streams])
+        if kind == "pure":
+            assert np.array_equal(states, [pure_state_vector(RandomStream(seed, s)) for s in streams])
+        else:  # mixed states come as factors W of rho = W W^dag
+            rhos = states @ states.conj().swapaxes(-1, -2)
+            assert np.array_equal(rhos, [mixed_state_matrix(RandomStream(seed, s)) for s in streams])
+
+
+class TestKernelCalls:
+    """`_chunk_task` scores each chunk with exactly two calls of the name
+    `experiment.eof_batch`, n states each (E_0, then E_F); the bench tracer
+    wraps that name and reads its spans in pairs."""
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_two_calls_per_chunk(self, monkeypatch, kind):
+        calls, kernel = [], experiment.eof_batch
+
+        def recorded(states):
+            calls.append(len(states))
+            return kernel(states)
+
+        monkeypatch.setattr(experiment, "eof_batch", recorded)
+        poison_draws(monkeypatch, {5, CHUNK_SIZE + 1})  # a redraw adds no call
+        monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
+        res = run_ensemble(EnsembleSpec(kind, CHUNK_SIZE + 3, 8))
+        assert calls == [CHUNK_SIZE, CHUNK_SIZE, 3, 3]
+        assert res.failures == 2
 
 
 class TestRetryPath:

@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import SIGMA_Y
 from entlab.errors import UsageError
 from entlab.gates import circuit, cnot, hadamard
-from entlab.linalg import as_matrix, kron, max_abs, psd_sqrt
+from entlab.linalg import as_matrix, kron, max_abs, psd_factor
 
 from conftest import mixed_matrices
 
@@ -75,34 +75,46 @@ class TestKron:
             kron(I4, I2)
 
 
+def gram(f: np.ndarray) -> np.ndarray:
+    return f @ f.conj().swapaxes(-1, -2)
+
+
 class TestPsdSqrt:
+    """`psd_factor`: a square-root factor F of each PSD matrix A, F F^dag = A."""
+
     def test_identity(self):
-        assert np.allclose(psd_sqrt(I4), I4)
+        assert max_abs(gram(psd_factor(I4)) - I4) <= 1e-15
 
     def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 1.0, 0.0, 0.0])), np.diag([2.0, 1.0, 0.0, 0.0]))
+        a = np.diag([4.0, 1.0, 0.0, 0.0])
+        f = psd_factor(a)
+        assert max_abs(gram(f) - a) <= 1e-15
+        # column j is sqrt(w_j) times the j-th eigenvector, in eigh's ascending order
+        assert np.allclose(np.linalg.norm(f, axis=0), [0.0, 0.0, 1.0, 2.0], atol=1e-15)
 
     def test_square_recovers_sampled_states(self):
         m = mixed_matrices(202, 100)
-        b = psd_sqrt(m)
-        assert max_abs(b - b.conj().swapaxes(-1, -2)) <= 1e-12
-        assert max_abs(b @ b - m) <= 1e-8
+        assert max_abs(gram(psd_factor(m)) - m) <= 1e-12
 
     def test_stack_matches_one_at_a_time(self):
         m = mixed_matrices(203, 12).reshape(3, 4, 4, 4)
-        b = psd_sqrt(m)
-        assert b.shape == m.shape
+        f = psd_factor(m)
+        assert f.shape == m.shape
         for i in range(3):
             for j in range(4):
-                assert max_abs(b[i, j] - psd_sqrt(m[i, j])) <= 1e-14
+                assert max_abs(f[i, j] - psd_factor(m[i, j])) <= 1e-14
 
-    def test_rank_one_root_is_the_projector(self, rng):
-        # roundoff eigenvalues are clamped, so the root of |v><v| has rank exactly 1
+    def test_rank_one_factor_has_one_column(self, rng):
+        # roundoff eigenvalues are clamped, so the factor of |v><v| has exactly
+        # one nonzero column, v up to a phase
         for _ in range(50):
             v = random_matrix(rng)[0]
             v /= np.linalg.norm(v)
             p = np.outer(v, v.conj())
-            assert max_abs(psd_sqrt(p) - p) <= 1e-12
+            f = psd_factor(p)
+            assert np.count_nonzero(np.any(f != 0.0, axis=0)) == 1
+            assert abs(abs(np.vdot(v, f[:, -1])) - 1.0) <= 1e-12
+            assert max_abs(gram(f) - p) <= 1e-12
 
 
 def test_as_matrix_rejects_nonfinite():

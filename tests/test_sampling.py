@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from entlab.qstate import DensityMatrix, PureState
 from entlab.sampling import (
     RandomStream,
     SimplexPoint,
+    draw,
     haar_unitaries,
     haar_unitary,
     mixed_state_matrix,
@@ -18,7 +20,7 @@ from entlab.sampling import (
     simplex_spacings,
 )
 
-from conftest import KS_COEFF_1PC, ks_statistic
+from conftest import KS_COEFF_1PC, ks_statistic, mixed_matrices
 
 # the pure draw contract to the last bit: vectors as (real, imaginary) float.hex pairs
 GOLDEN_PURE = {
@@ -40,6 +42,24 @@ GOLDEN_PURE = {
         ("-0x1.87a3416f6f526p-2", "-0x1.427eedfe5910dp-1"),
         ("0x1.b982606f61a0ap-2", "0x1.0b356db5b1cd7p-6"),
     ],
+}
+
+
+# the mixed draw contract: per (seed, substream), the 3 uniforms as float.hex
+# and the sha256 of the 32 normals as little-endian float64
+GOLDEN_MIXED = {
+    (0, 0): (
+        ["0x1.f63610021aa76p-2", "0x1.3eebb112cd6ebp-1", "0x1.16072e2462632p-2"],
+        "9f066743e7e42b00b5a54a79136080e8689d42c74369af5db9c4282642a0908c",
+    ),
+    (42, 8191): (
+        ["0x1.3bb9e4c165a08p-3", "0x1.7bfb666d9a670p-5", "0x1.d27eb75f5ea20p-6"],
+        "7bdc1474c8cfafc67a621acf0e2e6673dd38136ccd21d1f0b12381a699cde8ae",
+    ),
+    (2**64 - 1, 5 + 3 * RETRY_STRIDE): (
+        ["0x1.f3bb204835ec2p-1", "0x1.cd1da3c47af7ap-2", "0x1.df233ecd56e2bp-1"],
+        "80865675b6c6046a442445ee68050e97f066a786940dd1d63232181fc0693472",
+    ),
 }
 
 
@@ -130,7 +150,7 @@ def simplex_draws():
 
 @pytest.fixture(scope="module")
 def mixed_mats():
-    return sample_chunk("mixed", 37, np.arange(100_000))
+    return mixed_matrices(37, 100_000)
 
 
 class TestHaarUnitary:
@@ -196,6 +216,15 @@ class TestMixedStates:
             lam = simplex_point(replay).lambdas
             eigs = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
             assert np.max(np.abs(eigs - np.sort(lam)[::-1])) <= 1e-10
+
+    @pytest.mark.parametrize("at", list(GOLDEN_MIXED), ids=["0-0", "42-8191", "max-retry3"])
+    def test_draw_contract_golden(self, at):
+        # the raw record, not the state: the state goes through LAPACK's QR
+        normals, uniforms = draw("mixed", RandomStream(*at))
+        hexes, digest = GOLDEN_MIXED[at]
+        assert [x.hex() for x in uniforms.tolist()] == hexes
+        assert normals.shape == (2, 4, 4)
+        assert hashlib.sha256(normals.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_mean_purity(self, mixed_mats):
         # flat Dirichlet second moment: E[sum lambda^2] = 2/(N+1) = 0.4
