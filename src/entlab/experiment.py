@@ -2,12 +2,14 @@
 
 Trial t of a run draws from substream t of the run seed, so results are
 identical whatever the execution order or worker count. A chunk of trials
-is sampled by `sampling.sample_chunk` as one stack of factors W of its
-density matrices, rho = W W^dag; the circuit C maps each to C W, and the
-entanglement kernel scores the factors. The one retry path: a trial whose
-sampled state is not finite (a measure-zero degenerate draw) is redrawn by
-`_sample_chunk` on substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES,
-before the kernel runs; each redraw counts against a 1e-6 failure budget.
+is sampled by `sampling.sample_chunk`, which draws the whole chunk's raw
+numbers in one vectorised pass (no generator per trial) and builds one
+stack of factors W of its density matrices, rho = W W^dag; the circuit C
+maps each to C W, and the entanglement kernel scores the factors. The one
+retry path: a trial whose sampled state is not finite (a measure-zero
+degenerate draw) is redrawn by `_sample_chunk` on substream
+t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs; each
+redraw counts against a 1e-6 failure budget.
 A run uses at most one process per chunk and per CPU it may run on.
 """
 

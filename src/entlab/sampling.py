@@ -6,19 +6,28 @@ Haar) combined with eigenvalues drawn uniformly from the probability
 3-simplex (sorted-uniform spacings, equivalent to a flat Dirichlet). Pure
 states are Haar-uniform on the unit sphere via normalized complex Gaussians.
 
-Randomness comes from counter-based Philox streams keyed by
+Randomness comes from counter-based Philox4x64-10 streams keyed by
 (seed, stream_index): trial t of a run owns substream t, so sequences are
-reproducible independently of execution order. A `RandomStream` restarts
-its one generator whenever it is moved to another substream, so trial t's
-draws do not depend on whether its generator is fresh or reset.
+reproducible independently of execution order.
+
+The draw contract is entlab's own: trial t's raw numbers are one
+`DRAW_RECORD[kind]` record, which for pure trials is a (2, 4) block of
+standard normals, real part first, and for mixed trials a (2, 4, 4) block
+(the Ginibre matrix) followed by 3 uniforms on [0, 1) (the simplex
+spacings), read from substream t as numpy 2.x's `Generator(Philox)` reads
+them; today it equals that generator bit for bit. The engine draws a whole
+chunk's records at once with `draw_chunk`: the Philox4x64-10 cipher over
+all substreams one counter block at a time, and numpy's ziggurat for
+normals (tables in `ziggurat_tables`) parsed over all trials together, its
+rare wedge and tail tries row by row with libm's exp and log1p where the
+decision needs them. `draw` gives one trial's record from a `RandomStream`,
+whose one numpy generator restarts whenever it is moved to another
+substream; the scalar samplers use it, and the tests use it as the oracle
+of the contract.
 
 This module alone turns random numbers into states, by one rule for both
-ensembles. The per-trial step, `draw`, only draws: one `DRAW_RECORD[kind]`
-record, which for pure trials is a (2, 4) block of standard normals, real
-part first, and for mixed trials a (2, 4, 4) block (the Ginibre matrix)
-followed by 3 uniforms on [0, 1) (the simplex spacings). States are built
-once per chunk, by `build_states` on the stack of records; the scalar
-samplers are batch-of-one calls of it. Each state is built as a factor W of
+ensembles. States are built once per chunk, by `build_states` on the stack
+of records; the scalar samplers are batch-of-one calls of it. Each state is built as a factor W of
 its density matrix, rho = W W^dag: a pure state's unit vector, or a mixed
 state's W = U diag(sqrt(lambda)). The pure norm is summed in a fixed
 order, sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
@@ -30,11 +39,13 @@ and redraws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
+from . import ziggurat_tables
 from .errors import UsageError
 from .gates import UnitaryGate
 
@@ -45,6 +56,21 @@ DRAW_RECORD = {  # the raw numbers of one trial, per kind, in draw order
     "pure": np.dtype([("normals", float, (2, 4))]),
     "mixed": np.dtype([("normals", float, (2, 4, 4)), ("uniforms", float, 3)]),
 }
+RAW_MARGIN = {"pure": 4, "mixed": 5}  # raw words drawn per trial beyond the fewest its record can take
+
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = (1 << 64) - 1
+# numpy's ziggurat for standard normals (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000)
+_FI = np.array([float.fromhex(h) for h in ziggurat_tables.FI_HEX])
+# indexed by a word's low 9 bits, the layer and then the sign: -(m * w) == m * -w exactly
+_KI9 = np.tile(np.array(ziggurat_tables.KI, dtype=np.uint64), 2)
+_WI9 = np.array([float.fromhex(h) for h in ziggurat_tables.WI_HEX] * 2) * np.repeat([1.0, -1.0], 256)
+_ZIG_R = 3.6541528853610087963519472518  # where the tail starts
+_ZIG_INV_R = 0.27366123732975827203338247596
+_EXP_SLACK = 1e-13  # relative gap beyond which np.exp and libm's exp decide a wedge test alike
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 
 
 @dataclass
@@ -104,6 +130,174 @@ def draw(kind: Kind, rng: RandomStream) -> tuple[np.ndarray, ...]:
     return gen.standard_normal((2, 4, 4)), gen.random(3)
 
 
+def draw_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
+    """The `DRAW_RECORD[kind]` record of each substream (seed, s), s in
+    `streams`: what `draw(kind, RandomStream(seed, s))` returns, drawn for the
+    whole chunk at once. Each trial gets RAW_MARGIN[kind] raw words beyond the
+    fewest its record can take; a trial whose rejections use up its words
+    gets one more block of four and is parsed anew."""
+    dtype = DRAW_RECORD[kind]
+    normals = math.prod(dtype["normals"].shape)
+    uniforms = math.prod(dtype["uniforms"].shape) if "uniforms" in dtype.names else 0
+    records = np.empty(len(streams), dtype)
+    rows = np.arange(len(streams))
+    raw = philox_words(seed, streams, 0, -(-(normals + uniforms + RAW_MARGIN[kind]) // 4))
+    while True:
+        short = _parse_words(records, rows, raw, normals, uniforms)
+        if not short.any():
+            return records
+        rows = rows[short]
+        raw = np.concatenate([raw[short], philox_words(seed, streams[rows], raw.shape[1] // 4, 1)], axis=1)
+
+
+def philox_words(seed: int, streams: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Raw words 4 * first .. 4 * (first + blocks) - 1 of each substream
+    (seed, s), s in `streams`, as an (n, 4 * blocks) uint64 array: the words
+    numpy's `Philox(key=[seed, s]).random_raw()` returns. Block j is the
+    Philox4x64-10 cipher of the counter (j + 1, 0, 0, 0), one block at a time
+    over all substreams."""
+    key1 = np.asarray(streams).astype(np.uint64)
+    keys = [
+        (np.full(1, (seed + r * _PHILOX_W[0]) & _U64, np.uint64), key1 + np.uint64(r * _PHILOX_W[1] & _U64))
+        for r in range(10)
+    ]
+    out = np.empty((key1.shape[0], 4 * blocks), np.uint64)
+    zero = np.zeros(1, np.uint64)  # counter words as (1,) arrays: the first rounds stay per chunk, not per lane
+    for j in range(blocks):
+        c0, c1, c2, c3 = np.full(1, first + j + 1, np.uint64), zero, zero, zero
+        for k0, k1 in keys:
+            hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        for w, c in enumerate((c0, c1, c2, c3)):
+            out[:, 4 * j + w] = c
+    return out
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of a * m, for a uint64 array a and a
+    constant m < 2^64; the high word is formed in 32-bit limbs."""
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & lo32, a >> s32
+    t = a_hi * m_lo + ((a_lo * m_lo) >> s32)
+    w = (t & lo32) + a_lo * m_hi
+    return a_hi * m_hi + (t >> s32) + (w >> s32), a * np.uint64(m)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's next_double: the top 53 bits of each word, times 2^-53."""
+    return (words >> np.uint64(11)).astype(float) * _DOUBLE_UNIT
+
+
+def _ziggurat_try(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One try of numpy's `random_standard_normal` per word: the low 8 bits
+    pick the layer, the next bit the sign and the next 52 the magnitude.
+    Returns the signed values and whether each try is accepted at once."""
+    low9 = (words & np.uint64(0x1FF)).view(np.int64)
+    magnitude = words >> np.uint64(9)
+    magnitude &= np.uint64(0xFFFFFFFFFFFFF)
+    return magnitude.astype(float) * _WI9[low9], magnitude < _KI9[low9]
+
+
+def _parse_words(records: np.ndarray, rows: np.ndarray, raw: np.ndarray, normals: int, uniforms: int) -> np.ndarray:
+    """Fill records[rows] from the raw words of each row: `normals` standard
+    normals, then `uniforms` doubles, consumed as numpy's `Generator`
+    consumes them. Returns the mask of rows whose words ran out."""
+    x, fast = _ziggurat_try(raw)
+    z = x[:, :normals]
+    end = np.full(len(rows), normals)  # the word after each row's normals
+    short = np.zeros(len(rows), bool)
+    slow = np.flatnonzero(~fast[:, :normals].all(axis=1))
+    if slow.size:
+        z[slow], end[slow], short[slow] = _slow_rows(raw[slow], x[slow], fast[slow], normals)
+    short |= end + uniforms > raw.shape[1]
+    ok = np.flatnonzero(~short)
+    records["normals"][rows[ok]] = z[ok].reshape((-1, *records.dtype["normals"].shape))
+    if uniforms:
+        records["uniforms"][rows[ok]] = _doubles(raw[ok[:, None], end[ok, None] + np.arange(uniforms)])
+    return short
+
+
+def _slow_rows(raw: np.ndarray, x: np.ndarray, fast: np.ndarray, normals: int) -> tuple[np.ndarray, ...]:
+    """numpy's `random_standard_normal`, `normals` times, on rows of raw
+    words where some fast-path try fails (`x`, `fast`: `_ziggurat_try` of
+    the words). A failed try in layer i > 0 reads one more double for the
+    wedge test against exp(-x^2/2); one in layer 0 reads pairs of doubles
+    until the tail test passes. Rows advance together from one failed try to
+    their next. Returns each row's normals, the word after them, and whether
+    its words ran out."""
+    n, width = raw.shape
+    failed = np.append(np.flatnonzero(~fast), n * width)  # flat word indices, then a sentinel
+    took = np.zeros((n, width + 1), np.int8)  # +1 where a run of normals starts, -1 past its end
+    at = np.zeros(n, np.intp)
+    got = np.zeros(n, np.intp)
+    end = np.zeros(n, np.intp)
+    short = np.zeros(n, bool)
+    live = np.arange(n)
+    while live.size:
+        start = at[live]
+        q = np.minimum(failed[np.searchsorted(failed, live * width + start)] - live * width, width)
+        stop = np.minimum(q, start + normals - got[live])
+        took[live, start] += 1
+        took[live, stop] -= 1
+        got[live] += stop - start
+        done = got[live] == normals
+        end[live[done]] = stop[done]
+        short[live[~done & (q + 1 >= width)]] = True  # no failed try left, or none with a word after it
+        failing = ~done & (q + 1 < width)
+        live, q = live[failing], q[failing]
+        layer = (raw[live, q] & np.uint64(0xFF)).view(np.int64)
+        wedge = layer != 0
+        rw, qw, lw = live[wedge], q[wedge], layer[wedge]
+        keep = _below_density((_FI[lw - 1] - _FI[lw]) * _doubles(raw[rw, qw + 1]) + _FI[lw], x[rw, qw])
+        took[rw[keep], qw[keep]] += 1
+        took[rw[keep], qw[keep] + 1] -= 1
+        got[rw[keep]] += 1
+        at[rw] = qw + 2
+        for r, i in zip(live[~wedge].tolist(), q[~wedge].tolist()):
+            value, at[r] = _tail(raw[r], i)
+            if value is None:
+                short[r] = True
+            else:
+                x[r, i] = value
+                took[r, i] += 1
+                took[r, i + 1] -= 1
+                got[r] += 1
+        finished = got[live] == normals
+        end[live[finished]] = at[live[finished]]
+        live = live[~finished & ~short[live]]
+    took[short] = 0  # any `normals` words, for rows drawn again
+    took[short, 0], took[short, normals] = 1, -1
+    picked = np.cumsum(took[:, :width], axis=1, dtype=np.int8).astype(bool)
+    return x[picked].reshape(n, normals), end, short
+
+
+def _below_density(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y < exp(-x^2/2) as decided with libm's exp, which numpy's C code
+    calls: np.exp decides wherever the two sides are not within a few ulps."""
+    density = np.exp(-0.5 * x * x)
+    below = y < density
+    for i in np.flatnonzero(np.abs(y - density) <= _EXP_SLACK * density):
+        below[i] = y[i] < math.exp(-0.5 * x[i] * x[i])
+    return below
+
+
+def _tail(words: np.ndarray, i: int) -> tuple[float | None, int]:
+    """The tail of numpy's ziggurat for the failed layer-0 try at words[i]:
+    the value and the word after the last one read, or None when the words
+    run out first."""
+    sign = (int(words[i]) >> 17) & 1  # bit 8 of the try's magnitude
+    k = i + 1
+    while k + 1 < len(words):
+        xx = -_ZIG_INV_R * math.log1p(-((int(words[k]) >> 11) * _DOUBLE_UNIT))
+        yy = -math.log1p(-((int(words[k + 1]) >> 11) * _DOUBLE_UNIT))
+        k += 2
+        if yy + yy > xx * xx:
+            return (-(_ZIG_R + xx) if sign else _ZIG_R + xx), k
+    return None, k
+
+
 def _complex(normals: np.ndarray) -> np.ndarray:
     """Complex Gaussians from an (n, 2, ...) stack of normals, real part first."""
     return normals[:, 0] + 1j * normals[:, 1]
@@ -140,16 +334,10 @@ def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
 
 
 def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
-    """One state per substream index in `streams`, drawn through one
-    generator moved from substream to substream. A degenerate draw comes
-    out non-finite, without a warning, for the caller to screen."""
-    rng = RandomStream(seed)
-
-    def trial(stream: int) -> tuple[np.ndarray, ...]:
-        rng.stream_index = stream
-        return draw(kind, rng)
-
-    draws = np.fromiter(map(trial, streams.tolist()), dtype=DRAW_RECORD[kind], count=len(streams))
+    """One state per substream index in `streams`, drawn by one `draw_chunk`.
+    A degenerate draw comes out non-finite, without a warning, for the
+    caller to screen."""
+    draws = draw_chunk(kind, seed, streams)
     with np.errstate(divide="ignore", invalid="ignore"):
         return build_states(kind, draws)
 

@@ -39,16 +39,17 @@ def pure_states(seed: int, count: int):
 
 
 def poison_draws(monkeypatch, streams):
-    """Make the per-trial raw draws non-finite on the given substreams, as a
+    """Make the raw draws non-finite on the given substreams, as a
     measure-zero degenerate draw would give non-finite states; other draws
     are unchanged."""
-    draw = sampling.draw
+    draw_chunk = sampling.draw_chunk
 
-    def poisoned(kind, rng):
-        normals, *rest = draw(kind, rng)
-        return (normals * np.nan if rng.stream_index in streams else normals, *rest)
+    def poisoned(kind, seed, chunk):
+        records = draw_chunk(kind, seed, chunk)
+        records["normals"][np.isin(chunk, list(streams))] = np.nan
+        return records
 
-    monkeypatch.setattr(sampling, "draw", poisoned)
+    monkeypatch.setattr(sampling, "draw_chunk", poisoned)
 
 
 # The spin flip built here, not taken from the package, so the definition

@@ -32,9 +32,15 @@ def result(e0, ef) -> EnsembleResult:
 
 
 def forced_trial(monkeypatch, kind, draw) -> tuple[float, float]:
-    """(E_0, E_F) of one trial run by the engine, with its per-trial raw draw
-    replaced by `draw`, the way `conftest.poison_draws` replaces it."""
-    monkeypatch.setattr(sampling, "draw", draw)
+    """(E_0, E_F) of one trial run by the engine, with its raw draw replaced
+    by `draw(kind, seed, streams)`, which returns the fields of the one
+    trial's record; the chunk-level raw draw is replaced the way
+    `conftest.poison_draws` replaces it."""
+
+    def forced(kind, seed, streams):
+        return np.array([draw(kind, seed, streams)], dtype=sampling.DRAW_RECORD[kind])
+
+    monkeypatch.setattr(sampling, "draw_chunk", forced)
     e0, ef, failures = _chunk_task(kind, 1, 0, 1)
     assert failures == 0
     return e0[0], ef[0]
@@ -57,18 +63,20 @@ class TestRunTrial:
     """One trial through the engine's `_chunk_task`, on forced or sampled draws."""
 
     def test_forced_ground_state(self, monkeypatch):
-        e0, ef = forced_trial(monkeypatch, "pure", lambda kind, rng: (np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]),))
+        e0, ef = forced_trial(monkeypatch, "pure", lambda *_: (np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]),))
         assert e0 == pytest.approx(0.0, abs=1e-12)
         assert ef == pytest.approx(1.0, abs=1e-9)
 
     def test_forced_maximally_mixed(self, monkeypatch):
         # uniforms (1/4, 1/2, 3/4) space the simplex evenly, so rho = U (I/4) U^dag
-        draw = sampling.draw
-        forced = forced_trial(monkeypatch, "mixed", lambda kind, rng: (draw(kind, rng)[0], np.array([0.25, 0.5, 0.75])))
+        draw_chunk = sampling.draw_chunk
+        forced = forced_trial(
+            monkeypatch, "mixed", lambda *args: (draw_chunk(*args)["normals"][0], np.array([0.25, 0.5, 0.75]))
+        )
         assert forced == (0.0, 0.0)
 
     def test_forced_bell_state(self, monkeypatch):
-        e0, ef = forced_trial(monkeypatch, "pure", lambda kind, rng: (np.array([[1.0, 0, 0, 1], [0, 0, 0, 0]]),))
+        e0, ef = forced_trial(monkeypatch, "pure", lambda *_: (np.array([[1.0, 0, 0, 1], [0, 0, 0, 0]]),))
         assert e0 == pytest.approx(1.0, abs=1e-9)
         # cross-check the final EoF against the pure-state closed form 2|ad - bc|
         a, b, c, d = circuit().matrix @ np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -168,26 +176,42 @@ class TestRunEnsemble:
 class TestSampleChunk:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_matches_fresh_streams(self, monkeypatch, kind):
-        # the chunk's one reset generator draws what a fresh one per trial
+        # the chunk's raw draw gives what a fresh generator per trial
         # draws, and the stack builds what the scalar samplers build
         seed, streams = 2**63 + 12345, np.array([0, 1, 7, 5 + RETRY_STRIDE, 2**40])
-        drawn, draw = [], sampling.draw
+        drawn, draw_chunk = [], sampling.draw_chunk
 
-        def recorded(kind, rng):
-            drawn.append(draw(kind, rng))
+        def recorded(kind, seed, streams):
+            drawn.append(draw_chunk(kind, seed, streams))
             return drawn[-1]
 
-        monkeypatch.setattr(sampling, "draw", recorded)
+        monkeypatch.setattr(sampling, "draw_chunk", recorded)
         states = sample_chunk(kind, seed, streams)
         monkeypatch.undo()
-        for fields, s in zip(drawn, streams, strict=True):
-            for got, want in zip(fields, draw(kind, RandomStream(seed, s)), strict=True):
+        (records,) = drawn
+        for record, s in zip(records, streams, strict=True):
+            for got, want in zip(record.tolist(), sampling.draw(kind, RandomStream(seed, s)), strict=True):
                 assert np.array_equal(got, want)
         if kind == "pure":
             assert np.array_equal(states, [pure_state_vector(RandomStream(seed, s)) for s in streams])
         else:  # mixed states come as factors W of rho = W W^dag
             rhos = states @ states.conj().swapaxes(-1, -2)
             assert np.array_equal(rhos, [mixed_state_matrix(RandomStream(seed, s)) for s in streams])
+
+
+class TestNoPerTrialGenerator:
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_chunk_task_reads_no_generator(self, monkeypatch, kind):
+        # the engine draws whole chunks; a per-trial generator read would raise here
+        clean = _chunk_task(kind, 4, 0, 300)
+
+        def refused(self):
+            raise AssertionError("a per-trial generator was read on the engine path")
+
+        monkeypatch.setattr(RandomStream, "generator", property(refused))
+        assert all(np.array_equal(a, b) for a, b in zip(_chunk_task(kind, 4, 0, 300)[:2], clean[:2]))
+        poison_draws(monkeypatch, {3, 250})  # the retry path too
+        assert _chunk_task(kind, 4, 0, 300)[2] == 2
 
 
 class TestKernelCalls:
@@ -227,12 +251,14 @@ class TestRetryPath:
     def test_zero_vector_is_redrawn_silently(self, monkeypatch):
         # the chunk's normalisation of a zero draw divides 0 by 0; the screen
         # catches the NaNs, numpy does not warn
-        draw = sampling.draw
+        draw_chunk = sampling.draw_chunk
 
-        def degenerate(kind, rng):
-            return (np.zeros((2, 4)),) if rng.stream_index == 5 else draw(kind, rng)
+        def degenerate(kind, seed, streams):
+            records = draw_chunk(kind, seed, streams)
+            records["normals"][streams == 5] = 0.0
+            return records
 
-        monkeypatch.setattr(sampling, "draw", degenerate)
+        monkeypatch.setattr(sampling, "draw_chunk", degenerate)
         e0, ef, failures = _chunk_task("pure", 3, 0, 10)
         assert failures == 1
         assert (e0[5], ef[5]) == pytest.approx(reference_trial("pure", 3, 5 + RETRY_STRIDE), abs=REFERENCE_TOL["pure"])

@@ -1,16 +1,22 @@
 import hashlib
+import importlib.util
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entlab import sampling, ziggurat_tables
 from entlab.errors import UsageError
 from entlab.experiment import RETRY_STRIDE
 from entlab.qstate import DensityMatrix, PureState
 from entlab.sampling import (
+    DRAW_RECORD,
     RandomStream,
     SimplexPoint,
     draw,
+    draw_chunk,
     haar_unitaries,
     haar_unitary,
     mixed_state_matrix,
@@ -137,9 +143,126 @@ class TestRandomStream:
             assert np.array_equal(x, y)
 
 
+def oracle_records(kind, seed: int, streams: np.ndarray) -> np.ndarray:
+    """The draw contract's reference: `draw` on a fresh numpy `Generator`
+    per substream."""
+    return np.array([draw(kind, RandomStream(seed, s)) for s in streams.tolist()], dtype=DRAW_RECORD[kind])
+
+
+def assert_records_equal(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for name in want.dtype.names:
+        assert np.array_equal(got[name], want[name]), name
+
+
+ORACLE_SEEDS = [0, 7, 11, 2**63 + 12345, 2**64 - 1]
+
+
+def oracle_streams(count: int) -> np.ndarray:
+    """`count` first substreams, retry substreams t + k * RETRY_STRIDE for
+    k = 1 and 3, and the last substream."""
+    ks = [np.arange(count, dtype=np.uint64)]
+    ks += [np.arange(count // 4, dtype=np.uint64) + np.uint64(k * RETRY_STRIDE) for k in (1, 3)]
+    return np.concatenate(ks + [np.array([2**64 - 1], dtype=np.uint64)])
+
+
+class TestDrawChunk:
+    """The chunk-level raw draw against numpy's `Generator(Philox)`, the
+    oracle of the draw contract."""
+
+    @pytest.mark.parametrize("kind,count", [("pure", 6000), ("mixed", 2000)])
+    def test_matches_generator(self, monkeypatch, kind, count):
+        tails, wedges = [], []
+        tail, below_density = sampling._tail, sampling._below_density
+
+        def traced_tail(words, i):
+            tails.append(tail(words, i))
+            return tails[-1]
+
+        def traced_wedge(y, x):
+            wedges.append(below_density(y, x))
+            return wedges[-1]
+
+        monkeypatch.setattr(sampling, "_tail", traced_tail)
+        monkeypatch.setattr(sampling, "_below_density", traced_wedge)
+        streams, layers = oracle_streams(count), set()
+        tries = math.prod(DRAW_RECORD[kind]["normals"].shape)  # the first words are all tries
+        for seed in ORACLE_SEEDS:
+            assert_records_equal(draw_chunk(kind, seed, streams), oracle_records(kind, seed, streams))
+            for s in streams.tolist()[:200]:
+                words = np.random.Philox(key=np.array([seed, s], dtype=np.uint64)).random_raw(tries)
+                layers.update((words & np.uint64(0xFF)).tolist())
+        # every layer served a try, and both slow paths ran and were taken
+        assert layers == set(range(256))
+        wedge = np.concatenate(wedges)
+        assert wedge.any() and not wedge.all()
+        assert any(value is not None for value, _ in tails)
+
+    def test_int64_streams_as_the_engine_passes_them(self):
+        streams = np.arange(8192, 8192 + 700)
+        for kind in ("pure", "mixed"):
+            assert_records_equal(draw_chunk(kind, 42, streams), oracle_records(kind, 42, streams))
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_trial_past_its_margin_is_extended(self, monkeypatch, kind):
+        # no margin: most trials with a slow-path try run out of words
+        blocks, philox_words = [], sampling.philox_words
+
+        def recorded(seed, streams, first, count):
+            blocks.append((first, len(streams)))
+            return philox_words(seed, streams, first, count)
+
+        monkeypatch.setattr(sampling, "RAW_MARGIN", {"pure": 0, "mixed": 0})
+        monkeypatch.setattr(sampling, "philox_words", recorded)
+        streams = oracle_streams(1000)
+        for seed in (7, 2**64 - 1):
+            assert_records_equal(draw_chunk(kind, seed, streams), oracle_records(kind, seed, streams))
+        firsts = {first for first, _ in blocks}
+        assert len(firsts) >= 3  # some trials were extended more than once
+        assert all(n < len(streams) for first, n in blocks if first > 0)  # and only those
+
+    def test_philox_words_match_numpy(self):
+        streams = np.array([0, 1, 5 + 3 * RETRY_STRIDE, 2**63, 2**64 - 1], dtype=np.uint64)
+        for seed in ORACLE_SEEDS:
+            got = sampling.philox_words(seed, streams, 2, 3)
+            for row, s in zip(got, streams.tolist(), strict=True):
+                want = np.random.Philox(key=np.array([seed, s], dtype=np.uint64)).random_raw(20)[8:]
+                assert np.array_equal(row, want)
+
+    def test_wedge_decided_by_libm_exp_near_the_boundary(self):
+        # at these x, numpy 2.4's SIMD exp on x86-64 rounds exp(-x^2/2) one
+        # ulp above glibc's (the first) or below it (the rest); math.exp decides
+        apart = ("0x1.f4f591028228ap-5", "0x1.826363e89026cp+1", "0x1.460c6214c12bep+1")
+        x = np.array([float.fromhex(h) for h in apart] + [0.3, 1.1, 3.5])
+        edge = np.array([math.exp(-0.5 * v * v) for v in x.tolist()])
+        for y, want in ((edge, False), (np.nextafter(edge, 0.0), True), (np.nextafter(edge, 1.0), False)):
+            assert sampling._below_density(y, x).tolist() == [want] * len(x)
+
+
+def _extraction_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "extract_ziggurat_tables.py"
+    spec = importlib.util.spec_from_file_location("extract_ziggurat_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ziggurat_tables_match_numpy_library():
+    tool = _extraction_tool()
+    archive = tool.default_archive()
+    if not archive.exists():
+        pytest.skip(f"numpy ships no {archive.name} here to extract the tables from")
+    if shutil.which("ar") is None:
+        pytest.skip("no `ar` on PATH to unpack numpy's static library")
+    tables = tool.extract(archive)
+    assert tables["ki"] == ziggurat_tables.KI
+    assert [x.hex() for x in tables["wi"]] == list(ziggurat_tables.WI_HEX)
+    assert [x.hex() for x in tables["fi"]] == list(ziggurat_tables.FI_HEX)
+
+
 @pytest.fixture(scope="module")
 def haar_draws():
-    z = reset_draws(32, 100_000, lambda g: g.standard_normal((2, 4, 4)))
+    z = draw_chunk("mixed", 32, np.arange(100_000))["normals"]  # each substream's first 32 normals
     return haar_unitaries(z[:, 0] + 1j * z[:, 1])
 
 
@@ -220,11 +343,13 @@ class TestMixedStates:
     @pytest.mark.parametrize("at", list(GOLDEN_MIXED), ids=["0-0", "42-8191", "max-retry3"])
     def test_draw_contract_golden(self, at):
         # the raw record, not the state: the state goes through LAPACK's QR
-        normals, uniforms = draw("mixed", RandomStream(*at))
+        seed, stream = at
+        (chunk,) = draw_chunk("mixed", seed, np.array([stream], dtype=np.uint64))
         hexes, digest = GOLDEN_MIXED[at]
-        assert [x.hex() for x in uniforms.tolist()] == hexes
-        assert normals.shape == (2, 4, 4)
-        assert hashlib.sha256(normals.astype("<f8").tobytes()).hexdigest() == digest
+        for normals, uniforms in (draw("mixed", RandomStream(*at)), chunk.tolist()):
+            assert [x.hex() for x in np.asarray(uniforms).tolist()] == hexes
+            assert np.shape(normals) == (2, 4, 4)
+            assert hashlib.sha256(np.asarray(normals, dtype="<f8").tobytes()).hexdigest() == digest
 
     def test_mean_purity(self, mixed_mats):
         # flat Dirichlet second moment: E[sum lambda^2] = 2/(N+1) = 0.4
