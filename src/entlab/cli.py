@@ -10,6 +10,7 @@ failure, 3 numeric-quality breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -135,17 +136,20 @@ def execute(config: RunConfig) -> int:
     """Run the configured ensemble and write the requested outputs."""
     t0 = time.monotonic()
     spec = EnsembleSpec(kind=config.ensemble, trials=config.trials, seed=config.seed)
-    result = run_ensemble(spec, workers=config.workers)
-    delta_hist = histogram_delta(result, config.delta_bins)
-    e0_hist = entanglement_histogram(result, config.e0_bins)
-    profile = conditional_mean(result, config.e0_bins)
-
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # the files are written next to `out` and then moved in one by one,
-    # summary.json last, so a failed write leaves the previous set whole
-    tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    tmp = None
     try:
+        # both directories exist before the run, so an unusable output
+        # directory fails at once, not after the whole ensemble
+        out.mkdir(parents=True, exist_ok=True)
+        # the files are written next to `out` and then moved in one by one,
+        # summary.json last, so a failed write leaves the previous set whole
+        tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
+        result = run_ensemble(spec, workers=config.workers)
+        delta_hist = histogram_delta(result, config.delta_bins)
+        e0_hist = entanglement_histogram(result, config.e0_bins)
+        profile = conditional_mean(result, config.e0_bins)
         if "csv" in config.formats:
             _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
             _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
@@ -165,8 +169,13 @@ def execute(config: RunConfig) -> int:
             (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         for path in sorted(tmp.iterdir(), key=lambda p: p.name == "summary.json"):
             os.replace(path, out / path.name)
+        created = []  # the run succeeded: keep the directories it made
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+        for d in created:  # a failed run removes the directories it made, if they are still empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ all substreams one counter block at a time, and numpy's ziggurat for
 normals (tables in `ziggurat_tables`) parsed over all trials together, its
 rare wedge and tail tries row by row with libm's exp and log1p where the
 decision needs them. `draw` gives one trial's record from a `RandomStream`,
-whose one numpy generator restarts whenever it is moved to another
+which starts a fresh numpy generator whenever it is moved to another
 substream; the scalar samplers use it, and the tests use it as the oracle
 of the contract.
 
@@ -79,15 +79,14 @@ class RandomStream:
 
     Equal (seed, stream_index) pairs reproduce identical sequences; distinct
     stream_index values give statistically independent streams. Both must
-    lie in [0, 2^64). Reading `generator` after either field changed puts
-    the one generator at the start of the new substream; reading it again
+    lie in [0, 2^64). Reading `generator` after either field changed gives
+    a fresh generator at the start of the new substream; reading it again
     continues where the last draw stopped.
     """
 
     seed: int
     stream_index: int = 0
     _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
-    _start: dict | None = field(default=None, init=False, repr=False, compare=False)  # a Philox state at counter 0
     _at: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -95,13 +94,7 @@ class RandomStream:
         at = (self.seed, self.stream_index)
         if self._at != at:
             # an explicit uint64 key: a plain list above 2^63 would pass through float64
-            key = np.array(at, dtype=np.uint64)
-            if self._gen is None:
-                self._gen = np.random.Generator(np.random.Philox(key=key))
-                self._start = self._gen.bit_generator.state  # empty buffer, no pending 32-bit half
-            else:
-                self._start["state"]["key"] = key
-                self._gen.bit_generator.state = self._start
+            self._gen = np.random.Generator(np.random.Philox(key=np.array(at, dtype=np.uint64)))
             self._at = at
         return self._gen
 

@@ -7,6 +7,9 @@ from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector,
 
 # asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01
 KS_COEFF_1PC = 1.628
+# Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA 58, 883 (1998): the
+# separable share of two-qubit states under the product measure
+SEPARABLE_FRACTION = 0.632
 
 
 @pytest.fixture

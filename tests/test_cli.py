@@ -210,14 +210,22 @@ class TestMain:
     def test_unknown_flag_exit_code(self):
         assert main(["--frobnicate"]) == EXIT_USAGE
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
+    def test_io_error_exit_code(self, tmp_path, monkeypatch):
+        # an unusable output directory fails before the ensemble runs
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
-        code = main(
-            ["--trials", "500", "--delta-bins", "10", "--e0-bins", "5",
-             "--workers", "1", "--output-dir", str(blocker)]
-        )
-        assert code == EXIT_IO
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_ensemble", refused)
+        for out in (blocker, blocker / "run"):
+            code = main(
+                ["--trials", "500", "--delta-bins", "10", "--e0-bins", "5",
+                 "--workers", "1", "--output-dir", str(out)]
+            )
+            assert code == EXIT_IO
+            assert [p.name for p in tmp_path.iterdir()] == ["blocked"]
 
     def test_successful_small_run(self, tmp_path):
         code = main(
@@ -271,6 +279,20 @@ class TestNumericHealth:
         code, err = self.run(tmp_path, capsys)
         assert code == EXIT_NUMERIC
         assert "numeric quality breach" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # neither the temporary nor the new output directory is left
+
+    def test_failed_run_keeps_existing_directories(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "run").mkdir()
+        poison_draws(monkeypatch, {7})
+        code, _ = self.run(tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert [p.name for p in tmp_path.iterdir()] == ["run"] and list((tmp_path / "run").iterdir()) == []
+
+    def test_failed_run_removes_new_parents(self, tmp_path, capsys, monkeypatch):
+        poison_draws(monkeypatch, {7})
+        code = main(["--trials", "500", "--workers", "1", "--output-dir", str(tmp_path / "a" / "b" / "run")])
+        assert code == EXIT_NUMERIC
+        assert list(tmp_path.iterdir()) == []
 
     def test_retried_draw_is_counted(self, tmp_path, capsys, monkeypatch):
         # at the real 1e-6 budget a single failure is allowed only from 10^6 trials

@@ -8,19 +8,18 @@ from entlab.entanglement import concurrence_batch
 from entlab.experiment import EnsembleSpec, run_ensemble
 from entlab.sampling import sample_chunk
 
-from conftest import KS_COEFF_1PC, ks_statistic
+from conftest import KS_COEFF_1PC, SEPARABLE_FRACTION, ks_statistic
 
 TRIALS = 100_000
 
-# Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA 58, 883 (1998): the
-# separable share of two-qubit states under the product measure
-SEPARABLE_FRACTION = 0.632
-
 
 def test_mixed_separable_fraction():
-    # E_0 is exactly 0 for a separable state; the standard error here is 0.0015
+    # E_0 is exactly 0 for a separable state; the standard error here is 0.0015.
+    # The circuit is unitary, so it leaves the product measure as it is: E_F's
+    # separable share is the same, and checks the kernel's screen on C W.
     res = run_ensemble(EnsembleSpec("mixed", TRIALS, 5))
     assert abs(np.mean(res.e0 == 0.0) - SEPARABLE_FRACTION) <= 0.01
+    assert abs(np.mean(res.ef == 0.0) - SEPARABLE_FRACTION) <= 0.01
 
 
 def test_pure_concurrence_distribution():

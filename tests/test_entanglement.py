@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entlab.entanglement import (
+    SEPARABLE_DET_MARGIN,
     binary_entropy,
     concurrence,
     concurrence_batch,
+    concurrence_from_lambdas,
+    det4,
     eof,
     eof_batch,
     eof_from_concurrence,
     factor_concurrence,
     factor_eof,
+    factor_lambdas,
+    partial_transpose_det,
     rho_tilde,
 )
 from entlab.errors import UsageError
@@ -18,7 +23,7 @@ from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.gates import circuit
 from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, sample_chunk
 
-from conftest import definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
+from conftest import SEPARABLE_FRACTION, definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
 
 I4 = np.eye(4, dtype=complex)
 
@@ -72,6 +77,18 @@ def werner_factor(x: float) -> np.ndarray:
     triplet = np.array([[1, 0, 0, 0], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0], [0, 0, 0, 1]])
     vecs = np.column_stack([singlet().amplitudes, *triplet])
     return vecs * np.sqrt([(1 + 3 * x) / 4] + [(1 - x) / 4] * 3)
+
+
+def one_column_factors(vecs: np.ndarray) -> np.ndarray:
+    """Each unit vector v as the rank-1 factor (v, 0, 0, 0) of |v><v|."""
+    w = np.zeros((len(vecs), 4, 4), dtype=complex)
+    w[:, :, 0] = vecs
+    return w
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] (x) b[i] for two (n, 2, 2) stacks."""
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(len(a), 4, 4)
 
 
 def assert_kernel_matches_definition(rhos: np.ndarray, tol: float) -> None:
@@ -357,6 +374,88 @@ class TestFactorKernel:
 
     def test_vector_is_its_rank_one_factor(self):
         vecs = np.array([pure_state_vector(RandomStream(46, i)) for i in range(200)])
-        w = np.zeros((200, 4, 4), dtype=complex)
-        w[:, :, 0] = vecs
-        assert np.max(np.abs(factor_concurrence(vecs) - factor_concurrence(w))) <= 1e-14
+        assert np.max(np.abs(factor_concurrence(vecs) - factor_concurrence(one_column_factors(vecs)))) <= 1e-14
+
+
+def svd_concurrence(w: np.ndarray) -> np.ndarray:
+    """The unscreened route: `factor_lambdas` on every state."""
+    return concurrence_from_lambdas(factor_lambdas(w))
+
+
+def weakly_entangled_vectors(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U_A x U_B)(cos t |00> + sin t |11>) with Haar local unitaries and
+    concurrence C = sin 2t from 1e-8 to 1e-3, where det(rho^Gamma) = -(C/2)^4
+    lies far inside the margin; returns the vectors and their concurrences."""
+    c = np.logspace(-8, -3, count)
+    t = np.arcsin(c) / 2
+    v = np.zeros((count, 4), dtype=complex)
+    v[:, 0], v[:, 3] = np.cos(t), np.sin(t)
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitaries(rng.standard_normal((2, count, 2, 2)) + 1j * rng.standard_normal((2, count, 2, 2)))
+    return (kron_stack(ua, ub) @ v[:, :, None])[:, :, 0], c
+
+
+class TestSeparableScreen:
+    """`factor_concurrence` clears states with det(rho^Gamma) > SEPARABLE_DET_MARGIN
+    without their SVD; on every other state it is the SVD route itself."""
+
+    def test_closed_form_determinant(self):
+        rng = np.random.default_rng(50)
+        m = rng.standard_normal((2000, 4, 4)) + 1j * rng.standard_normal((2000, 4, 4))
+        assert np.max(np.abs(det4(m) - np.linalg.det(m)) / np.abs(np.linalg.det(m)).clip(1.0)) <= 1e-13
+        assert np.max(np.abs(det4(m.real) - np.linalg.det(m.real))) <= 1e-12
+
+    def test_bell_states(self):
+        assert np.allclose(partial_transpose_det(one_column_factors(BELL_VECTORS)), -1 / 16, rtol=0, atol=1e-16)
+
+    def test_product_states(self):
+        # rho_A x rho_B has rho^Gamma = rho_A x rho_B^T: det = det(rho_A)^2 det(rho_B)^2 > 0
+        rng = np.random.default_rng(51)
+        wa, wb = rng.standard_normal((2, 500, 2, 2)) + 1j * rng.standard_normal((2, 500, 2, 2))
+        wa /= np.linalg.norm(wa, axis=(1, 2), keepdims=True)
+        wb /= np.linalg.norm(wb, axis=(1, 2), keepdims=True)
+        w = kron_stack(wa, wb)
+        expected = (np.abs(np.linalg.det(wa)) * np.abs(np.linalg.det(wb))) ** 4
+        det = partial_transpose_det(w)
+        assert np.all(det > 0.0)
+        assert np.max(np.abs(det - expected)) <= 1e-16
+        # pure product states, as one-column factors: rho^Gamma has rank 1
+        vecs = product_vectors(52, 500)
+        w = one_column_factors(vecs)
+        assert np.max(np.abs(partial_transpose_det(w))) <= 1e-16
+        assert np.array_equal(factor_concurrence(w), svd_concurrence(w))
+        assert np.all(factor_concurrence(w) <= 1e-15)
+
+    def test_sampled_factors_match_the_svd_route(self):
+        w = sample_chunk("mixed", 53, np.arange(100_000))
+        for factors in (w, circuit().matrix @ w):
+            cleared = partial_transpose_det(factors) > SEPARABLE_DET_MARGIN
+            c_svd = svd_concurrence(factors)
+            assert np.all(c_svd[cleared] == 0.0)
+            assert np.array_equal(factor_concurrence(factors), c_svd)
+            assert abs(np.mean(cleared) - SEPARABLE_FRACTION) <= 0.01  # the screen clears nearly all separable states
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_werner_near_the_threshold(self, gap, side):
+        x = 1 / 3 + side * gap
+        w = werner_factor(x)[None]
+        det = partial_transpose_det(w)[0]
+        assert det == pytest.approx(((1 + x) / 4) ** 3 * (1 - 3 * x) / 4, rel=1e-3, abs=1e-17)
+        assert (det > SEPARABLE_DET_MARGIN) == (side < 0 and gap > 1e-12)
+        c = factor_concurrence(w)
+        assert np.array_equal(c, svd_concurrence(w))
+        assert c[0] == pytest.approx(werner_concurrence_closed_form(x), abs=1e-14)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_factors(self, rank):
+        w = haar_factor_stack(rank, rank_deficient_spectra(rank, 2000))
+        assert np.array_equal(factor_concurrence(w), svd_concurrence(w))
+
+    def test_weakly_entangled_pure_states(self):
+        vecs, c = weakly_entangled_vectors(54, 2000)
+        w = one_column_factors(vecs)
+        assert np.max(np.abs(partial_transpose_det(w) + (c / 2) ** 4)) <= 1e-16
+        screened = factor_concurrence(w)
+        assert np.array_equal(screened, svd_concurrence(w))
+        assert np.max(np.abs(screened - c) / c) <= 1e-6
