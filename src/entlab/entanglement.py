@@ -13,9 +13,10 @@ Before the SVD, `factor_concurrence` screens out separable states: a
 two-qubit state is entangled if and only if det(rho^Gamma) < 0, rho^Gamma
 being its partial transpose on qubit B (Augusiak, Demianowicz & Horodecki,
 PRA 77, 030301(R), 2008). `partial_transpose_det` takes that determinant in
-closed form, and a state whose determinant exceeds SEPARABLE_DET_MARGIN has
-concurrence 0 without its SVD; about 63% of product-measure states do
-(Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA 58, 883, 1998).
+closed form from W's entries, elementwise along the stack, and a state
+whose determinant exceeds SEPARABLE_DET_MARGIN has concurrence 0 without
+its SVD; about 63% of product-measure states do (Zyczkowski, Horodecki,
+Sanpera & Lewenstein, PRA 58, 883, 1998).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linalg import psd_factor
+from .linalg import psd_factor, sum_rows
 from .qstate import DensityMatrix
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -38,11 +39,12 @@ ENTROPY_DOMAIN_TOL = 1e-12
 # ~1e-16 (measured: within 2e-17 of LAPACK's determinant on sampled states);
 # the margin sits four orders above it, and states below it go to the SVD.
 SEPARABLE_DET_MARGIN = 1e-12
-# the six column pairs (j, k) of a 4x4 matrix, in the order whose reverse
-# lists their complements, and their signs in the Laplace expansion
-_PAIR_J = np.array([0, 0, 0, 1, 1, 2])
-_PAIR_K = np.array([1, 2, 3, 2, 3, 3])
-_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+# the six column pairs of a 4x4 matrix, in the order whose reverse lists
+# their complements, and their signs in the Laplace expansion
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_SIGNS = (1, -1, 1, 1, -1, 1)
+# rho^Gamma[i, j] = rho[_PARTIAL_TRANSPOSE[i][j]], i = 2a + b: rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)]
+_PARTIAL_TRANSPOSE = [[(2 * (i >> 1) + (j & 1), 2 * (j >> 1) + (i & 1)) for j in range(4)] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -102,28 +104,45 @@ def factor_lambdas(w: np.ndarray) -> np.ndarray:
     return np.linalg.svd(w.swapaxes(-1, -2) @ flipped, compute_uv=False)
 
 
-def _pair_minors(rows: np.ndarray) -> np.ndarray:
-    """The six 2x2 minors of a (..., 2, 4) stack of row pairs, by column pair."""
-    return rows[..., 0, _PAIR_J] * rows[..., 1, _PAIR_K] - rows[..., 0, _PAIR_K] * rows[..., 1, _PAIR_J]
+def _laplace_det4(m) -> np.ndarray:
+    """Determinant of the 4x4 matrix whose entries are m[i][j], arrays taken
+    elementwise, by Laplace expansion over the complementary 2x2 minors of
+    rows (0, 1) and (2, 3). Elementwise throughout: a signed sum by `@` would
+    go to a BLAS gemv, whose threads contend with the engine's worker
+    processes."""
+
+    def minor(r, j, k):
+        return m[r][j] * m[r + 1][k] - m[r][k] * m[r + 1][j]
+
+    det = 0.0
+    for (j, k), (jc, kc), sign in zip(_PAIRS, _PAIRS[::-1], _PAIR_SIGNS):
+        term = minor(0, j, k) * minor(2, jc, kc)
+        det = det + term if sign > 0 else det - term
+    return det
 
 
 def det4(m: np.ndarray) -> np.ndarray:
-    """Determinant of each matrix in a (..., 4, 4) stack, by Laplace
-    expansion over the complementary 2x2 minors of rows (0, 1) and (2, 3).
-    The signed sum is elementwise: `@` would go to a BLAS gemv, whose threads
-    contend with the engine's worker processes."""
-    terms = _pair_minors(m[..., :2, :]) * _pair_minors(m[..., 2:, :])[..., ::-1]
-    return (terms * _PAIR_SIGNS).sum(axis=-1)
+    """Determinant of each matrix in a (..., 4, 4) stack, in closed form."""
+    return _laplace_det4(np.moveaxis(m, (-2, -1), (0, 1)))
 
 
 def partial_transpose_det(w: np.ndarray) -> np.ndarray:
-    """det(rho^Gamma) of each state rho = W W^dag in a (..., 4, 4) stack of
+    """det(rho^Gamma) of each state rho = W W^dag in a (..., 4, k) stack of
     factors W, rho^Gamma being rho transposed on qubit B:
-    rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)]. Real, as rho^Gamma
-    is Hermitian."""
-    rho = w @ w.conj().swapaxes(-1, -2)
-    pt = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
-    return det4(pt).real
+    rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)]. The 10 distinct
+    entries of rho are sums over W's rows, rho[i, j] = sum_c W[i, c] W*[j, c];
+    rho^Gamma is those entries relabelled, and its determinant the Laplace
+    expansion of `det4`, all elementwise along the stack (contiguous when W
+    is laid out row, column, then stack, as the engine's factors are), with
+    no matmul and no 4x4 temporaries. Real, as rho^Gamma is Hermitian."""
+    rows = np.moveaxis(w, (-2, -1), (0, 1))
+    rows_conj = rows.conj()
+    rho = {(i, j): sum_rows(rows[i] * rows_conj[j]) for i in range(4) for j in range(i, 4)}
+
+    def entry(i, j):
+        return rho[i, j] if i <= j else rho[j, i].conj()
+
+    return _laplace_det4([[entry(*ij) for ij in row] for row in _PARTIAL_TRANSPOSE]).real
 
 
 def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ maps each to C W, and the entanglement kernel scores the factors. The one
 retry path: a trial whose sampled state is not finite (a measure-zero
 degenerate draw) is redrawn by `_sample_chunk` on substream
 t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs; each
-redraw counts against a 1e-6 failure budget.
+redraw counts against a 1e-6 failure budget. A non-finite E from the
+kernel is a numeric failure, never a count in a histogram.
 A run uses at most one process per chunk and per CPU it may run on.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from .entanglement import eof  # noqa: F401 - looked up here by bench/tracer.py
 from .entanglement import factor_eof as eof_batch  # under the name bench/tracer.py wraps
 from .errors import NumericError, UsageError
-from .gates import circuit
+from .gates import apply_to_factors, circuit
 from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
 from .sampling import sample_chunk as _sample_chunk  # under the name bench/tracer.py wraps
 
@@ -78,19 +79,22 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
     states = _sample_chunk(kind, seed, trials)
     failures = 0
     for k in range(1, MAX_RETRIES + 2):
-        bad = np.flatnonzero(~np.isfinite(states.reshape(count, -1)).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=tuple(range(1, states.ndim))))
         if not bad.size:
             break
         if k > MAX_RETRIES:
             raise NumericError(f"trial {trials[bad[0]]} failed {MAX_RETRIES} consecutive resamples")
         failures += bad.size
         states[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
-    u = circuit().matrix
+    gate = circuit()
     try:
         e0 = eof_batch(states)
-        ef = eof_batch(states @ u.T if kind == "pure" else u @ states)
+        ef = eof_batch(states @ gate.matrix.T if kind == "pure" else apply_to_factors(gate, states))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
+    finite = np.isfinite(e0) & np.isfinite(ef)
+    if not finite.all():
+        raise NumericError(f"entanglement kernel gave a non-finite E on trial {start + np.argmin(finite)}")
     return e0, ef, failures
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .linalg import as_matrix, kron, max_abs
+from .linalg import as_matrix, kron, max_abs, sum_rows
 from .qstate import DensityMatrix
 
 UNITARY_TOL = 1e-12
@@ -62,6 +62,17 @@ def circuit() -> UnitaryGate:
     """
     h2 = kron(hadamard().matrix, np.eye(2, dtype=complex))
     return UnitaryGate(cnot().matrix @ h2)
+
+
+def apply_to_factors(gate: UnitaryGate, w: np.ndarray) -> np.ndarray:
+    """gate.matrix @ W for each factor W in an (..., 4, k) stack, as sums of
+    W's rows weighted by the nonzero entries of the gate's rows, elementwise
+    along the stack (a matmul is one zgemm per matrix). The circuit's rows
+    each hold two entries of +-1/sqrt(2). The result has W's memory layout."""
+    out = np.empty_like(w)
+    for i, row in enumerate(gate.matrix):
+        out[..., i, :] = sum_rows([row[k] * w[..., k, :] for k in np.flatnonzero(row)])
+    return out
 
 
 def apply(gate: UnitaryGate, rho: DensityMatrix) -> DensityMatrix:

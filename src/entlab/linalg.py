@@ -46,6 +46,17 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
+def sum_rows(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ... along the first axis, added in that order whatever
+    the other axes' lengths. `sum(axis=0)` adds in a pairwise order when they
+    are short, so a state built in a stack of one would differ in its last
+    bits from the same state built in a chunk."""
+    total = x[0]
+    for row in x[1:]:
+        total = total + row
+    return total
+
+
 def clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out eigenvalues that are roundoff noise on a rank-deficient
     spectrum: anything below a small relative multiple of the largest

@@ -1,8 +1,9 @@
 """Measure-correct random two-qubit states from seedable substreams.
 
 Mixed states follow the product measure on state space: a Haar-random
-eigenbasis (Ginibre matrix -> QR -> phase correction; plain QR alone is not
-Haar) combined with eigenvalues drawn uniformly from the probability
+eigenbasis (the Q of a Ginibre matrix's QR factorisation with R's diagonal
+positive, built by Gram-Schmidt in `haar_unitaries`; an arbitrary QR's Q is
+not Haar) combined with eigenvalues drawn uniformly from the probability
 3-simplex (sorted-uniform spacings, equivalent to a flat Dirichlet). Pure
 states are Haar-uniform on the unit sphere via normalized complex Gaussians.
 
@@ -29,12 +30,15 @@ This module alone turns random numbers into states, by one rule for both
 ensembles. States are built once per chunk, by `build_states` on the stack
 of records; the scalar samplers are batch-of-one calls of it. Each state is built as a factor W of
 its density matrix, rho = W W^dag: a pure state's unit vector, or a mixed
-state's W = U diag(sqrt(lambda)). The pure norm is summed in a fixed
-order, sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
+state's W = U diag(sqrt(lambda)), laid out row, column, then trial. The pure
+norm is summed in a fixed order,
+sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
 the order OpenBLAS's ddot used when it computed this norm, so no BLAS kernel
-choice enters the pure draw contract. A measure-zero draw (zero vector, zero
-diagonal entry of R) gives a non-finite state, which the engine screens for
-and redraws.
+choice enters the pure draw contract; the mixed build calls no BLAS or
+LAPACK, and sums in a fixed order too, so a state does not depend on the
+chunk it is built in. A measure-zero draw (a zero vector, or a zero
+Ginibre column) gives a non-finite state, which the engine screens for and
+redraws.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import numpy as np
 from . import ziggurat_tables
 from .errors import UsageError
 from .gates import UnitaryGate
+from .linalg import sum_rows
 
 Kind = Literal["pure", "mixed"]
 
@@ -298,15 +303,32 @@ def _complex(normals: np.ndarray) -> np.ndarray:
 
 def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Rescale QR factor columns by the phases of R's diagonal so the result
-    is Haar-distributed, not merely unitary."""
+    is Haar-distributed, not merely unitary: with LAPACK's QR, the
+    independent route to `haar_unitaries` that the tests check it against."""
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
-    """Haar unitaries from an (n, 4, 4) stack of Ginibre matrices."""
-    q, r = np.linalg.qr(ginibre)
-    return haar_phase_fix(q, r)
+    """Haar unitaries from a (..., d, d) stack of Ginibre matrices: the Q of
+    each one's QR factorisation whose R has a positive real diagonal, which is
+    Haar-distributed (Mezzadri, Notices AMS 54, 592, 2007). Classical
+    Gram-Schmidt with one reorthogonalisation pass (CGS2) keeps Q orthogonal
+    to machine precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+    1069, 2005), and divides each column by a positive norm, R's diagonal.
+    Elementwise along the stack, with no LAPACK call per matrix; the result
+    is a view of a (row, column, ...) array. A zero column makes Q non-finite."""
+    q = np.array(np.moveaxis(ginibre, (-2, -1), (0, 1)), order="C")  # a copy, overwritten column by column with Q
+    q_conj = np.empty_like(q)
+    for j in range(q.shape[1]):
+        v = q[:, j]
+        for _ in range(2 if j else 0):
+            r = [sum_rows(q_conj[:, k] * v) for k in range(j)]  # all from the same v: classical, not modified
+            for k in range(j):
+                v -= q[:, k] * r[k]
+        v /= np.sqrt(sum_rows(v.real * v.real + v.imag * v.imag))
+        np.conjugate(v, out=q_conj[:, j])
+    return np.moveaxis(q, (0, 1), (-2, -1))
 
 
 def simplex_spacings(uniforms: np.ndarray) -> np.ndarray:
@@ -323,7 +345,8 @@ def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
         sq = z * z
         halves = (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # (n, 2): real, imaginary
         return _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
-    return haar_unitaries(_complex(z)) * np.sqrt(simplex_spacings(draws["uniforms"]))[:, None, :]
+    u = haar_unitaries(_complex(z)).transpose(1, 2, 0)  # (row, column, trial), contiguous
+    return (u * np.sqrt(simplex_spacings(draws["uniforms"])).T).transpose(2, 0, 1)
 
 
 def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:

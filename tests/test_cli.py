@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -161,6 +162,31 @@ class TestExecute:
         assert row[3] == format(float(row[3]), ".12g")
 
 
+# sha256 of each CSV of `--trials 20000 --seed 11 --workers 1` (default bins):
+# a given configuration writes the same bytes from one version to the next
+GOLDEN_CSV_SHA256 = {
+    "pure": {
+        "conditional_mean.csv": "0a1b5fcf5cb58508bd589018a87664b20c02e7aeb941b0ae0b839856fe34c850",
+        "delta_hist.csv": "baa60b908ad45216ed766ecb4d671dfed88c4aedf7aa94a677bd95428b43b846",
+        "e0_hist.csv": "324287a29ba62a69c2037c8c8c1372bfb8ab72e56e0cebd44e231fb36a8acc3c",
+    },
+    "mixed": {
+        "conditional_mean.csv": "43af7472555a789da64c7d6c5f444fc5343c077f428cfb0a1ac41dd0d9810c36",
+        "delta_hist.csv": "1425a2ba7b264a0ebad6c93384d5d2a3ea08f592fd40b54bb4b089b8d6a9f597",
+        "e0_hist.csv": "4a23689f3377bb20ec2d9051558404eddc725526ad63cb6409f8172f58fdb564",
+    },
+}
+
+
+@pytest.mark.parametrize("ensemble", ["pure", "mixed"])
+def test_golden_csv_bytes(tmp_path, ensemble):
+    out = tmp_path / "run"
+    argv = ["--ensemble", ensemble, "--trials", "20000", "--seed", "11", "--workers", "1", "--output-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_CSV_SHA256[ensemble]}
+    assert digests == GOLDEN_CSV_SHA256[ensemble]
+
+
 class TestOutputWrites:
     """Outputs move into place only once all are written."""
 
@@ -280,6 +306,20 @@ class TestNumericHealth:
         assert code == EXIT_NUMERIC
         assert "numeric quality breach" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # neither the temporary nor the new output directory is left
+
+    def test_nonfinite_kernel_result_exit_code(self, tmp_path, capsys, monkeypatch):
+        kernel = experiment.eof_batch
+
+        def one_nan(states):
+            e = kernel(states)
+            e[7] = np.nan
+            return e
+
+        monkeypatch.setattr(experiment, "eof_batch", one_nan)
+        code, err = self.run(tmp_path, capsys)
+        assert code == EXIT_NUMERIC
+        assert "non-finite E on trial 7" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_keeps_existing_directories(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "run").mkdir()

@@ -6,7 +6,7 @@ import pytest
 
 from entlab import experiment, sampling
 from entlab.entanglement import eof_from_concurrence
-from entlab.errors import UsageError
+from entlab.errors import NumericError, UsageError
 from entlab.experiment import (
     CHUNK_SIZE,
     RETRY_STRIDE,
@@ -248,20 +248,39 @@ class TestRetryPath:
         assert np.array_equal(e0[others], clean[0][others])
         assert np.array_equal(ef[others], clean[1][others])
 
-    def test_zero_vector_is_redrawn_silently(self, monkeypatch):
-        # the chunk's normalisation of a zero draw divides 0 by 0; the screen
-        # catches the NaNs, numpy does not warn
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_zero_vector_is_redrawn_silently(self, monkeypatch, kind):
+        # normalising a zero vector (the pure draw, or one Ginibre column of
+        # a mixed draw) divides 0 by 0; the screen catches the NaNs, numpy
+        # does not warn
         draw_chunk = sampling.draw_chunk
 
         def degenerate(kind, seed, streams):
             records = draw_chunk(kind, seed, streams)
-            records["normals"][streams == 5] = 0.0
+            if kind == "pure":
+                records["normals"][streams == 5] = 0.0
+            else:  # column 2, real and imaginary parts
+                records["normals"][streams == 5, :, :, 2] = 0.0
             return records
 
         monkeypatch.setattr(sampling, "draw_chunk", degenerate)
-        e0, ef, failures = _chunk_task("pure", 3, 0, 10)
+        assert not np.isfinite(sample_chunk(kind, 3, np.array([5]))).all()
+        e0, ef, failures = _chunk_task(kind, 3, 0, 10)
         assert failures == 1
-        assert (e0[5], ef[5]) == pytest.approx(reference_trial("pure", 3, 5 + RETRY_STRIDE), abs=REFERENCE_TOL["pure"])
+        assert (e0[5], ef[5]) == pytest.approx(reference_trial(kind, 3, 5 + RETRY_STRIDE), abs=REFERENCE_TOL[kind])
+
+    def test_nonfinite_kernel_result_raises(self, monkeypatch):
+        # a NaN E would otherwise be counted in a histogram's end bin
+        kernel = experiment.eof_batch
+
+        def one_nan(states):
+            e = kernel(states)
+            e[3] = np.nan
+            return e
+
+        monkeypatch.setattr(experiment, "eof_batch", one_nan)
+        with pytest.raises(NumericError, match="non-finite E on trial 3"):
+            run_ensemble(EnsembleSpec("mixed", 10, 3))
 
 
 class TestHistogramDelta:

@@ -3,9 +3,10 @@ import pytest
 
 from entlab.entanglement import eof
 from entlab.errors import UsageError
-from entlab.gates import UnitaryGate, apply, circuit, cnot, hadamard
+from entlab.gates import UnitaryGate, apply, apply_to_factors, circuit, cnot, hadamard
 from entlab.linalg import kron, max_abs
 from entlab.qstate import DensityMatrix, densify, ket
+from entlab.sampling import sample_chunk
 
 from conftest import mixed_states
 
@@ -106,6 +107,22 @@ class TestApply:
     def test_rejects_2x2_gate(self):
         with pytest.raises(UsageError):
             apply(hadamard(), DensityMatrix(I4 / 4))
+
+
+class TestApplyToFactors:
+    """gate @ W for stacks of factors, as row sums, against matmul."""
+
+    def test_circuit_on_sampled_factors(self):
+        w = sample_chunk("mixed", 13, np.arange(2000))  # a view of a (row, column, trial) array
+        out = apply_to_factors(circuit(), w)
+        assert max_abs(out - circuit().matrix @ w) <= 1e-15
+        assert out.transpose(1, 2, 0).flags.c_contiguous  # the factors' layout is kept
+
+    def test_complex_gate_and_one_column_factors(self):
+        rng = np.random.default_rng(14)
+        gate = UnitaryGate(np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0])
+        w = rng.standard_normal((50, 4, 1)) + 1j * rng.standard_normal((50, 4, 1))
+        assert max_abs(apply_to_factors(gate, w) - gate.matrix @ w) <= 1e-14
 
 
 class TestHadamardConventionRobustness:

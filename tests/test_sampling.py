@@ -17,6 +17,7 @@ from entlab.sampling import (
     SimplexPoint,
     draw,
     draw_chunk,
+    haar_phase_fix,
     haar_unitaries,
     haar_unitary,
     mixed_state_matrix,
@@ -260,9 +261,19 @@ def test_ziggurat_tables_match_numpy_library():
 
 
 @pytest.fixture(scope="module")
-def haar_draws():
+def ginibre_draws():
     z = draw_chunk("mixed", 32, np.arange(100_000))["normals"]  # each substream's first 32 normals
-    return haar_unitaries(z[:, 0] + 1j * z[:, 1])
+    return z[:, 0] + 1j * z[:, 1]
+
+
+@pytest.fixture(scope="module")
+def haar_draws(ginibre_draws):
+    return haar_unitaries(ginibre_draws)
+
+
+def qr_haar(ginibre: np.ndarray) -> np.ndarray:
+    """The independent route: LAPACK's QR, then R's diagonal phases moved into Q."""
+    return haar_phase_fix(*np.linalg.qr(ginibre))
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +291,25 @@ class TestHaarUnitary:
         for i in range(50):
             u = haar_unitary(RandomStream(31, i)).matrix
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+
+    def test_matches_qr_with_phase_fix(self, ginibre_draws, haar_draws):
+        assert np.max(np.abs(haar_draws - qr_haar(ginibre_draws))) <= 1e-12
+
+    @pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+    def test_unitary_on_ill_conditioned_stacks(self, cond):
+        # A diag(s) B with Haar A, B and singular values from 1 down to 1/cond
+        rng = np.random.default_rng(int(np.log10(cond)))
+        a, b = qr_haar(rng.standard_normal((2, 20_000, 4, 4)) + 1j * rng.standard_normal((2, 20_000, 4, 4)))
+        g = (a * np.logspace(0, -np.log10(cond), 4)) @ b
+        assert np.median(np.linalg.cond(g)) == pytest.approx(cond, rel=1e-3)
+        u = haar_unitaries(g)
+        assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4))) <= 1e-12
+
+    def test_each_unitary_independent_of_its_stack(self, ginibre_draws):
+        # fixed-order sums: a chunk's states do not depend on the chunk's size
+        stack = haar_unitaries(ginibre_draws[:300])
+        assert all(np.array_equal(haar_unitaries(g[None])[0], u) for g, u in zip(ginibre_draws[:300], stack))
+        assert np.array_equal(haar_unitaries(ginibre_draws[:2, :2, :2])[1], haar_unitaries(ginibre_draws[1, :2, :2]))
 
     def test_entry_second_moment(self, haar_draws):
         # Haar moment E|U_ij|^2 = 1/N
@@ -341,7 +371,7 @@ class TestMixedStates:
 
     @pytest.mark.parametrize("at", list(GOLDEN_MIXED), ids=["0-0", "42-8191", "max-retry3"])
     def test_draw_contract_golden(self, at):
-        # the raw record, not the state: the state goes through LAPACK's QR
+        # the raw record, not the state
         seed, stream = at
         (chunk,) = draw_chunk("mixed", seed, np.array([stream], dtype=np.uint64))
         hexes, digest = GOLDEN_MIXED[at]
