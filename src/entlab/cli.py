@@ -155,13 +155,13 @@ def execute(config: RunConfig) -> int:
             _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
             _write_profile_csv(tmp / "conditional_mean.csv", profile)
         if "json" in config.formats:
-            half_width = delta_hist.bin_width / 2.0
+            delta = result.delta
             summary = {
                 "config": {**asdict(config), "formats": list(config.formats)},
                 "mean_e0": float(result.e0.mean()),
                 "mean_ef": float(result.ef.mean()),
-                "mean_delta": float(result.delta.mean()),
-                "zero_delta_fraction": float(np.mean(np.abs(result.delta) < half_width)),
+                "mean_delta": float(delta.mean()),
+                "zero_delta_fraction": float(np.mean(np.abs(delta) < delta_hist.bin_width / 2.0)),
                 "failures": result.failures,
                 "workers_used": result.processes,
                 "wall_time_s": time.monotonic() - t0,

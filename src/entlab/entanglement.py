@@ -1,13 +1,13 @@
 """Wootters concurrence and entanglement of formation for two-qubit states.
 
-One batched kernel, `factor_lambdas`, scores each state from a factor W of
-its density matrix, rho = W W^dag, with one 4x4 SVD. A unit state vector is
-its own rank-1 factor and takes the closed form 2|ad - bc|. The kernel has
-two entries: `factor_concurrence`/`factor_eof` on stacks of factors (the
-Monte Carlo hot path), and `concurrence_batch`/`eof_batch` on state vectors
-or density matrices, which `linalg.psd_factor` factors first. The validated
-scalar `concurrence`/`eof` are stack-of-one calls of the second.
-`binary_entropy` and `eof_from_concurrence` are elementwise.
+One batched kernel, `factor_concurrence`/`factor_eof`, scores each state of
+an (n, 4, k) stack from a factor W of its density matrix, rho = W W^dag. A
+rank-1 factor (k = 1, a unit state vector) takes the closed form 2|ad - bc|
+(Wootters, PRL 80, 2245, 1998); any other factor one 4x4 SVD in
+`factor_lambdas`. `concurrence_batch` takes density matrices, which
+`linalg.psd_factor` factors first; the validated scalar `concurrence`/`eof`
+put one density matrix through the same factor and SVD. `binary_entropy`
+and `eof_from_concurrence` are elementwise.
 
 Before the SVD, `factor_concurrence` screens out separable states: a
 two-qubit state is entangled if and only if det(rho^Gamma) < 0, rho^Gamma
@@ -145,19 +145,14 @@ def partial_transpose_det(w: np.ndarray) -> np.ndarray:
     return _laplace_det4([[entry(*ij) for ij in row] for row in _PARTIAL_TRANSPOSE]).real
 
 
-def wootters_lambdas(rhos: np.ndarray) -> np.ndarray:
-    """`factor_lambdas` of a (..., 4, 4) stack of density matrices, which
-    callers guarantee valid by construction (no per-state validation)."""
-    return factor_lambdas(psd_factor(rhos))
-
-
 def factor_concurrence(factors: np.ndarray) -> np.ndarray:
-    """Concurrence of each state in an (n, 4) stack of unit state vectors
-    (a, b, c, d), by the closed form 2|ad - bc|, or in an (n, 4, 4) stack of
-    factors W of rho = W W^dag: 0 where `partial_transpose_det` proves the
-    state separable, and by `factor_lambdas` elsewhere."""
-    if factors.ndim == 2:
-        return 2.0 * np.abs(factors[:, 0] * factors[:, 3] - factors[:, 1] * factors[:, 2])
+    """Concurrence of each state rho = W W^dag in an (n, 4, k) stack of
+    factors W. A unit vector (a, b, c, d), k = 1, takes the closed form
+    2|ad - bc|; for k > 1 it is 0 where `partial_transpose_det` proves the
+    state separable, and comes from `factor_lambdas` elsewhere."""
+    if factors.shape[-1] == 1:
+        a, b, c, d = np.moveaxis(factors[..., 0], -1, 0)
+        return 2.0 * np.abs(a * d - b * c)
     entangled = partial_transpose_det(factors) <= SEPARABLE_DET_MARGIN  # or too close to tell
     c = np.zeros(factors.shape[:-2])
     c[entangled] = concurrence_from_lambdas(factor_lambdas(factors[entangled]))
@@ -169,20 +164,15 @@ def factor_eof(factors: np.ndarray) -> np.ndarray:
     return eof_from_concurrence(factor_concurrence(factors))
 
 
-def concurrence_batch(states: np.ndarray) -> np.ndarray:
-    """Concurrence of each state in an (n, 4) stack of unit state vectors or
-    an (n, 4, 4) stack of density matrices."""
-    return factor_concurrence(states if states.ndim == 2 else psd_factor(states))
-
-
-def eof_batch(states: np.ndarray) -> np.ndarray:
-    """Entanglement of formation of each state, as `concurrence_batch` takes them."""
-    return eof_from_concurrence(concurrence_batch(states))
+def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
+    """Concurrence of each state in an (n, 4, 4) stack of density matrices,
+    which callers guarantee valid by construction (no per-state validation)."""
+    return factor_concurrence(psd_factor(rhos))
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
     """Concurrence of one validated state: a stack-of-one kernel call."""
-    lambdas = wootters_lambdas(rho.matrix[None])[0]
+    lambdas = factor_lambdas(psd_factor(rho.matrix[None]))[0]
     c = float(concurrence_from_lambdas(lambdas))
     return ConcurrenceReport(lambdas=lambdas, concurrence=c, eof=float(eof_from_concurrence(c)))
 

@@ -4,14 +4,14 @@ Trial t of a run draws from substream t of the run seed, so results are
 identical whatever the execution order or worker count. A chunk of trials
 is sampled by `sampling.sample_chunk`, which draws the whole chunk's raw
 numbers in one vectorised pass (no generator per trial) and builds one
-stack of factors W of its density matrices, rho = W W^dag; the circuit C
-maps each to C W, and the entanglement kernel scores the factors. The one
-retry path: a trial whose sampled state is not finite (a measure-zero
-degenerate draw) is redrawn by `_sample_chunk` on substream
-t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs; each
-redraw counts against a 1e-6 failure budget. A non-finite E from the
-kernel is a numeric failure, never a count in a histogram.
-A run uses at most one process per chunk and per CPU it may run on.
+stack of factors W of its density matrices, rho = W W^dag, for either
+ensemble; the circuit C maps each to C W, and the entanglement kernel
+scores the factors. The one retry path: a trial whose sampled state is not
+finite (a measure-zero degenerate draw) is redrawn by `_sample_chunk` on
+substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs;
+each redraw counts against a 1e-6 failure budget. A non-finite E from the
+kernel is a numeric failure, never a count in a histogram. A run uses at
+most one process per chunk and per CPU it may run on.
 """
 
 from __future__ import annotations
@@ -79,17 +79,16 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
     states = _sample_chunk(kind, seed, trials)
     failures = 0
     for k in range(1, MAX_RETRIES + 2):
-        bad = np.flatnonzero(~np.isfinite(states).all(axis=tuple(range(1, states.ndim))))
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))
         if not bad.size:
             break
         if k > MAX_RETRIES:
             raise NumericError(f"trial {trials[bad[0]]} failed {MAX_RETRIES} consecutive resamples")
         failures += bad.size
         states[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
-    gate = circuit()
     try:
         e0 = eof_batch(states)
-        ef = eof_batch(states @ gate.matrix.T if kind == "pure" else apply_to_factors(gate, states))
+        ef = eof_batch(apply_to_factors(circuit(), states))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
     finite = np.isfinite(e0) & np.isfinite(ef)

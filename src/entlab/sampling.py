@@ -1,44 +1,24 @@
 """Measure-correct random two-qubit states from seedable substreams.
 
 Mixed states follow the product measure on state space: a Haar-random
-eigenbasis (the Q of a Ginibre matrix's QR factorisation with R's diagonal
-positive, built by Gram-Schmidt in `haar_unitaries`; an arbitrary QR's Q is
-not Haar) combined with eigenvalues drawn uniformly from the probability
-3-simplex (sorted-uniform spacings, equivalent to a flat Dirichlet). Pure
-states are Haar-uniform on the unit sphere via normalized complex Gaussians.
+eigenbasis (`haar_unitaries`) combined with eigenvalues drawn uniformly from
+the probability 3-simplex (`simplex_spacings`). Pure states are Haar-uniform
+on the unit sphere via normalized complex Gaussians.
 
 Randomness comes from counter-based Philox4x64-10 streams keyed by
 (seed, stream_index): trial t of a run owns substream t, so sequences are
-reproducible independently of execution order.
-
-The draw contract is entlab's own: trial t's raw numbers are one
-`DRAW_RECORD[kind]` record, which for pure trials is a (2, 4) block of
-standard normals, real part first, and for mixed trials a (2, 4, 4) block
-(the Ginibre matrix) followed by 3 uniforms on [0, 1) (the simplex
-spacings), read from substream t as numpy 2.x's `Generator(Philox)` reads
-them; today it equals that generator bit for bit. The engine draws a whole
-chunk's records at once with `draw_chunk`: the Philox4x64-10 cipher over
-all substreams one counter block at a time, and numpy's ziggurat for
-normals (tables in `ziggurat_tables`) parsed over all trials together, its
-rare wedge and tail tries row by row with libm's exp and log1p where the
-decision needs them. `draw` gives one trial's record from a `RandomStream`,
-which starts a fresh numpy generator whenever it is moved to another
-substream; the scalar samplers use it, and the tests use it as the oracle
-of the contract.
+reproducible independently of execution order. The draw contract is
+entlab's own: trial t's raw numbers are one `DRAW_RECORD[kind]` record,
+read from substream t as numpy 2.x's `Generator(Philox)` reads them. The
+engine draws a whole chunk's records at once with `draw_chunk`; `draw`
+gives one trial's record from a `RandomStream`, which the scalar samplers
+use and the tests take as the contract's oracle.
 
 This module alone turns random numbers into states, by one rule for both
-ensembles. States are built once per chunk, by `build_states` on the stack
-of records; the scalar samplers are batch-of-one calls of it. Each state is built as a factor W of
-its density matrix, rho = W W^dag: a pure state's unit vector, or a mixed
-state's W = U diag(sqrt(lambda)), laid out row, column, then trial. The pure
-norm is summed in a fixed order,
-sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
-the order OpenBLAS's ddot used when it computed this norm, so no BLAS kernel
-choice enters the pure draw contract; the mixed build calls no BLAS or
-LAPACK, and sums in a fixed order too, so a state does not depend on the
-chunk it is built in. A measure-zero draw (a zero vector, or a zero
-Ginibre column) gives a non-finite state, which the engine screens for and
-redraws.
+ensembles: `build_states` on a stack of records, of which the scalar
+samplers are batch-of-one calls. A measure-zero draw (a zero vector, or a
+zero Ginibre column) gives a non-finite state, which the engine screens
+for and redraws.
 """
 
 from __future__ import annotations
@@ -78,29 +58,30 @@ _EXP_SLACK = 1e-13  # relative gap beyond which np.exp and libm's exp decide a w
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 
 
-@dataclass
+@dataclass(frozen=True)
 class RandomStream:
     """Deterministic substream of a 64-bit seeded Philox generator.
 
     Equal (seed, stream_index) pairs reproduce identical sequences; distinct
     stream_index values give statistically independent streams. Both must
-    lie in [0, 2^64). Reading `generator` after either field changed gives
-    a fresh generator at the start of the new substream; reading it again
-    continues where the last draw stopped.
+    lie in [0, 2^64). `generator` is started on first read; reading it
+    again continues where the last draw stopped.
     """
 
     seed: int
     stream_index: int = 0
     _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
-    _at: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream_index", self.stream_index)):
+            if not isinstance(value, (int, np.integer)) or not 0 <= value < 1 << 64:  # a float would be truncated
+                raise UsageError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
     @property
     def generator(self) -> np.random.Generator:
-        at = (self.seed, self.stream_index)
-        if self._at != at:
-            # an explicit uint64 key: a plain list above 2^63 would pass through float64
-            self._gen = np.random.Generator(np.random.Philox(key=np.array(at, dtype=np.uint64)))
-            self._at = at
+        if self._gen is None:  # an explicit uint64 key: a plain list above 2^63 would pass through float64
+            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+            object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox(key=key)))
         return self._gen
 
 
@@ -131,9 +112,15 @@ def draw(kind: Kind, rng: RandomStream) -> tuple[np.ndarray, ...]:
 def draw_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
     """The `DRAW_RECORD[kind]` record of each substream (seed, s), s in
     `streams`: what `draw(kind, RandomStream(seed, s))` returns, drawn for the
-    whole chunk at once. Each trial gets RAW_MARGIN[kind] raw words beyond the
-    fewest its record can take; a trial whose rejections use up its words
-    gets one more block of four and is parsed anew."""
+    whole chunk at once. A pure record is a (2, 4) block of standard normals,
+    real part first; a mixed one a (2, 4, 4) block (the Ginibre matrix), then
+    3 uniforms on [0, 1) (the simplex spacings). The Philox4x64-10 cipher runs
+    over all substreams one counter block at a time, and numpy's ziggurat
+    (tables in `ziggurat_tables`) parses the words of all trials together,
+    its rare wedge and tail tries row by row with libm's exp and log1p where
+    the decision needs them. Each trial gets RAW_MARGIN[kind] raw words
+    beyond the fewest its record can take; a trial whose rejections use up
+    its words gets one more block of four and is parsed anew."""
     dtype = DRAW_RECORD[kind]
     normals = math.prod(dtype["normals"].shape)
     uniforms = math.prod(dtype["uniforms"].shape) if "uniforms" in dtype.names else 0
@@ -332,19 +319,28 @@ def haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
 
 
 def simplex_spacings(uniforms: np.ndarray) -> np.ndarray:
-    """Uniform simplex points from an (n, 3) stack of uniforms on [0, 1)."""
+    """Uniform simplex points from an (n, 3) stack of uniforms on [0, 1):
+    sorted-uniform spacings, equivalent to a flat Dirichlet."""
     return np.diff(np.sort(uniforms, axis=-1), prepend=0.0, append=1.0, axis=-1)
 
 
 def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
     """The states of a stack of `DRAW_RECORD[kind]` records, each as a factor
-    of its density matrix: (n, 4) unit vectors for pure draws, (n, 4, 4)
-    factors W = U diag(sqrt(lambda)), rho = W W^dag, for mixed ones."""
+    W of its density matrix, rho = W W^dag, in an (n, 4, k) view of a
+    contiguous (4, k, n) array: k = 1 for pure draws, the unit vector being
+    its own factor, and k = 4 for mixed ones, W = U diag(sqrt(lambda)). The
+    pure norm is summed in a fixed order,
+    sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
+    the order OpenBLAS's ddot used when it computed this norm, so no BLAS
+    kernel choice enters the pure draw contract; the mixed build calls no
+    BLAS or LAPACK and sums in a fixed order too, so a state does not depend
+    on the chunk it is built in."""
     z = draws["normals"]
     if kind == "pure":
         sq = z * z
         halves = (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # (n, 2): real, imaginary
-        return _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
+        v = _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
+        return np.ascontiguousarray(v.T[:, None]).transpose(2, 0, 1)
     u = haar_unitaries(_complex(z)).transpose(1, 2, 0)  # (row, column, trial), contiguous
     return (u * np.sqrt(simplex_spacings(draws["uniforms"])).T).transpose(2, 0, 1)
 
@@ -360,7 +356,7 @@ def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
 
 def pure_state_vector(rng: RandomStream) -> np.ndarray:
     """Raw Haar-uniform unit vector (no validation)."""
-    return build_states("pure", np.array([draw("pure", rng)], dtype=DRAW_RECORD["pure"]))[0]
+    return build_states("pure", np.array([draw("pure", rng)], dtype=DRAW_RECORD["pure"]))[0, :, 0]
 
 
 def mixed_state_matrix(rng: RandomStream) -> np.ndarray:

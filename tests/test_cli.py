@@ -1,16 +1,22 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entlab import cli, experiment
 from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
 from entlab.errors import UsageError
-from entlab.experiment import MAX_RETRIES, RETRY_STRIDE
+from entlab.experiment import MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
 from conftest import poison_draws
 
@@ -178,13 +184,47 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+def golden_argv(ensemble: str, out: Path) -> list[str]:
+    return ["--ensemble", ensemble, "--trials", "20000", "--seed", "11", "--workers", "1", "--output-dir", str(out)]
+
+
+def csv_digests(out: Path, ensemble: str) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_CSV_SHA256[ensemble]}
+
+
 @pytest.mark.parametrize("ensemble", ["pure", "mixed"])
 def test_golden_csv_bytes(tmp_path, ensemble):
     out = tmp_path / "run"
-    argv = ["--ensemble", ensemble, "--trials", "20000", "--seed", "11", "--workers", "1", "--output-dir", str(out)]
-    assert main(argv) == EXIT_OK
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_CSV_SHA256[ensemble]}
-    assert digests == GOLDEN_CSV_SHA256[ensemble]
+    assert main(golden_argv(ensemble, out)) == EXIT_OK
+    assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
+
+
+# settings that change numpy's last bits in this process only: numpy's
+# X86_V2 baseline loops (no FMA in a complex product), and another OpenBLAS
+# core type (other LAPACK kernels)
+DISPATCH_SETTINGS = {
+    "numpy-baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+@pytest.mark.parametrize("setting", list(DISPATCH_SETTINGS))
+def test_golden_csv_bytes_under_other_dispatch(tmp_path, setting):
+    """The golden configurations, rerun by the CLI in a subprocess under
+    another CPU dispatch or BLAS core, write the pinned bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **DISPATCH_SETTINGS[setting])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
+    if probe.returncode:
+        reason = (probe.stderr.strip().splitlines() or ["no message"])[-1]
+        pytest.skip(f"numpy does not import under {DISPATCH_SETTINGS[setting]}: {reason}")
+    for ensemble in GOLDEN_CSV_SHA256:
+        out = tmp_path / ensemble
+        done = subprocess.run([sys.executable, "-m", "entlab.cli", *golden_argv(ensemble, out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
 
 
 class TestOutputWrites:
@@ -354,3 +394,75 @@ class TestNumericHealth:
         code, err = self.run(tmp_path, capsys)
         assert code == EXIT_NUMERIC
         assert "budget" in err
+
+
+# argv values at the chunk edges and the range limits: each flag takes a
+# value that runs, or one that must exit with the usage status
+ACCEPTED = {
+    "--trials": [1, 8191, 8192, 8193],
+    "--delta-bins": [2],
+    "--e0-bins": [2],
+    "--seed": [0, 2**64 - 1],
+    "--workers": ["1", "2", "auto"],
+}
+REFUSED = {
+    "--trials": [MAX_TRIALS + 1],
+    "--delta-bins": [1, MAX_BINS + 1],
+    "--e0-bins": [1, MAX_BINS + 1],
+    "--seed": [-1, 2**64],
+    "--workers": ["0"],
+}
+
+
+@st.composite
+def argv_cases(draw):
+    """(flag values, the one flag given a refused value or an output path
+    under a file, or None), with the values drawn from ACCEPTED elsewhere."""
+    broken = draw(st.sampled_from([None, *REFUSED, "--output-dir"]))
+    values = {flag: draw(st.sampled_from(REFUSED[flag] if flag == broken else ACCEPTED[flag])) for flag in ACCEPTED}
+    values["--ensemble"] = draw(st.sampled_from(["pure", "mixed"]))
+    return values, broken
+
+
+def run_main(values: dict, out: Path) -> tuple[int, str]:
+    argv = [str(x) for flag, value in values.items() for x in (flag, value)] + ["--output-dir", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def read_csv_counts(path: Path, column: int) -> int:
+    with open(path, newline="") as fh:
+        return sum(int(row[column]) for row in list(csv.reader(fh))[1:])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(argv_cases())
+def test_argv_sweep(case):
+    """Every argv either runs, with histograms that count every trial and
+    CSVs that do not depend on the worker count, or exits with its
+    documented status, leaving no temporary or new output directory behind.
+    The engine caps a pool at the CPUs this process may use, so `--workers 2`
+    and `auto` start no more processes than that."""
+    values, broken = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "file").write_text("not a directory")
+        out = root / ("file" if broken == "--output-dir" else "run") / "out"
+        code, err = run_main(values, out)
+        assert "Traceback" not in err
+        assert not list(root.glob("**/.entlab-*"))
+        if broken is not None:
+            assert code == (EXIT_IO if broken == "--output-dir" else EXIT_USAGE), err
+            assert sorted(p.name for p in root.iterdir()) == ["file"]
+            return
+        assert code == EXIT_OK, err
+        trials = values["--trials"]
+        assert read_csv_counts(out / "delta_hist.csv", 2) == trials
+        assert read_csv_counts(out / "e0_hist.csv", 2) == trials
+        assert read_csv_counts(out / "conditional_mean.csv", 3) == trials
+        other = root / "other"
+        assert run_main({**values, "--workers": "2" if values["--workers"] == "1" else "1"}, other)[0] == EXIT_OK
+        for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
+            assert (out / name).read_bytes() == (other / name).read_bytes()

@@ -4,7 +4,7 @@ shifts these before it shifts a mean."""
 
 import numpy as np
 
-from entlab.entanglement import concurrence_batch
+from entlab.entanglement import factor_concurrence
 from entlab.experiment import EnsembleSpec, run_ensemble
 from entlab.sampling import sample_chunk
 
@@ -24,5 +24,5 @@ def test_mixed_separable_fraction():
 
 def test_pure_concurrence_distribution():
     # Haar-random pure states: density 3C sqrt(1 - C^2), CDF 1 - (1 - C^2)^(3/2)
-    c = concurrence_batch(sample_chunk("pure", 5, np.arange(TRIALS)))
+    c = factor_concurrence(sample_chunk("pure", 5, np.arange(TRIALS)))
     assert ks_statistic(c, lambda x: 1 - (1 - x * x) ** 1.5) <= KS_COEFF_1PC / np.sqrt(TRIALS)

@@ -10,7 +10,6 @@ from entlab.entanglement import (
     concurrence_from_lambdas,
     det4,
     eof,
-    eof_batch,
     eof_from_concurrence,
     factor_concurrence,
     factor_eof,
@@ -91,11 +90,16 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", a, b).reshape(len(a), 4, 4)
 
 
+def density_eof(rhos: np.ndarray) -> np.ndarray:
+    """E_F of each density matrix in a stack, by `concurrence_batch`."""
+    return eof_from_concurrence(concurrence_batch(rhos))
+
+
 def assert_kernel_matches_definition(rhos: np.ndarray, tol: float) -> None:
     """Batched kernel and its scalar view against `definition_concurrence`."""
     c_def = definition_concurrence(rhos)
     assert np.max(np.abs(concurrence_batch(rhos) - c_def)) <= tol
-    assert np.max(np.abs(eof_batch(rhos) - definition_eof(c_def))) <= tol
+    assert np.max(np.abs(density_eof(rhos) - definition_eof(c_def))) <= tol
     for i in range(0, len(rhos), 10):
         rep = concurrence(DensityMatrix(0.5 * (rhos[i] + rhos[i].conj().T)))
         assert rep.concurrence == pytest.approx(c_def[i], abs=tol)
@@ -264,45 +268,46 @@ def phased_bell_vectors(seed: int, count: int) -> np.ndarray:
 
 
 class TestVectorKernel:
-    """`eof_batch` on (n, 4) state vectors against the general kernel on
-    |v><v| and C|v><v|C^dag, and against Wootters' definition."""
+    """`factor_eof` on unit state vectors v as their rank-1 factors, (n, 4, 1)
+    stacks, against the general kernel on |v><v| and C|v><v|C^dag, and
+    against Wootters' definition."""
 
     @staticmethod
     def check(vecs: np.ndarray) -> np.ndarray:
         u = circuit().matrix
         for v, rhos in ((vecs, projectors(vecs)), (vecs @ u.T, u @ projectors(vecs) @ u.conj().T)):
-            e = eof_batch(v)
+            e = factor_eof(v[..., None])
             assert np.all((e >= 0.0) & (e <= 1.0))
-            assert np.max(np.abs(e - eof_batch(rhos))) <= 1e-12
-            assert np.max(np.abs(concurrence_batch(v) - concurrence_batch(rhos))) <= 1e-12
+            assert np.max(np.abs(e - density_eof(rhos))) <= 1e-12
+            assert np.max(np.abs(factor_concurrence(v[..., None]) - concurrence_batch(rhos))) <= 1e-12
             assert np.max(np.abs(e - definition_eof(definition_concurrence(rhos)))) <= 1e-6
-        return eof_batch(vecs)
+        return factor_eof(vecs[..., None])
 
     def test_haar_samples(self):
         self.check(np.array([pure_state_vector(RandomStream(42, i)) for i in range(2000)]))
 
     def test_product_states(self):
         vecs = product_vectors(43, 500)
-        assert np.all(concurrence_batch(vecs) <= 1e-15)
+        assert np.all(factor_concurrence(vecs[..., None]) <= 1e-15)
         assert np.all(self.check(vecs) <= 1e-12)
-        assert np.all(eof_batch(vecs[:4]) == 0.0)
+        assert np.all(factor_eof(vecs[:4, :, None]) == 0.0)
         # the circuit carries the product basis onto the Bell basis
-        assert np.all(eof_batch(vecs[:4] @ circuit().matrix.T) == pytest.approx(1.0, abs=1e-12))
+        assert np.all(factor_eof(circuit().matrix @ vecs[:4, :, None]) == pytest.approx(1.0, abs=1e-12))
 
     def test_bell_states(self):
-        assert np.all(concurrence_batch(BELL_VECTORS) == pytest.approx(1.0, abs=1e-15))
+        assert np.all(factor_concurrence(BELL_VECTORS[..., None]) == pytest.approx(1.0, abs=1e-15))
         assert np.all(self.check(BELL_VECTORS) == pytest.approx(1.0, abs=1e-12))
 
     def test_concurrence_rounding_above_one(self):
         vecs = phased_bell_vectors(44, 2000)
-        above = concurrence_batch(vecs) > 1.0
+        above = factor_concurrence(vecs[..., None]) > 1.0
         assert above.any()
         assert np.all(self.check(vecs[above]) == pytest.approx(1.0, abs=1e-12))
 
     def test_oracle_is_the_vector_kernel(self):
         vecs = np.array([pure_state_vector(RandomStream(45, i)) for i in range(50)])
         oracle = 2 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2])
-        assert np.array_equal(oracle, concurrence_batch(vecs))
+        assert np.array_equal(oracle, factor_concurrence(vecs[..., None]))
 
 
 class TestLocalUnitaryInvariance:
@@ -343,7 +348,7 @@ class TestFactorKernel:
         rhos = w @ w.conj().swapaxes(-1, -2)
         c, e = factor_concurrence(w), factor_eof(w)
         assert np.max(np.abs(c - concurrence_batch(rhos))) <= 1e-12
-        assert np.max(np.abs(e - eof_batch(rhos))) <= 1e-12
+        assert np.max(np.abs(e - density_eof(rhos))) <= 1e-12
         c_def = definition_concurrence(rhos)
         assert np.max(np.abs(c - c_def)) <= tol
         assert np.max(np.abs(e - definition_eof(c_def))) <= tol
@@ -374,7 +379,8 @@ class TestFactorKernel:
 
     def test_vector_is_its_rank_one_factor(self):
         vecs = np.array([pure_state_vector(RandomStream(46, i)) for i in range(200)])
-        assert np.max(np.abs(factor_concurrence(vecs) - factor_concurrence(one_column_factors(vecs)))) <= 1e-14
+        closed = factor_concurrence(vecs[..., None])  # the closed form 2|ad - bc|
+        assert np.max(np.abs(closed - factor_concurrence(one_column_factors(vecs)))) <= 1e-14
 
 
 def svd_concurrence(w: np.ndarray) -> np.ndarray:

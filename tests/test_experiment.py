@@ -193,10 +193,17 @@ class TestSampleChunk:
             for got, want in zip(record.tolist(), sampling.draw(kind, RandomStream(seed, s)), strict=True):
                 assert np.array_equal(got, want)
         if kind == "pure":
-            assert np.array_equal(states, [pure_state_vector(RandomStream(seed, s)) for s in streams])
+            assert np.array_equal(states[..., 0], [pure_state_vector(RandomStream(seed, s)) for s in streams])
         else:  # mixed states come as factors W of rho = W W^dag
             rhos = states @ states.conj().swapaxes(-1, -2)
             assert np.array_equal(rhos, [mixed_state_matrix(RandomStream(seed, s)) for s in streams])
+
+    @pytest.mark.parametrize("kind,k", [("pure", 1), ("mixed", 4)])
+    def test_one_factor_layout(self, kind, k):
+        # both ensembles: an (n, 4, k) view of a contiguous (4, k, n) array
+        states = sample_chunk(kind, 9, np.arange(300))
+        assert states.shape == (300, 4, k)
+        assert states.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestNoPerTrialGenerator:

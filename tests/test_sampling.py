@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -71,14 +72,8 @@ GOLDEN_MIXED = {
 
 
 def reset_draws(seed: int, count: int, draw) -> np.ndarray:
-    """`draw(generator)` on substreams 0..count-1 of `seed`, through one
-    `RandomStream` moved from substream to substream."""
-    rng = RandomStream(seed)
-    out = []
-    for i in range(count):
-        rng.stream_index = i
-        out.append(draw(rng.generator))
-    return np.array(out)
+    """`draw(generator)` on substreams 0..count-1 of `seed`, one stream each."""
+    return np.array([draw(RandomStream(seed, i).generator) for i in range(count)])
 
 
 class TestRandomStream:
@@ -102,33 +97,41 @@ class TestRandomStream:
     @pytest.mark.parametrize("leftover", ["partial-block", "pending-half"])
     @pytest.mark.parametrize("seed", [0, 2**63 + 12345, 2**64 - 1])
     def test_reset_matches_fresh_stream(self, seed, leftover):
-        """A stream moved to another substream draws what a fresh one draws,
-        even when the previous trial left the generator mid-buffer."""
-        rng = RandomStream(seed)
-        for index in (0, 5 + 3 * RETRY_STRIDE, 2**64 - 1):
-            rng.stream_index = 12  # the previous trial
-            gen = rng.generator
-            if leftover == "partial-block":
-                gen.random(3)  # 3 of the 4 words of a Philox block
-                assert gen.bit_generator.state["buffer_pos"] == 3
-            else:
-                gen.integers(0, 2**32, dtype=np.uint32)  # keeps the other 32 bits
-                assert gen.bit_generator.state["has_uint32"] == 1
-            rng.stream_index = index
-            fresh = RandomStream(seed, index).generator
-            assert repr(rng.generator.bit_generator.state) == repr(fresh.bit_generator.state)
+        """A stream made from a used one for another substream (streams are
+        frozen, so by `dataclasses.replace`) draws what a fresh one draws,
+        even when the used one's generator was left mid-buffer."""
+        rng = RandomStream(seed, 12)  # the previous trial
+        gen = rng.generator
+        if leftover == "partial-block":
+            gen.random(3)  # 3 of the 4 words of a Philox block
+            assert gen.bit_generator.state["buffer_pos"] == 3
+        else:
+            gen.integers(0, 2**32, dtype=np.uint32)  # keeps the other 32 bits
+            assert gen.bit_generator.state["has_uint32"] == 1
+        for to_seed, to_index in ((seed, 0), (seed, 5 + 3 * RETRY_STRIDE), (1, 2**64 - 1)):
+            moved = dataclasses.replace(rng, seed=to_seed, stream_index=to_index)
+            fresh = RandomStream(to_seed, to_index)
+            assert repr(moved.generator.bit_generator.state) == repr(fresh.generator.bit_generator.state)
             for draw in (
                 lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
                 lambda g: g.standard_normal((2, 4, 4)),
                 lambda g: g.random(3),
             ):
-                assert np.array_equal(draw(rng.generator), draw(fresh))
+                assert np.array_equal(draw(moved.generator), draw(fresh.generator))
 
-    def test_seed_change_restarts(self):
+    def test_frozen(self):
         rng = RandomStream(1, 4)
-        rng.generator.random(2)
-        rng.seed = 2**64 - 1
-        assert np.array_equal(rng.generator.random(5), RandomStream(2**64 - 1, 4).generator.random(5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rng.stream_index = 5
+        assert RandomStream(1, 4) == rng and hash(RandomStream(1, 4)) == hash(rng)
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.5, 0), (0, 2.0)])
+    def test_rejects_out_of_range(self, seed, index):
+        # at construction: not on the first draw as an OverflowError from
+        # numpy, and a float is not truncated onto another stream's key
+        with pytest.raises(UsageError, match="must be an integer in"):
+            RandomStream(seed, index)
+        RandomStream(2**64 - 1, np.uint64(2**64 - 1))  # the largest accepted pair
 
     def test_second_read_keeps_position(self):
         rng = RandomStream(3, 9)
@@ -406,11 +409,11 @@ class TestPureStates:
     def test_draw_contract_golden(self, at):
         seed, stream = at
         expected = np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in GOLDEN_PURE[at]])
-        assert np.array_equal(sample_chunk("pure", seed, np.array([stream]))[0], expected)
+        assert np.array_equal(sample_chunk("pure", seed, np.array([stream]))[0, :, 0], expected)
         assert np.array_equal(pure_state_vector(RandomStream(seed, stream)), expected)
 
     def test_norm_summed_in_fixed_order(self):
-        # the order the module docstring states, in Python floats; a running
+        # the order `build_states` states, in Python floats; a running
         # or pairwise sum of the same squares differs in the last bit on some draws
         z = reset_draws(41, 2000, lambda g: g.standard_normal((2, 4)))
         norms = [
@@ -418,17 +421,17 @@ class TestPureStates:
             for (r0, r1, r2, r3), (i0, i1, i2, i3) in z.tolist()
         ]
         expected = (z[:, 0] + 1j * z[:, 1]) / np.array(norms)[:, None]
-        assert np.array_equal(sample_chunk("pure", 41, np.arange(2000)), expected)
+        assert np.array_equal(sample_chunk("pure", 41, np.arange(2000))[..., 0], expected)
 
     def test_amplitude_symmetry(self):
-        probs = np.abs(sample_chunk("pure", 39, np.arange(100_000))) ** 2
+        probs = np.abs(sample_chunk("pure", 39, np.arange(100_000))[..., 0]) ** 2
         assert np.max(np.abs(probs.mean(axis=0) - 0.25)) <= 0.003
 
     def test_mean_eof_consistency(self):
         # light version of the 1/(3 ln 2) check; the acceptance suite runs
         # the full-size one
-        from entlab.entanglement import eof_batch
+        from entlab.entanglement import concurrence_batch, eof_from_concurrence
 
-        vecs = sample_chunk("pure", 40, np.arange(100_000))
+        vecs = sample_chunk("pure", 40, np.arange(100_000))[..., 0]
         rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
-        assert abs(eof_batch(rhos).mean() - 1 / (3 * np.log(2))) <= 0.01
+        assert abs(eof_from_concurrence(concurrence_batch(rhos)).mean() - 1 / (3 * np.log(2))) <= 0.01
