@@ -4,7 +4,8 @@ Each run writes into one directory: delta_hist.csv, conditional_mean.csv,
 e0_hist.csv (one file per figure-style output) and summary.json. The files
 are written in a temporary directory beside it and moved in only once all
 are written, summary.json last. Exit statuses: 0 success, 1 usage, 2 I/O
-failure, 3 numeric-quality breach.
+failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
+a worker process killed, as by the kernel's out-of-memory killer).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, ResourceError, UsageError
 from .experiment import (
     ConditionalProfile,
     EnsembleSpec,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+EXIT_RESOURCES = 4
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42, help="64-bit decimal seed")
     p.add_argument("--delta-bins", type=int, default=100, help="bins for the delta-E histogram over [-1, 1]")
     p.add_argument("--e0-bins", type=int, default=50, help="bins over initial EoF in [0, 1]")
-    p.add_argument("--workers", default="auto", help="worker process count (capped at the CPU count), or 'auto'")
+    p.add_argument("--workers", default="auto",
+                   help="process count, this one included (capped at the CPU and chunk counts), or 'auto'")
     p.add_argument("--output-dir", default=None,
                    help=f"output directory (default ./out, overridable via ${OUTPUT_DIR_ENV})")
     p.add_argument("--formats", default="csv,json",
@@ -199,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric quality breach: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (MemoryError, ResourceError) as exc:
+        print(f"resources exhausted: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

@@ -7,3 +7,7 @@ class UsageError(ValueError):
 
 class NumericError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
+
+
+class ResourceError(RuntimeError):
+    """The run lost a worker process it needs: one could not start, or one was killed."""

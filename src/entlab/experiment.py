@@ -10,13 +10,19 @@ scores the factors. The one retry path: a trial whose sampled state is not
 finite (a measure-zero degenerate draw) is redrawn by `_sample_chunk` on
 substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs;
 each redraw counts against a 1e-6 failure budget. A non-finite E from the
-kernel is a numeric failure, never a count in a histogram. A run uses at
-most one process per chunk and per CPU it may run on.
+kernel is a numeric failure, never a count in a histogram.
+
+A run allocates its results once, on a shared anonymous mapping, and uses
+at most min(workers, chunks, CPUs it may run on) processes, counting its
+own. Process p runs chunks p, p + processes, ... and writes each chunk's
+E_0 and E_F into its slices in place: process 0 is the calling process, the
+others are forked from it. Where the fork start method does not exist, the
+run is serial.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -24,7 +30,7 @@ import numpy as np
 
 from .entanglement import eof  # noqa: F401 - looked up here by bench/tracer.py
 from .entanglement import factor_eof as eof_batch  # under the name bench/tracer.py wraps
-from .errors import NumericError, UsageError
+from .errors import NumericError, ResourceError, UsageError
 from .gates import apply_to_factors, circuit
 from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
 from .sampling import sample_chunk as _sample_chunk  # under the name bench/tracer.py wraps
@@ -100,32 +106,86 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     """Run the full ensemble; the result is a deterministic function of the
     spec alone, regardless of `workers`."""
-    starts = list(range(0, spec.trials, CHUNK_SIZE))
-    tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in starts]
+    tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
     processes = max(1, min(workers, len(tasks), available_cpus()))
     if processes > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_chunk_task_star, tasks))
-    else:
-        parts = [_chunk_task(*t) for t in tasks]
-    e0 = np.concatenate([p[0] for p in parts])
-    ef = np.concatenate([p[1] for p in parts])
-    failures = sum(p[2] for p in parts)
-    if failures > MAX_FAILURE_RATE * spec.trials:
-        raise NumericError(
-            f"{failures} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget"
-        )
-    return EnsembleResult(e0=e0, ef=ef, failures=failures, processes=processes)
+        import multiprocessing  # a serial run does not pay for the import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            processes = 1
+    # e0 and ef of every trial, then one failure count per process
+    buf = mmap.mmap(-1, 8 * (2 * spec.trials + processes))
+    out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
+    failures = np.frombuffer(buf, np.int64, processes, 16 * spec.trials)
+    children = []
+    try:
+        if processes > 1:
+            fork = multiprocessing.get_context("fork")
+            for p in range(1, processes):
+                conn, child_conn = fork.Pipe(duplex=False)
+                child = fork.Process(target=_worker, args=(tasks[p::processes], out, failures, p, child_conn), daemon=True)
+                with child_conn:  # once forked, only the child holds the sending end
+                    try:
+                        child.start()
+                    except OSError as exc:  # fork refused: out of memory or of processes
+                        raise ResourceError(f"could not start a worker process: {exc}") from exc
+                children.append((child, conn))
+        _run_share(tasks[::processes], out, failures, 0)
+        for child, conn in children:
+            child.join()
+            _check_worker(child, conn)
+    finally:
+        for child, conn in children:
+            child.terminate()  # no-op on a worker already reaped
+        for child, conn in children:
+            child.join()
+            conn.close()
+    total = int(failures.sum())
+    if total > MAX_FAILURE_RATE * spec.trials:
+        raise NumericError(f"{total} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
+    return EnsembleResult(e0=out[0], ef=out[1], failures=total, processes=processes)
+
+
+def _run_share(share, out: np.ndarray, failures: np.ndarray, p: int) -> None:
+    """Run process p's chunks, writing E_0 and E_F into rows 0 and 1 of `out`."""
+    for kind, seed, start, count in share:
+        e0, ef, failed = _chunk_task(kind, seed, start, count)
+        out[0, start : start + count] = e0
+        out[1, start : start + count] = ef
+        failures[p] += failed
+
+
+def _worker(share, out: np.ndarray, failures: np.ndarray, p: int, conn) -> None:
+    """Body of forked process p. An exception goes back to the parent as
+    (type name, message), and the process exits with status 1 without the
+    traceback `multiprocessing` would print."""
+    try:
+        _run_share(share, out, failures, p)
+    except BaseException as exc:
+        try:
+            conn.send((type(exc).__name__, str(exc)))
+        finally:
+            raise SystemExit(1)
+
+
+def _check_worker(child, conn) -> None:
+    """Raise what a reaped worker reported, or that it was lost."""
+    if child.exitcode == 0:
+        return
+    try:
+        name, message = conn.recv()
+    except EOFError:  # it died before it could report
+        if child.exitcode < 0:
+            raise ResourceError(f"a worker process was killed by signal {-child.exitcode}") from None
+        raise ResourceError(f"a worker process exited with status {child.exitcode}") from None
+    if name == "MemoryError":
+        raise MemoryError(message)
+    raise NumericError(message if name == "NumericError" else f"{name} in a worker process: {message}")
 
 
 def available_cpus() -> int:
     """The CPUs this process may run on, where the OS reports them."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _chunk_task_star(args):
-    # module-level so the pool pickles it by name, also when `_chunk_task` is wrapped
-    return _chunk_task(*args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +211,15 @@ class Histogram:
 
     def bin_index(self, x: float) -> int:
         """Index of the bin that counts x."""
-        return int(_bin_indices(x, self.edges))
+        return int(_bin_indices(np.array([x]), self.edges)[0])
 
 
-def _bin_indices(values, edges: np.ndarray):
+def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The one binning rule: bin i holds edges[i] <= x < edges[i + 1], the last
     bin also holds its upper edge, and values beyond either end go to the end bins."""
-    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
+    idx = np.searchsorted(edges, values, side="right")
+    idx -= 1  # in place, like the clip: one index array per call
+    return np.clip(idx, 0, len(edges) - 2, out=idx)
 
 
 def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int) -> Histogram:

@@ -1,7 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from entlab import sampling
+from entlab import experiment, sampling
 from entlab.qstate import DensityMatrix, PureState
 from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
 
@@ -53,6 +56,24 @@ def poison_draws(monkeypatch, streams):
         return records
 
     monkeypatch.setattr(sampling, "draw_chunk", poisoned)
+
+
+def in_children(monkeypatch, action):
+    """Call `action(start)` before each chunk a forked child of this process
+    runs; chunks run here are unchanged."""
+    task, parent = experiment._chunk_task, os.getpid()
+
+    def chunk_task(kind, seed, start, count):
+        if os.getpid() != parent:
+            action(start)
+        return task(kind, seed, start, count)
+
+    monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
+
+
+def sigkill(start):
+    """An `in_children` action: the out-of-memory killer's signal."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 # The spin flip built here, not taken from the package, so the definition

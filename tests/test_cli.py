@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entlab import cli, experiment
-from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
-from entlab.errors import UsageError
-from entlab.experiment import MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
+from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
+from entlab.errors import NumericError, UsageError
+from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
-from conftest import poison_draws
+from conftest import in_children, poison_draws, sigkill
 
 
 class TestParseArgs:
@@ -394,6 +395,66 @@ class TestNumericHealth:
         code, err = self.run(tmp_path, capsys)
         assert code == EXIT_NUMERIC
         assert "budget" in err
+
+
+class TestWorkerFailures:
+    """A failure in a forked worker or an exhausted resource exits with its
+    documented status, one line on stderr, and leaves neither an output
+    directory nor a process behind."""
+
+    @staticmethod
+    def run(tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code = main(["--trials", str(CHUNK_SIZE + 1), "--workers", "2", "--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # no .entlab-* and no output directory
+        assert multiprocessing.active_children() == []
+        return code, err
+
+    def test_numeric_error_in_a_child_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing(start):
+            raise NumericError(f"chunk {start} failed")
+
+        in_children(monkeypatch, failing)
+        code, err = self.run(tmp_path, capsys, monkeypatch)
+        assert code == EXIT_NUMERIC
+        assert err == f"numeric quality breach: chunk {CHUNK_SIZE} failed\n"
+
+    @pytest.mark.parametrize("where", ["this process", "a child"])
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch, where):
+        def exhausted(*args):
+            raise MemoryError
+
+        if where == "this process":
+            monkeypatch.setattr(experiment, "_chunk_task", exhausted)
+        else:
+            in_children(monkeypatch, exhausted)
+        code, err = self.run(tmp_path, capsys, monkeypatch)
+        assert code == EXIT_RESOURCES
+        assert err == "resources exhausted: out of memory\n"
+
+    def test_killed_child_exit_code(self, tmp_path, capsys, monkeypatch):
+        in_children(monkeypatch, sigkill)
+        code, err = self.run(tmp_path, capsys, monkeypatch)
+        assert code == EXIT_RESOURCES
+        assert err.startswith("resources exhausted: ") and "killed by signal" in err
+
+
+def test_serial_run_imports_no_process_machinery(tmp_path):
+    """`import entlab.cli` and a one-worker run leave the process modules unimported."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, entlab.cli\n"
+        "unwanted = ('multiprocessing', 'concurrent.futures')\n"
+        "imported = [m for m in unwanted if m in sys.modules]\n"
+        f"assert entlab.cli.main(['--trials', '20000', '--workers', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(imported, [m for m in unwanted if m in sys.modules])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] []\n"
 
 
 # argv values at the chunk edges and the range limits: each flag takes a

@@ -1,12 +1,15 @@
-import concurrent.futures
+import errno
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from entlab import experiment, sampling
 from entlab.entanglement import eof_from_concurrence
-from entlab.errors import NumericError, UsageError
+from entlab.errors import NumericError, ResourceError, UsageError
 from entlab.experiment import (
     CHUNK_SIZE,
     RETRY_STRIDE,
@@ -21,7 +24,7 @@ from entlab.experiment import (
 from entlab.gates import circuit
 from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
 
-from conftest import definition_concurrence, definition_eof, poison_draws
+from conftest import definition_concurrence, definition_eof, in_children, poison_draws, sigkill
 
 # the definition route loses half its digits on rank-1 (pure) states
 REFERENCE_TOL = {"pure": 1e-6, "mixed": 1e-10}
@@ -132,28 +135,40 @@ class TestRunEnsemble:
                 assert np.array_equal(seq.ef, par.ef)
 
     def test_pool_no_larger_than_chunk_count(self, monkeypatch):
-        requested = []
+        started = []
+        fork_process = multiprocessing.get_context("fork").Process
+        start = fork_process.start
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers)
+        def recording(self):
+            started.append(self)
+            start(self)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(fork_process, "start", recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         res = run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=4)
-        assert requested == [2]  # two chunks: a third and fourth process would sit idle
+        # two chunks: this process and one child; a third and fourth process would sit idle
+        assert len(started) == 1
         assert len(res) == 2 * CHUNK_SIZE
         assert res.processes == 2
         # and no larger than the CPUs this process may run on
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         res = run_ensemble(EnsembleSpec("pure", 3 * CHUNK_SIZE, 5), workers=64)
-        assert requested == [2, 2]
+        assert len(started) == 2
         assert len(res) == 3 * CHUNK_SIZE
         assert res.processes == 2
         # one chunk runs in this process, whatever was asked for
         assert run_ensemble(EnsembleSpec("pure", 100, 5), workers=64).processes == 1
-        assert requested == [2, 2]
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_serial_where_fork_does_not_exist(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = EnsembleSpec("pure", 2 * CHUNK_SIZE + 5, 5)
+        serial = run_ensemble(spec, workers=1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        res = run_ensemble(spec, workers=2)
+        assert res.processes == 1
+        assert np.array_equal(res.e0, serial.e0) and np.array_equal(res.ef, serial.ef)
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
@@ -171,6 +186,70 @@ class TestRunEnsemble:
             v = u @ pure_state_vector(RandomStream(7, t))
             expected = eof_from_concurrence(2 * abs(v[0] * v[3] - v[1] * v[2]))
             assert res.ef[t] == pytest.approx(expected, abs=1e-9)
+
+
+class TestWorkers:
+    """The forked processes of a run: what goes wrong in one reaches the
+    caller, their counts add up as in a serial run, and none outlives the run."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_numeric_error_in_a_child_reaches_the_caller(self, monkeypatch):
+        def failing(start):
+            raise NumericError(f"chunk {start} failed")
+
+        in_children(monkeypatch, failing)
+        with pytest.raises(NumericError, match=f"^chunk {CHUNK_SIZE} failed$"):
+            run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=2)
+
+    @pytest.mark.parametrize("workers", [2, 6])
+    def test_child_retries_count_as_in_a_serial_run(self, monkeypatch, workers):
+        # one redraw in each of 6 chunks; at 6 workers, more processes than this machine may have cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
+        poison_draws(monkeypatch, {c * CHUNK_SIZE + c for c in range(6)})
+        spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 7, 8)
+        serial, par = run_ensemble(spec, workers=1), run_ensemble(spec, workers=workers)
+        assert par.processes == workers
+        assert serial.failures == par.failures == 6
+        assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
+
+    def test_killed_child_is_a_resource_error(self, monkeypatch):
+        in_children(monkeypatch, sigkill)
+        with pytest.raises(ResourceError, match=f"killed by signal {int(signal.SIGKILL)}"):
+            run_ensemble(EnsembleSpec("pure", CHUNK_SIZE + 1, 5), workers=2)
+
+    def test_refused_fork_is_a_resource_error(self, monkeypatch):
+        # the second fork fails: the first child is stopped, and the error names the cause
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fork_process = multiprocessing.get_context("fork").Process
+        start, started = fork_process.start, []
+
+        def second_refused(self):
+            if started:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(fork_process, "start", second_refused)
+        with pytest.raises(ResourceError, match="could not start a worker process"):
+            run_ensemble(EnsembleSpec("pure", 3 * CHUNK_SIZE, 5), workers=3)
+        assert len(started) == 1 and started[0].exitcode is not None
+
+    def test_children_stopped_when_this_process_fails(self, monkeypatch):
+        def interrupted(kind, seed, start, count):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "_chunk_task", interrupted)
+        in_children(monkeypatch, lambda start: time.sleep(60))  # terminated long before this ends
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(EnsembleSpec("pure", CHUNK_SIZE + 1, 5), workers=2)
+        assert time.monotonic() - t0 < 30
 
 
 class TestSampleChunk:
