@@ -56,6 +56,10 @@ _ZIG_R = 3.6541528853610087963519472518  # where the tail starts
 _ZIG_INV_R = 0.27366123732975827203338247596
 _EXP_SLACK = 1e-13  # relative gap beyond which np.exp and libm's exp decide a wedge test alike
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
+# rows per block of ziggurat tries: a block's temporaries stay in cache and
+# a chunk's peak memory small, while each numpy loop still runs over a
+# contiguous block of thousands of words
+_ZIGGURAT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,10 @@ def _parse_words(records: np.ndarray, rows: np.ndarray, raw: np.ndarray, normals
     """Fill records[rows] from the raw words of each row: `normals` standard
     normals, then `uniforms` doubles, consumed as numpy's `Generator`
     consumes them. Returns the mask of rows whose words ran out."""
-    x, fast = _ziggurat_try(raw)
+    x = np.empty(raw.shape)
+    fast = np.empty(raw.shape, bool)
+    for b in range(0, len(raw), _ZIGGURAT_ROWS):
+        x[b : b + _ZIGGURAT_ROWS], fast[b : b + _ZIGGURAT_ROWS] = _ziggurat_try(raw[b : b + _ZIGGURAT_ROWS])
     z = x[:, :normals]
     end = np.full(len(rows), normals)  # the word after each row's normals
     short = np.zeros(len(rows), bool)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -193,6 +194,14 @@ def csv_digests(out: Path, ensemble: str) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_CSV_SHA256[ensemble]}
 
 
+def subprocess_env(**settings) -> dict[str, str]:
+    """The environment for a Python subprocess that imports this entlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **settings)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize("ensemble", ["pure", "mixed"])
 def test_golden_csv_bytes(tmp_path, ensemble):
     out = tmp_path / "run"
@@ -213,9 +222,7 @@ DISPATCH_SETTINGS = {
 def test_golden_csv_bytes_under_other_dispatch(tmp_path, setting):
     """The golden configurations, rerun by the CLI in a subprocess under
     another CPU dispatch or BLAS core, write the pinned bytes."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, **DISPATCH_SETTINGS[setting])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = subprocess_env(**DISPATCH_SETTINGS[setting])
     probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
     if probe.returncode:
         reason = (probe.stderr.strip().splitlines() or ["no message"])[-1]
@@ -443,8 +450,7 @@ class TestWorkerFailures:
 
 def test_serial_run_imports_no_process_machinery(tmp_path):
     """`import entlab.cli` and a one-worker run leave the process modules unimported."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = subprocess_env()
     code = (
         "import sys, entlab.cli\n"
         "unwanted = ('multiprocessing', 'concurrent.futures')\n"
@@ -455,6 +461,75 @@ def test_serial_run_imports_no_process_machinery(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[] []\n"
+
+
+needs_mallopt = pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt: malloc is not glibc's")
+
+
+@needs_mallopt
+@pytest.mark.parametrize("ensemble", ["pure", "mixed"])
+def test_later_chunks_reuse_freed_memory(tmp_path, ensemble):
+    """Once `main` has run, a chunk reuses the memory the chunk before it
+    freed: the second chunk faults in almost no fresh pages (over a thousand
+    when malloc unmaps and trims what it frees)."""
+    code = (
+        "import resource\n"
+        "from entlab import cli, experiment\n"
+        f"assert cli.main(['--ensemble', {ensemble!r}, '--trials', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
+        "for start in (0, experiment.CHUNK_SIZE):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"    experiment._chunk_task({ensemble!r}, 11, start, experiment.CHUNK_SIZE)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    first, second = map(int, done.stdout.split())
+    assert second < 100, (first, second)
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_c_library], ids=["no-mallopt", "no-library"])
+def test_runs_where_malloc_is_not_glibcs(tmp_path, monkeypatch, library):
+    """Without glibc's mallopt, `main` leaves malloc as it is and writes the same bytes."""
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    assert cli._mallopt() is None
+    for ensemble in GOLDEN_CSV_SHA256:
+        out = tmp_path / ensemble
+        assert main(golden_argv(ensemble, out)) == EXIT_OK
+        assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
+
+
+@needs_mallopt
+@pytest.mark.parametrize("cli_setting", [False, True], ids=["import-and-parse", "then-cli-setting"])
+def test_import_and_parse_leave_malloc_alone(cli_setting):
+    """`import entlab.cli` and `parse_args` leave malloc's thresholds alone,
+    so library callers keep glibc's defaults: a 16 MiB block is still mapped
+    on its own. Once the CLI has set them, it comes from the heap."""
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("the C library has no mallinfo2 (glibc before 2.33)")
+    code = (
+        "import ctypes\n"
+        "import entlab.cli as cli\n"
+        "cli.parse_args(['--ensemble', 'mixed'])\n"
+        + ("cli._keep_freed_memory()\n" if cli_setting else "")
+        + "class Mallinfo2(ctypes.Structure):\n"
+        "    _fields_ = [(name, ctypes.c_size_t) for name in ('arena', 'ordblks', 'smblks', 'hblks', 'hblkhd',\n"
+        "                                                  'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+        "libc = ctypes.CDLL(None)\n"
+        "libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), Mallinfo2\n"
+        "libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p\n"
+        "libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None\n"
+        "before = libc.mallinfo2().hblks\n"
+        "block = libc.malloc(16 << 20)\n"  # once only: freeing a mapped block raises glibc's dynamic threshold
+        "print(libc.mallinfo2().hblks - before)\n"
+        "libc.free(block)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("0\n" if cli_setting else "1\n")
 
 
 # argv values at the chunk edges and the range limits: each flag takes a

@@ -1,8 +1,11 @@
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
 import pytest
+
+from entlab.experiment import available_cpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,6 +24,20 @@ def test_same_tree_gives_identical_outputs(tool, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all("CSVs identical" in line for line in lines)
     assert all(line.endswith("at most 0 (relative)") for line in lines)
+    for line in lines:  # each run's cost, parent first
+        usage = re.search(r"max RSS (\S+) -> (\S+) MiB, minor faults (\d+) -> (\d+);", line)
+        assert usage, line
+        assert all(float(mib) > 10 for mib in usage.group(1, 2))  # at least the interpreter and numpy
+        assert all(int(faults) > 0 for faults in usage.group(3, 4))
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="a run forks workers only where it may use 2 CPUs")
+def test_usage_counts_forked_workers(tool, tmp_path):
+    """A run's faults include those of the workers the CLI forks: two
+    processes over four chunks fault in more pages than one does."""
+    serial, parallel = (tool.run_cli(ROOT / "src", tmp_path / str(w), "pure", 4 * 8192, 11, w) for w in (1, 2))
+    assert serial.max_rss_mib > 10 and parallel.max_rss_mib > 10
+    assert parallel.minor_faults > serial.minor_faults
 
 
 def test_differing_csv_and_means_are_reported(tool, tmp_path):

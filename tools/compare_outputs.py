@@ -12,7 +12,10 @@ trials, and `mixed` at 10^6), the CLI runs once from each tree, as
 directory. The script prints, per configuration, whether each CSV is
 byte-identical, and the largest relative difference between the means in
 the two `summary.json` files (they may move in their last digits when the
-kernels' rounding does). It exits 1 if any CSV differs and 2 if a run fails.
+kernels' rounding does). It also prints each run's peak memory (max RSS)
+and minor page faults, parent first, as `os.wait4` reports them for the CLI
+process and the workers it forked; they are for reading only. It exits 1 if
+any CSV differs and 2 if a run fails.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 CONFIGS = (("pure", 50_000), ("mixed", 50_000), ("pure", 200_000), ("mixed", 200_000), ("mixed", 1_000_000))
 CSV_FILES = ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv")
@@ -38,12 +42,30 @@ def source_dir(tree: Path) -> Path:
     raise SystemExit(f"error: no entlab sources under {tree}")
 
 
-def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers: int) -> None:
+class Usage(NamedTuple):
+    """What one CLI run cost, with the workers it forked."""
+
+    max_rss_mib: float
+    minor_faults: int
+
+
+def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers: int) -> Usage:
     argv = [sys.executable, "-m", "entlab.cli", "--ensemble", ensemble, "--trials", str(trials),
             "--seed", str(seed), "--workers", str(workers), "--output-dir", str(out)]
-    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
-    if done.returncode:
-        raise RuntimeError(f"{' '.join(argv)} from {src} exited {done.returncode}: {done.stderr.strip()}")
+    with tempfile.TemporaryFile() as log:  # a file, not a pipe: the child never blocks on a full pipe
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(src)), stdout=log, stderr=log)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            log.seek(0)
+            stderr = log.read().decode(errors="replace").strip()
+            raise RuntimeError(f"{' '.join(argv)} from {src} exited {proc.returncode}: {stderr}")
+    return Usage(usage.ru_maxrss / 1024.0, usage.ru_minflt)  # Linux reports ru_maxrss in KiB
 
 
 def compare(a: Path, b: Path) -> tuple[list[str], float]:
@@ -68,15 +90,17 @@ def main(argv: list[str] | None = None) -> int:
         for ensemble, trials in CONFIGS:
             outs = [Path(tmp) / f"{side}-{ensemble}-{trials}" for side in ("parent", "change")]
             try:
-                for src, out in zip(trees, outs):
-                    run_cli(src, out, ensemble, trials, args.seed, args.workers)
+                parent, change = [run_cli(src, out, ensemble, trials, args.seed, args.workers)
+                                  for src, out in zip(trees, outs)]
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             differ, rel = compare(*outs)
             differing += len(differ)
             csvs = "CSVs identical" if not differ else "CSVs DIFFER: " + ", ".join(differ)
-            print(f"{ensemble} {trials} trials (seed {args.seed}, {args.workers} workers): {csvs}; "
+            print(f"{ensemble} {trials} trials (seed {args.seed}, {args.workers} workers): "
+                  f"max RSS {parent.max_rss_mib:.1f} -> {change.max_rss_mib:.1f} MiB, "
+                  f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; "
                   f"summary means differ by at most {rel:.3g} (relative)")
     return 1 if differing else 0
 
