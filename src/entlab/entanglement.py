@@ -148,11 +148,16 @@ def partial_transpose_det(w: np.ndarray) -> np.ndarray:
 def factor_concurrence(factors: np.ndarray) -> np.ndarray:
     """Concurrence of each state rho = W W^dag in an (n, 4, k) stack of
     factors W. A unit vector (a, b, c, d), k = 1, takes the closed form
-    2|ad - bc|; for k > 1 it is 0 where `partial_transpose_det` proves the
-    state separable, and comes from `factor_lambdas` elsewhere."""
+    2|ad - bc|, on real and imaginary parts with every product and sum a
+    separate operation, so no CPU dispatch fuses a multiply-add; for k > 1
+    it is 0 where `partial_transpose_det` proves the state separable, and
+    comes from `factor_lambdas` elsewhere."""
     if factors.shape[-1] == 1:
-        a, b, c, d = np.moveaxis(factors[..., 0], -1, 0)
-        return 2.0 * np.abs(a * d - b * c)
+        v = np.moveaxis(factors[..., 0], -1, 0)
+        (ar, br, cr, dr), (ai, bi, ci, di) = v.real, v.imag
+        re = (ar * dr - ai * di) - (br * cr - bi * ci)
+        im = (ar * di + ai * dr) - (br * ci + bi * cr)
+        return 2.0 * np.sqrt(re * re + im * im)
     entangled = partial_transpose_det(factors) <= SEPARABLE_DET_MARGIN  # or too close to tell
     c = np.zeros(factors.shape[:-2])
     c[entangled] = concurrence_from_lambdas(factor_lambdas(factors[entangled]))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class UsageError(ValueError):
@@ -11,3 +13,11 @@ class NumericError(RuntimeError):
 
 class ResourceError(RuntimeError):
     """The run lost a worker process it needs: one could not start, or one was killed."""
+
+
+def require_integer(name: str, value, low: int, high: int) -> None:
+    """Raise UsageError unless `value` is an integer (Python or numpy) in
+    [low, high]. A float is refused even when whole: it would be truncated,
+    or above 2^53 would already have lost digits."""
+    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise UsageError(f"{name} must be an integer in [{low}, {high}], got {value!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .entanglement import eof  # noqa: F401 - looked up here by bench/tracer.py
 from .entanglement import factor_eof as eof_batch  # under the name bench/tracer.py wraps
-from .errors import NumericError, ResourceError, UsageError
+from .errors import NumericError, ResourceError, UsageError, require_integer
 from .gates import apply_to_factors, circuit
 from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
 from .sampling import sample_chunk as _sample_chunk  # under the name bench/tracer.py wraps
@@ -54,12 +54,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("pure", "mixed"):
             raise UsageError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
-        if self.trials > MAX_TRIALS:
-            raise UsageError(f"trials capped at {MAX_TRIALS} (memory guard)")
-        if not 0 <= self.seed < 1 << 64:
-            raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
+        require_integer("trials", self.trials, 1, MAX_TRIALS)  # the cap is a memory guard
+        require_integer("seed", self.seed, 0, (1 << 64) - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 
 from . import ziggurat_tables
-from .errors import UsageError
+from .errors import UsageError, require_integer
 from .gates import UnitaryGate
 from .linalg import sum_rows
 
@@ -41,7 +41,7 @@ DRAW_RECORD = {  # the raw numbers of one trial, per kind, in draw order
     "pure": np.dtype([("normals", float, (2, 4))]),
     "mixed": np.dtype([("normals", float, (2, 4, 4)), ("uniforms", float, 3)]),
 }
-RAW_MARGIN = {"pure": 4, "mixed": 5}  # raw words drawn per trial beyond the fewest its record can take
+SPARE_BLOCKS = 1  # Philox blocks of raw words drawn per trial beyond the fewest its record can take
 
 # Philox4x64-10 (Salmon et al., SC'11): multipliers and Weyl key increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -77,9 +77,8 @@ class RandomStream:
     _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_index", self.stream_index)):
-            if not isinstance(value, (int, np.integer)) or not 0 <= value < 1 << 64:  # a float would be truncated
-                raise UsageError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+        require_integer("seed", self.seed, 0, _U64)
+        require_integer("stream_index", self.stream_index, 0, _U64)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -120,17 +119,19 @@ def draw_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
     real part first; a mixed one a (2, 4, 4) block (the Ginibre matrix), then
     3 uniforms on [0, 1) (the simplex spacings). The Philox4x64-10 cipher runs
     over all substreams one counter block at a time, and numpy's ziggurat
-    (tables in `ziggurat_tables`) parses the words of all trials together,
-    its rare wedge and tail tries row by row with libm's exp and log1p where
-    the decision needs them. Each trial gets RAW_MARGIN[kind] raw words
-    beyond the fewest its record can take; a trial whose rejections use up
-    its words gets one more block of four and is parsed anew."""
+    (tables in `ziggurat_tables`) parses the words of all trials together.
+    Rows where a try fails the fast test go to `_slow_rows`, which decides
+    each failed try's wedge or tail test once (with libm's exp and log1p
+    where the decision needs them) and then walks the rows. Each trial gets
+    SPARE_BLOCKS blocks of four raw words beyond the fewest its record can
+    take; a trial whose rejections use up its words gets one more block and
+    is parsed anew."""
     dtype = DRAW_RECORD[kind]
     normals = math.prod(dtype["normals"].shape)
     uniforms = math.prod(dtype["uniforms"].shape) if "uniforms" in dtype.names else 0
     records = np.empty(len(streams), dtype)
     rows = np.arange(len(streams))
-    raw = philox_words(seed, streams, 0, -(-(normals + uniforms + RAW_MARGIN[kind]) // 4))
+    raw = philox_words(seed, streams, 0, -(-(normals + uniforms) // 4) + SPARE_BLOCKS)
     while True:
         short = _parse_words(records, rows, raw, normals, uniforms)
         if not short.any():
@@ -147,7 +148,7 @@ def philox_words(seed: int, streams: np.ndarray, first: int, blocks: int) -> np.
     over all substreams."""
     key1 = np.asarray(streams).astype(np.uint64)
     keys = [
-        (np.full(1, (seed + r * _PHILOX_W[0]) & _U64, np.uint64), key1 + np.uint64(r * _PHILOX_W[1] & _U64))
+        (np.full(1, (int(seed) + r * _PHILOX_W[0]) & _U64, np.uint64), key1 + np.uint64(r * _PHILOX_W[1] & _U64))
         for r in range(10)
     ]
     out = np.empty((key1.shape[0], 4 * blocks), np.uint64)
@@ -214,55 +215,45 @@ def _parse_words(records: np.ndarray, rows: np.ndarray, raw: np.ndarray, normals
 def _slow_rows(raw: np.ndarray, x: np.ndarray, fast: np.ndarray, normals: int) -> tuple[np.ndarray, ...]:
     """numpy's `random_standard_normal`, `normals` times, on rows of raw
     words where some fast-path try fails (`x`, `fast`: `_ziggurat_try` of
-    the words). A failed try in layer i > 0 reads one more double for the
-    wedge test against exp(-x^2/2); one in layer 0 reads pairs of doubles
-    until the tail test passes. Rows advance together from one failed try to
-    their next. Returns each row's normals, the word after them, and whether
+    the words). A try's outcome depends only on the words from it onward, so
+    each failed try is decided once, before any row is parsed: one in layer
+    i > 0 reads one more double for the wedge test against exp(-x^2/2) and
+    takes 2 words; one in layer 0 reads pairs of doubles until the tail
+    test passes; one in the last word, or a tail that runs out of words,
+    keeps nothing and ends its row. Then each row is walked from its first
+    failed try, one try at a time, until it has its normals or its words
+    run out. Returns each row's normals, the word after them, and whether
     its words ran out."""
     n, width = raw.shape
-    failed = np.append(np.flatnonzero(~fast), n * width)  # flat word indices, then a sentinel
-    took = np.zeros((n, width + 1), np.int8)  # +1 where a run of normals starts, -1 past its end
-    at = np.zeros(n, np.intp)
-    got = np.zeros(n, np.intp)
-    end = np.zeros(n, np.intp)
-    short = np.zeros(n, bool)
+    words, kept = raw.ravel(), fast.ravel().copy()  # flat over the rows; per try: whether it keeps a normal
+    reads = np.ones(n * width, np.min_scalar_type(width))  # per try: how many words it reads
+    failed = np.flatnonzero(~fast)
+    failed = failed[failed % width < width - 1]  # one in the last word keeps nothing and reads 1
+    layer = (words[failed] & np.uint64(0xFF)).view(np.int64)
+    wedge, lw = failed[layer != 0], layer[layer != 0]
+    kept[wedge] = _below_density((_FI[lw - 1] - _FI[lw]) * _doubles(words[wedge + 1]) + _FI[lw], x.ravel()[wedge])
+    reads[wedge] = 2
+    for i in failed[layer == 0].tolist():
+        row, col = divmod(i, width)
+        value, stop = _tail(raw[row], col)
+        if value is not None:
+            x[row, col], kept[i] = value, True
+        reads[i] = (width if value is None else stop) - col
+    at = np.argmin(fast, axis=1)  # each row's first failed try: the words before it are normals
+    got = at.copy()
+    picked = np.arange(width) < at[:, None]
+    picked_flat = picked.ravel()
     live = np.arange(n)
     while live.size:
-        start = at[live]
-        q = np.minimum(failed[np.searchsorted(failed, live * width + start)] - live * width, width)
-        stop = np.minimum(q, start + normals - got[live])
-        took[live, start] += 1
-        took[live, stop] -= 1
-        got[live] += stop - start
-        done = got[live] == normals
-        end[live[done]] = stop[done]
-        short[live[~done & (q + 1 >= width)]] = True  # no failed try left, or none with a word after it
-        failing = ~done & (q + 1 < width)
-        live, q = live[failing], q[failing]
-        layer = (raw[live, q] & np.uint64(0xFF)).view(np.int64)
-        wedge = layer != 0
-        rw, qw, lw = live[wedge], q[wedge], layer[wedge]
-        keep = _below_density((_FI[lw - 1] - _FI[lw]) * _doubles(raw[rw, qw + 1]) + _FI[lw], x[rw, qw])
-        took[rw[keep], qw[keep]] += 1
-        took[rw[keep], qw[keep] + 1] -= 1
-        got[rw[keep]] += 1
-        at[rw] = qw + 2
-        for r, i in zip(live[~wedge].tolist(), q[~wedge].tolist()):
-            value, at[r] = _tail(raw[r], i)
-            if value is None:
-                short[r] = True
-            else:
-                x[r, i] = value
-                took[r, i] += 1
-                took[r, i + 1] -= 1
-                got[r] += 1
-        finished = got[live] == normals
-        end[live[finished]] = at[live[finished]]
-        live = live[~finished & ~short[live]]
-    took[short] = 0  # any `normals` words, for rows drawn again
-    took[short, 0], took[short, normals] = 1, -1
-    picked = np.cumsum(took[:, :width], axis=1, dtype=np.int8).astype(bool)
-    return x[picked].reshape(n, normals), end, short
+        word = live * width + at[live]  # the live rows' next tries
+        keep = kept[word]
+        picked_flat[word[keep]] = True
+        got[live] += keep
+        at[live] += reads[word]
+        live = live[(got[live] < normals) & (at[live] < width)]
+    short = got < normals
+    picked[short] = np.arange(width) < normals  # any `normals` words, for rows drawn again
+    return x[picked].reshape(n, normals), at, short
 
 
 def _below_density(y: np.ndarray, x: np.ndarray) -> np.ndarray:

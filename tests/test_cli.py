@@ -218,21 +218,52 @@ DISPATCH_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("setting", list(DISPATCH_SETTINGS))
-def test_golden_csv_bytes_under_other_dispatch(tmp_path, setting):
-    """The golden configurations, rerun by the CLI in a subprocess under
-    another CPU dispatch or BLAS core, write the pinned bytes."""
+def dispatch_env(setting: str) -> dict[str, str]:
+    """`subprocess_env` under one of DISPATCH_SETTINGS; skips, with the
+    reason, where numpy does not import under it."""
     env = subprocess_env(**DISPATCH_SETTINGS[setting])
     probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
     if probe.returncode:
         reason = (probe.stderr.strip().splitlines() or ["no message"])[-1]
         pytest.skip(f"numpy does not import under {DISPATCH_SETTINGS[setting]}: {reason}")
+    return env
+
+
+@pytest.mark.parametrize("setting", list(DISPATCH_SETTINGS))
+def test_golden_csv_bytes_under_other_dispatch(tmp_path, setting):
+    """The golden configurations, rerun by the CLI in a subprocess under
+    another CPU dispatch or BLAS core, write the pinned bytes."""
+    env = dispatch_env(setting)
     for ensemble in GOLDEN_CSV_SHA256:
         out = tmp_path / ensemble
         done = subprocess.run([sys.executable, "-m", "entlab.cli", *golden_argv(ensemble, out)],
                               env=env, capture_output=True, text=True)
         assert done.returncode == EXIT_OK, done.stderr
         assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
+
+
+# the concurrences of a pure chunk's states and of their circuit images, as `_chunk_task` scores them
+PURE_CONCURRENCES = """
+import hashlib, numpy as np
+from entlab.entanglement import factor_concurrence
+from entlab.gates import apply_to_factors, circuit
+from entlab.sampling import sample_chunk
+states = sample_chunk("pure", 11, np.arange(20000))
+c = np.stack([factor_concurrence(states), factor_concurrence(apply_to_factors(circuit(), states))])
+print(hashlib.sha256(c.tobytes()).hexdigest())
+"""
+
+
+def test_pure_concurrences_independent_of_dispatch():
+    """2|ad - bc| of pure states is the same to the last bit under numpy's
+    baseline dispatch, whose complex product does not fuse a multiply-add,
+    as under the default. (E itself still is not: np.log2 is dispatched.)"""
+    digests = []
+    for env in (subprocess_env(), dispatch_env("numpy-baseline")):
+        done = subprocess.run([sys.executable, "-c", PURE_CONCURRENCES], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestOutputWrites:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -305,9 +307,18 @@ class TestVectorKernel:
         assert np.all(self.check(vecs[above]) == pytest.approx(1.0, abs=1e-12))
 
     def test_oracle_is_the_vector_kernel(self):
+        # 2|ad - bc| in Python floats, every product and sum rounded on its
+        # own, is the kernel to the last bit; numpy's complex expression, whose
+        # products may fuse a multiply-add, agrees to rounding
         vecs = np.array([pure_state_vector(RandomStream(45, i)) for i in range(50)])
-        oracle = 2 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2])
+        oracle = []
+        for a, b, c, d in vecs.tolist():
+            re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+            im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+            oracle.append(2.0 * math.sqrt(re * re + im * im))
         assert np.array_equal(oracle, factor_concurrence(vecs[..., None]))
+        closed = 2 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2])
+        assert np.max(np.abs(closed - oracle)) <= 1e-15
 
 
 class TestLocalUnitaryInvariance:

@@ -110,6 +110,16 @@ class TestEnsembleSpec:
             with pytest.raises(UsageError, match="seed"):
                 EnsembleSpec("pure", 10, seed)
 
+    @pytest.mark.parametrize("trials,seed", [(100, 1.7), (10.5, 1), (100, 2.0), (np.float64(10), 1), (100, "3")])
+    def test_rejects_non_integers(self, trials, seed):
+        # as RandomStream does: a whole float would run, and a fraction fail deep inside the run
+        with pytest.raises(UsageError, match="must be an integer in"):
+            EnsembleSpec("pure", trials, seed)
+
+    def test_accepts_numpy_integers(self):
+        spec = EnsembleSpec("pure", np.int64(3), np.uint64(2**64 - 1))
+        assert len(run_ensemble(spec)) == 3
+
 
 class TestRunEnsemble:
     def test_single_trial(self):

@@ -215,7 +215,7 @@ class TestDrawChunk:
             blocks.append((first, len(streams)))
             return philox_words(seed, streams, first, count)
 
-        monkeypatch.setattr(sampling, "RAW_MARGIN", {"pure": 0, "mixed": 0})
+        monkeypatch.setattr(sampling, "SPARE_BLOCKS", 0)
         monkeypatch.setattr(sampling, "philox_words", recorded)
         streams = oracle_streams(1000)
         for seed in (7, 2**64 - 1):
@@ -240,6 +240,114 @@ class TestDrawChunk:
         edge = np.array([math.exp(-0.5 * v * v) for v in x.tolist()])
         for y, want in ((edge, False), (np.nextafter(edge, 0.0), True), (np.nextafter(edge, 1.0), False)):
             assert sampling._below_density(y, x).tolist() == [want] * len(x)
+
+
+# numpy's ziggurat constants (distributions/ziggurat_constants.h)
+NOR_R = 3.6541528853610087963519472518
+NOR_INV_R = 0.27366123732975827203338247596
+WI = [float.fromhex(h) for h in ziggurat_tables.WI_HEX]
+FI = [float.fromhex(h) for h in ziggurat_tables.FI_HEX]
+MAGNITUDE = 2**52 - 1  # the 52 bits of a try's magnitude, above its layer and sign
+
+
+def reference_normals(words, count: int):
+    """numpy's `random_standard_normal`, `count` times, on one row of raw
+    uint64 words, written after numpy's distributions.c in Python ints and
+    `math`: the normals and the number of words read, or None where the
+    words run out first."""
+    pos = 0
+
+    def word() -> int:
+        nonlocal pos
+        if pos == len(words):
+            raise IndexError
+        pos += 1
+        return int(words[pos - 1])
+
+    def double() -> float:
+        return (word() >> 11) * 2.0**-53
+
+    out = []
+    try:
+        while len(out) < count:
+            r = word()
+            idx, sign, rabs = r & 0xFF, (r >> 8) & 1, (r >> 9) & MAGNITUDE
+            x = -(rabs * WI[idx]) if sign else rabs * WI[idx]
+            if rabs < ziggurat_tables.KI[idx]:
+                out.append(x)
+            elif idx == 0:
+                while True:
+                    xx = -NOR_INV_R * math.log1p(-double())
+                    yy = -math.log1p(-double())
+                    if yy + yy > xx * xx:
+                        out.append(-(NOR_R + xx) if (rabs >> 8) & 1 else NOR_R + xx)
+                        break
+            elif (FI[idx - 1] - FI[idx]) * double() + FI[idx] < math.exp(-0.5 * x * x):
+                out.append(x)
+    except IndexError:
+        return None
+    return out, pos
+
+
+def try_word(layer: int, fails: bool) -> int:
+    """A raw word whose ziggurat try is in `layer`, positive, and passes the
+    fast test (a small magnitude) or fails it (the largest magnitude)."""
+    return ((MAGNITUDE if fails else 1000) << 9) | layer
+
+
+FAST, WEDGE, TAIL = try_word(5, False), try_word(100, True), try_word(0, True)
+LOW, HIGH = 0, 2**64 - 1  # as a double 0 and 1 - 2^-53: a wedge test at u = 0 keeps, at HIGH rejects
+# a tail pair (LOW, HIGH) passes the tail test; (HIGH, LOW) fails it
+
+
+class TestSlowRows:
+    """`_slow_rows` against a scalar reference of numpy's normal sampler."""
+
+    def test_reference_matches_generator(self):
+        # a few hundred substreams, and some whose first try goes to the tail
+        first = sampling.philox_words(3, np.arange(40_000), 0, 1)[:, 0].tolist()
+        tail_first = [s for s, w in enumerate(first) if w & 0xFF == 0 and (w >> 9) & MAGNITUDE >= ziggurat_tables.KI[0]]
+        assert len(tail_first) >= 5
+        for seed, streams in ((3, tail_first[:20]), (3, range(300)), (2**64 - 1, range(300))):
+            for s in streams:
+                key = np.array([seed, s], dtype=np.uint64)
+                got = reference_normals(np.random.Philox(key=key).random_raw(80), 32)
+                assert got is not None
+                assert got[0] == np.random.Generator(np.random.Philox(key=key)).standard_normal(32).tolist()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [FAST, WEDGE, HIGH, TAIL],  # a failed try in the last word
+            [FAST, FAST, WEDGE, LOW],  # a wedge kept with the row's last word
+            [FAST, FAST, WEDGE, HIGH],  # ... and rejected
+            [FAST, WEDGE, HIGH, FAST, FAST, WEDGE],  # a rejected wedge, then fast tries
+            [FAST, TAIL, HIGH, LOW, HIGH, LOW],  # a tail that runs out on a pair
+            [FAST, FAST, TAIL, HIGH, LOW, FAST],  # ... with one word left over, which a try would keep
+            [TAIL, HIGH, LOW, LOW, HIGH, FAST, FAST],  # a tail kept on its second pair
+            [FAST, WEDGE, LOW, WEDGE, HIGH, TAIL, LOW, HIGH],  # every kind of try, a tail kept with the last word
+        ],
+        ids=["last-word", "wedge-last-kept", "wedge-last-rejected", "wedge-rejected-then-fast",
+             "tail-runs-out", "tail-runs-out-odd", "tail-second-pair", "mixed"],
+    )
+    def test_hand_built_rows(self, row):
+        self.assert_matches_reference(np.array([row], dtype=np.uint64), 3)
+
+    def test_random_rows(self):
+        raw = sampling.philox_words(5, np.arange(20_000), 0, 3)  # 12 words for 8 normals: some rows run out
+        _, fast = sampling._ziggurat_try(raw)
+        self.assert_matches_reference(raw[~fast[:, :8].all(axis=1)], 8)
+
+    @staticmethod
+    def assert_matches_reference(raw: np.ndarray, normals: int):
+        x, fast = sampling._ziggurat_try(raw)
+        z, end, short = sampling._slow_rows(raw, x, fast, normals)
+        assert z.shape == (len(raw), normals)
+        for row, zs, e, s in zip(raw, z.tolist(), end.tolist(), short.tolist(), strict=True):
+            want = reference_normals(row, normals)
+            assert s == (want is None)
+            if want is not None:
+                assert (zs, e) == want
 
 
 def _extraction_tool():
