@@ -39,10 +39,10 @@ from .experiment import (
     Histogram,
     available_cpus,
     conditional_mean,
-    entanglement_histogram,
     histogram_delta,
     run_ensemble,
 )
+from .experiment import entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
 MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
@@ -143,10 +143,10 @@ def _write_histogram_csv(path: Path, hist: Histogram) -> None:
 
 
 def _write_profile_csv(path: Path, prof: ConditionalProfile) -> None:
+    edges, counts, mean = prof.hist.edges, prof.hist.counts, prof.mean_ef
     lines = ["e0_lo,e0_hi,mean_ef,count"]
-    for i in range(prof.mean_ef.shape[0]):
-        mean = _fmt(prof.mean_ef[i]) if np.isfinite(prof.mean_ef[i]) else "nan"
-        lines.append(f"{_fmt(prof.edges[i])},{_fmt(prof.edges[i + 1])},{mean},{int(prof.counts[i])}")
+    for i in range(prof.hist.bin_count):
+        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(mean[i])},{int(counts[i])}")  # NaN as "nan"
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -188,20 +188,18 @@ def execute(config: RunConfig) -> int:
         tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
         result = run_ensemble(spec, workers=config.workers)
         delta_hist = histogram_delta(result, config.delta_bins)
-        e0_hist = entanglement_histogram(result, config.e0_bins)
-        profile = conditional_mean(result, config.e0_bins)
+        profile = conditional_mean(result, config.e0_bins)  # its `hist` is the E_0 histogram
         if "csv" in config.formats:
             _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
-            _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
+            _write_histogram_csv(tmp / "e0_hist.csv", profile.hist)
             _write_profile_csv(tmp / "conditional_mean.csv", profile)
         if "json" in config.formats:
-            delta = result.delta
             summary = {
                 "config": {**asdict(config), "formats": list(config.formats)},
                 "mean_e0": float(result.e0.mean()),
                 "mean_ef": float(result.ef.mean()),
-                "mean_delta": float(delta.mean()),
-                "zero_delta_fraction": float(np.mean(np.abs(delta) < delta_hist.bin_width / 2.0)),
+                "mean_delta": float(result.delta.mean()),  # kept from histogram_delta
+                "zero_delta_fraction": float(np.mean(np.abs(result.delta) < delta_hist.bin_width / 2.0)),
                 "failures": result.failures,
                 "workers_used": result.processes,
                 "wall_time_s": time.monotonic() - t0,

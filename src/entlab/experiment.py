@@ -25,6 +25,7 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +61,15 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Per-trial initial and final EoF as flat arrays (`delta` is E_F - E_0), and the processes used."""
+    """Per-trial initial and final EoF as flat arrays, and the processes used.
+    `delta`, E_F - E_0, is formed on first use and kept."""
 
     e0: np.ndarray
     ef: np.ndarray
     failures: int = 0
     processes: int = 1
 
-    @property
+    @cached_property
     def delta(self) -> np.ndarray:
         return self.ef - self.e0
 
@@ -186,19 +188,21 @@ def available_cpus() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Fixed-range binned counts; density = count / (total * bin width)."""
+    """Fixed-range binned counts, and per-bin sums of the weights where
+    some were binned; density = count / (total * bin width)."""
 
     lo: float
     hi: float
     bin_count: int
     counts: np.ndarray
     total: int
+    sums: np.ndarray | None = None
 
     @property
     def bin_width(self) -> float:
         return (self.hi - self.lo) / self.bin_count
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.bin_count + 1)
 
@@ -218,12 +222,13 @@ def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2, out=idx)
 
 
-def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int) -> Histogram:
+def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int, weights: np.ndarray | None = None) -> Histogram:
     if bin_count < 2:
         raise UsageError("bin_count must be >= 2")
     idx = _bin_indices(values, np.linspace(lo, hi, bin_count + 1))
     counts = np.bincount(idx, minlength=bin_count).astype(np.int64)
-    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=int(values.shape[0]))
+    sums = None if weights is None else np.bincount(idx, weights=weights, minlength=bin_count)
+    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=int(values.shape[0]), sums=sums)
 
 
 def histogram_delta(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -240,34 +245,30 @@ def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
 class ConditionalProfile:
     """Per-bin mean of final EoF conditioned on binned initial EoF.
 
+    `hist` is the E_0 histogram over [0, 1], with the per-bin sums of E_F.
     Bins with fewer than `min_count` samples carry mean NaN and are excluded
     from the occupied mask.
     """
 
-    edges: np.ndarray
+    hist: Histogram
     mean_ef: np.ndarray
-    counts: np.ndarray
     min_count: int
 
     @property
     def occupied(self) -> np.ndarray:
-        return self.counts >= self.min_count
+        return self.hist.counts >= self.min_count
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return 0.5 * (self.hist.edges[:-1] + self.hist.edges[1:])
 
 
 def conditional_mean(result: EnsembleResult, bin_count: int, min_count: int = DEFAULT_MIN_OCCUPANCY) -> ConditionalProfile:
-    """Mean E_F per E_0 bin over [0, 1]."""
-    if bin_count < 2:
-        raise UsageError("bin_count must be >= 2")
-    e0, ef = result.e0, result.ef
-    edges = np.linspace(0.0, 1.0, bin_count + 1)
-    idx = _bin_indices(e0, edges)
-    counts = np.bincount(idx, minlength=bin_count)
-    sums = np.bincount(idx, weights=ef, minlength=bin_count)
+    """Mean E_F per E_0 bin over [0, 1]: the E_0 histogram weighted by E_F."""
+    if min_count < 1:  # an empty bin would count as occupied, with mean 0 / 0
+        raise UsageError(f"min_count must be >= 1, got {min_count}")
+    hist = _histogram(result.e0, 0.0, 1.0, bin_count, weights=result.ef)
     mean = np.full(bin_count, np.nan)
-    ok = counts >= min_count
-    mean[ok] = sums[ok] / counts[ok]
-    return ConditionalProfile(edges=edges, mean_ef=mean, counts=counts.astype(np.int64), min_count=min_count)
+    ok = hist.counts >= min_count
+    mean[ok] = hist.sums[ok] / hist.counts[ok]
+    return ConditionalProfile(hist=hist, mean_ef=mean, min_count=min_count)

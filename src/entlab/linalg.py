@@ -1,9 +1,10 @@
-"""Dense complex matrix kernel for 2x2 and 4x4 Hermitian problems.
+"""Dense complex matrix helpers for 2x2 and 4x4 Hermitian problems.
 
 Matrices are plain complex ndarrays; the functions here add the validation
-and the small set of operations the rest of the package needs (Kronecker
-products and the stacked PSD factor). Everything is sized for
-dimension 2 or 4 and backed by LAPACK via numpy.
+and the small set of operations the rest of the package needs: Kronecker
+products, the max-entry norm (`max_abs`), row sums in a fixed order
+(`sum_rows`), the roundoff clamp on a spectrum (`clamp_spectrum`) and the
+stacked PSD factor. Only `psd_factor` calls LAPACK (numpy's `eigh`).
 """
 
 from __future__ import annotations

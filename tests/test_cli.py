@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -207,6 +208,50 @@ def test_golden_csv_bytes(tmp_path, ensemble):
     out = tmp_path / "run"
     assert main(golden_argv(ensemble, out)) == EXIT_OK
     assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
+    # the profile's rows carry the E_0 histogram's edges and counts, row by row
+    e0_rows, profile_rows = ((out / name).read_text().splitlines()[1:] for name in ("e0_hist.csv", "conditional_mean.csv"))
+    assert [r.split(",")[:3] for r in e0_rows] == [[lo, hi, n] for lo, hi, _, n in (r.split(",") for r in profile_rows)]
+
+
+def test_one_reduction_per_axis(tmp_path, monkeypatch):
+    """A CLI run bins delta E once and E_0 once (the profile is the E_0
+    histogram with E_F sums), and forms delta E = E_F - E_0 once."""
+    binned, formed = [], []  # bin count of each binning pass; one entry per delta E formed
+    bin_indices = experiment._bin_indices
+
+    def counted_bin_indices(values, edges):
+        binned.append(len(edges) - 1)
+        return bin_indices(values, edges)
+
+    class FinalEoF(np.ndarray):
+        def __sub__(self, other):
+            formed.append(other.shape)
+            return np.asarray(self) - other
+
+    run = cli.run_ensemble
+
+    def counted_run(spec, workers):
+        res = run(spec, workers=workers)
+        return dataclasses.replace(res, ef=res.ef.view(FinalEoF))
+
+    monkeypatch.setattr(experiment, "_bin_indices", counted_bin_indices)
+    monkeypatch.setattr(cli, "run_ensemble", counted_run)
+    argv = ["--trials", "2000", "--delta-bins", "20", "--e0-bins", "10", "--workers", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert binned == [20, 10]
+    assert formed == [(2000,)]
+
+
+def test_writers_linear_in_bins(tmp_path):
+    """200000 bins per output are written in seconds; a writer quadratic in
+    the bin count would take minutes."""
+    bins = 200_000
+    argv = ["--trials", "500", "--delta-bins", str(bins), "--e0-bins", str(bins), "--workers", "1", "--output-dir", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "entlab.cli", *argv], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == bins + 1, name
 
 
 # settings that change numpy's last bits in this process only: numpy's

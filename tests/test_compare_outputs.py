@@ -19,7 +19,7 @@ def tool():
 
 
 def test_same_tree_gives_identical_outputs(tool, monkeypatch, capsys):
-    monkeypatch.setattr(tool, "CONFIGS", (("pure", 300), ("mixed", 300)))
+    monkeypatch.setattr(tool, "CONFIGS", (("pure", 300, 100, 50), ("mixed", 300, 7, 3)))
     assert tool.main([str(ROOT), str(ROOT / "src"), "--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all("CSVs identical" in line for line in lines)
@@ -55,7 +55,7 @@ def test_differing_csv_and_means_are_reported(tool, tmp_path):
 
 
 def test_failed_run_exits_2(tool, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(tool, "CONFIGS", (("pure", 10),))
+    monkeypatch.setattr(tool, "CONFIGS", (("pure", 10, 100, 50),))
     (tmp_path / "entlab").mkdir()
     (tmp_path / "entlab" / "cli.py").write_text("raise SystemExit(3)\n")
     assert tool.main([str(ROOT), str(tmp_path), "--workers", "1"]) == 2

@@ -428,7 +428,7 @@ class TestBinRule:
                 rec = result([x], [x])
                 h = entanglement_histogram(rec, bins)
                 assert h.counts[h.bin_index(x)] == 1, (bins, x)
-                assert conditional_mean(rec, bins, min_count=1).counts[h.bin_index(x)] == 1, (bins, x)
+                assert conditional_mean(rec, bins, min_count=1).hist.counts[h.bin_index(x)] == 1, (bins, x)
 
 
 class TestEntanglementHistogram:
@@ -459,6 +459,12 @@ class TestConditionalMean:
         with pytest.raises(UsageError):
             conditional_mean(result([0.0], [0.0]), 1)
 
+    @pytest.mark.parametrize("min_count", [0, -1])
+    def test_rejects_min_count_below_one(self, min_count):
+        """Below 1, an empty bin would count as occupied, with mean 0 / 0."""
+        with pytest.raises(UsageError, match="min_count"):
+            conditional_mean(result([0.0] * 5, [1.0] * 5), 10, min_count=min_count)
+
     def test_top_edge_lands_in_last_bin(self):
         prof = conditional_mean(result([1.0], [0.2]), 10, min_count=1)
-        assert prof.counts[-1] == 1
+        assert prof.hist.counts[-1] == 1

@@ -6,8 +6,11 @@ Usage (from the repository root):
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N] [--workers N]
 
 PARENT_SRC and CHANGE_SRC are checkouts of the repository or their `src`
-directories. For each configuration (both ensembles at 50000 and 200000
-trials, and `mixed` at 10^6), the CLI runs once from each tree, as
+directories. For each configuration in CONFIGS (both ensembles at 50000
+and 200000 trials and `mixed` at 10^6, with the default 100 delta-E and 50
+E_0 bins; and `mixed` at 200000 trials with 7 and 3 bins, for uneven
+delta-E edges, an E_0 bin that sums ~2e5 values and a NaN mean), the CLI
+runs once from each tree, as
 `python3 -m entlab.cli` with that tree on PYTHONPATH, into a temporary
 directory. The script prints, per configuration, whether each CSV is
 byte-identical, and the largest relative difference between the means in
@@ -29,7 +32,15 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-CONFIGS = (("pure", 50_000), ("mixed", 50_000), ("pure", 200_000), ("mixed", 200_000), ("mixed", 1_000_000))
+# (ensemble, trials, delta-E bins, E_0 bins)
+CONFIGS = (
+    ("pure", 50_000, 100, 50),
+    ("mixed", 50_000, 100, 50),
+    ("pure", 200_000, 100, 50),
+    ("mixed", 200_000, 100, 50),
+    ("mixed", 1_000_000, 100, 50),
+    ("mixed", 200_000, 7, 3),
+)
 CSV_FILES = ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv")
 MEANS = ("mean_e0", "mean_ef", "mean_delta")
 
@@ -49,8 +60,10 @@ class Usage(NamedTuple):
     minor_faults: int
 
 
-def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers: int) -> Usage:
+def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers: int,
+            delta_bins: int = 100, e0_bins: int = 50) -> Usage:
     argv = [sys.executable, "-m", "entlab.cli", "--ensemble", ensemble, "--trials", str(trials),
+            "--delta-bins", str(delta_bins), "--e0-bins", str(e0_bins),
             "--seed", str(seed), "--workers", str(workers), "--output-dir", str(out)]
     with tempfile.TemporaryFile() as log:  # a file, not a pipe: the child never blocks on a full pipe
         proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(src)), stdout=log, stderr=log)
@@ -87,10 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     trees = source_dir(args.parent), source_dir(args.change)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="entlab-compare-") as tmp:
-        for ensemble, trials in CONFIGS:
-            outs = [Path(tmp) / f"{side}-{ensemble}-{trials}" for side in ("parent", "change")]
+        for ensemble, trials, delta_bins, e0_bins in CONFIGS:
+            outs = [Path(tmp) / f"{side}-{ensemble}-{trials}-{delta_bins}-{e0_bins}" for side in ("parent", "change")]
             try:
-                parent, change = [run_cli(src, out, ensemble, trials, args.seed, args.workers)
+                parent, change = [run_cli(src, out, ensemble, trials, args.seed, args.workers, delta_bins, e0_bins)
                                   for src, out in zip(trees, outs)]
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
@@ -98,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             differ, rel = compare(*outs)
             differing += len(differ)
             csvs = "CSVs identical" if not differ else "CSVs DIFFER: " + ", ".join(differ)
-            print(f"{ensemble} {trials} trials (seed {args.seed}, {args.workers} workers): "
+            print(f"{ensemble} {trials} trials, {delta_bins}/{e0_bins} bins (seed {args.seed}, {args.workers} workers): "
                   f"max RSS {parent.max_rss_mib:.1f} -> {change.max_rss_mib:.1f} MiB, "
                   f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; "
                   f"summary means differ by at most {rel:.3g} (relative)")
