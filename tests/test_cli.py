@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import ctypes
@@ -89,6 +90,10 @@ class TestParseArgs:
     def test_flag_beats_env_var(self, monkeypatch):
         monkeypatch.setenv("ENTLAB_OUTPUT_DIR", "/tmp/somewhere")
         assert parse_args(["--output-dir", "x"]).output_dir == "x"
+
+    def test_empty_env_var_counts_as_unset(self, monkeypatch):
+        monkeypatch.setenv("ENTLAB_OUTPUT_DIR", "")
+        assert parse_args([]).output_dir == "out"
 
 
 def small_config(tmp_path, **overrides) -> RunConfig:
@@ -252,6 +257,19 @@ def test_writers_linear_in_bins(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
     for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
         assert len((tmp_path / name).read_text().splitlines()) == bins + 1, name
+
+
+@pytest.mark.skipif(experiment.available_cpus() < 2, reason="fewer than 2 CPUs: a second process would not be forked")
+def test_golden_csv_bytes_from_forked_workers(tmp_path):
+    """The golden configurations, run by the program entry with a forked
+    worker beside the CLI process, write the pinned bytes."""
+    for ensemble in GOLDEN_CSV_SHA256:
+        out = tmp_path / ensemble
+        done = subprocess.run([sys.executable, "-m", "entlab.cli", *golden_argv(ensemble, out), "--workers", "2"],
+                              env=subprocess_env(), capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert csv_digests(out, ensemble) == GOLDEN_CSV_SHA256[ensemble]
+        assert json.loads((out / "summary.json").read_text())["workers_used"] == 2
 
 
 # settings that change numpy's last bits in this process only: numpy's
@@ -608,6 +626,50 @@ def test_import_and_parse_leave_malloc_alone(cli_setting):
     assert done.stdout == ("0\n" if cli_setting else "1\n")
 
 
+def test_library_calls_leave_the_collector_alone(tmp_path):
+    """`import entlab.cli`, `parse_args` and an in-process `main` leave the
+    garbage collector enabled and nothing frozen: only the program entry freezes."""
+    code = (
+        "import gc\n"
+        "import entlab.cli as cli\n"
+        "cli.parse_args(['--ensemble', 'mixed'])\n"
+        f"assert cli.main(['--trials', '100', '--workers', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True 0\n"
+
+
+@pytest.mark.parametrize("argv, status", [(["--trials", "100", "--workers", "1"], EXIT_OK), (["--frobnicate"], EXIT_USAGE)],
+                         ids=["run", "bad-flag"])
+def test_program_entry_freezes_and_passes_the_status(tmp_path, argv, status):
+    """`python -m entlab.cli` freezes the import-time heap before the run,
+    and exits with main's status through a normal shutdown (atexit runs)."""
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        f"sys.argv = ['entlab', *{argv!r}, '--output-dir', {str(tmp_path / 'run')!r}]\n"
+        "runpy.run_module('entlab.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == status, done.stderr
+    assert int(done.stdout) > 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_is_the_main_block_entry():
+    """The `entlab` script calls the function that cli.py's `__main__` block calls."""
+    import tomllib
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    calls = [node.func.id for node in ast.walk(block) if isinstance(node, ast.Call) and node.func.id != "SystemExit"]
+    assert [scripts["entlab"]] == [f"entlab.cli:{name}" for name in calls]
+
+
 # argv values at the chunk edges and the range limits: each flag takes a
 # value that runs, or one that must exit with the usage status
 ACCEPTED = {
@@ -623,21 +685,27 @@ REFUSED = {
     "--e0-bins": [1, MAX_BINS + 1],
     "--seed": [-1, 2**64],
     "--workers": ["0"],
+    "--output-dir": [""],
 }
+UNDER_A_FILE = "--output-dir under a file"
 
 
 @st.composite
 def argv_cases(draw):
-    """(flag values, the one flag given a refused value or an output path
-    under a file, or None), with the values drawn from ACCEPTED elsewhere."""
-    broken = draw(st.sampled_from([None, *REFUSED, "--output-dir"]))
-    values = {flag: draw(st.sampled_from(REFUSED[flag] if flag == broken else ACCEPTED[flag])) for flag in ACCEPTED}
+    """(flag values, the one flag given a refused value, UNDER_A_FILE for an
+    output path under a file, or None), with the values drawn from ACCEPTED
+    elsewhere."""
+    broken = draw(st.sampled_from([None, *REFUSED, UNDER_A_FILE]))
+    values = {flag: draw(st.sampled_from(ACCEPTED[flag])) for flag in ACCEPTED}
+    if broken in REFUSED:
+        values[broken] = draw(st.sampled_from(REFUSED[broken]))
     values["--ensemble"] = draw(st.sampled_from(["pure", "mixed"]))
     return values, broken
 
 
 def run_main(values: dict, out: Path) -> tuple[int, str]:
-    argv = [str(x) for flag, value in values.items() for x in (flag, value)] + ["--output-dir", str(out)]
+    """`main` with `out` as the output directory, unless `values` gives one (the last given wins)."""
+    argv = ["--output-dir", str(out)] + [str(x) for flag, value in values.items() for x in (flag, value)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)
@@ -661,12 +729,13 @@ def test_argv_sweep(case):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "file").write_text("not a directory")
-        out = root / ("file" if broken == "--output-dir" else "run") / "out"
+        out = root / ("file" if broken == UNDER_A_FILE else "run") / "out"
         code, err = run_main(values, out)
         assert "Traceback" not in err
         assert not list(root.glob("**/.entlab-*"))
         if broken is not None:
-            assert code == (EXIT_IO if broken == "--output-dir" else EXIT_USAGE), err
+            assert code == (EXIT_IO if broken == UNDER_A_FILE else EXIT_USAGE), err
+            assert err.count("\n") == 1, err
             assert sorted(p.name for p in root.iterdir()) == ["file"]
             return
         assert code == EXIT_OK, err
