@@ -37,10 +37,9 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericError, ResourceError, UsageError
 from .experiment import (
+    MAX_BINS,
     ConditionalProfile,
     EnsembleSpec,
     Histogram,
@@ -52,7 +51,6 @@ from .experiment import (
 from .experiment import entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
-MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets
 _M_TRIM_THRESHOLD = -1
@@ -207,8 +205,8 @@ def execute(config: RunConfig) -> int:
                 "config": {**asdict(config), "formats": list(config.formats)},
                 "mean_e0": float(result.e0.mean()),
                 "mean_ef": float(result.ef.mean()),
-                "mean_delta": float(result.delta.mean()),  # kept from histogram_delta
-                "zero_delta_fraction": float(np.mean(np.abs(result.delta) < delta_hist.bin_width / 2.0)),
+                "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass
+                "zero_delta_fraction": delta_hist.zero_fraction,
                 "failures": result.failures,
                 "workers_used": result.processes,
                 "wall_time_s": time.monotonic() - t0,

@@ -18,6 +18,10 @@ own. Process p runs chunks p, p + processes, ... and writes each chunk's
 E_0 and E_F into its slices in place: process 0 is the calling process, the
 others are forked from it. Where the fork start method does not exist, the
 run is serial.
+
+The reductions walk a result in CHUNK_SIZE slices, so none of them makes
+an array as long as the run: delta E, in particular, is formed a slice at
+a time, unless a caller asks for `EnsembleResult.delta`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ RETRY_STRIDE = 1 << 48  # retry k of trial t uses substream t + k * stride
 MAX_FAILURE_RATE = 1e-6
 MAX_RETRIES = 8
 MAX_TRIALS = 10**8
+MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
 DEFAULT_MIN_OCCUPANCY = 100
 
 
@@ -214,6 +219,23 @@ class Histogram:
         return int(_bin_indices(np.array([x]), self.edges)[0])
 
 
+@dataclass(frozen=True, eq=False)
+class DeltaHistogram(Histogram):
+    """The delta E histogram, with the sum of delta E and the number of
+    |delta E| < bin_width / 2, both taken in the same pass."""
+
+    delta_sum: float = 0.0
+    near_zero: int = 0
+
+    @property
+    def mean(self) -> float:
+        return self.delta_sum / self.total
+
+    @property
+    def zero_fraction(self) -> float:
+        return self.near_zero / self.total
+
+
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The one binning rule: bin i holds edges[i] <= x < edges[i + 1], the last
     bin also holds its upper edge, and values beyond either end go to the end bins."""
@@ -222,23 +244,49 @@ def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2, out=idx)
 
 
-def _histogram(values: np.ndarray, lo: float, hi: float, bin_count: int, weights: np.ndarray | None = None) -> Histogram:
-    if bin_count < 2:
-        raise UsageError("bin_count must be >= 2")
-    idx = _bin_indices(values, np.linspace(lo, hi, bin_count + 1))
-    counts = np.bincount(idx, minlength=bin_count).astype(np.int64)
-    sums = None if weights is None else np.bincount(idx, weights=weights, minlength=bin_count)
-    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=int(values.shape[0]), sums=sums)
+def _histogram(total: int, part, lo: float, hi: float, bin_count: int, weighted: bool = False) -> Histogram:
+    """Bin `total` values over [lo, hi] in CHUNK_SIZE slices: part(s) returns
+    the values of slice s and their weights (None unless `weighted`). The
+    per-bin weight sums are added in trial order, so they equal one
+    `bincount` over all the values bit for bit; no temporary is longer
+    than a slice."""
+    require_integer("bin_count", bin_count, 2, MAX_BINS)
+    if total < 1:  # every density would be 0 / 0
+        raise UsageError("cannot bin an empty result")
+    edges = np.linspace(lo, hi, bin_count + 1)
+    counts = np.zeros(bin_count, np.int64)
+    sums = np.zeros(bin_count) if weighted else None
+    for start in range(0, total, CHUNK_SIZE):
+        values, weights = part(slice(start, start + CHUNK_SIZE))
+        if not np.isfinite(values).all() or (weighted and not np.isfinite(weights).all()):
+            raise UsageError(f"cannot bin a non-finite value among trials {start}..{start + len(values) - 1}")
+        idx = _bin_indices(values, edges)
+        np.add.at(counts, idx, 1)  # O(slice), where a bincount would cost O(bin_count) per slice
+        if weighted:
+            np.add.at(sums, idx, weights)
+    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=total, sums=sums)
 
 
-def histogram_delta(result: EnsembleResult, bin_count: int) -> Histogram:
-    """P(delta E) histogram over the fixed range [-1, 1]."""
-    return _histogram(result.delta, -1.0, 1.0, bin_count)
+def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
+    """P(delta E) histogram over the fixed range [-1, 1], with the sum of
+    delta E and its count within half a bin of 0. Delta E is formed one
+    slice at a time, never as a whole array."""
+    delta_sum, near_zero = 0.0, 0
+
+    def delta(s: slice):
+        nonlocal delta_sum, near_zero
+        d = result.ef[s] - result.e0[s]
+        delta_sum += float(d.sum())
+        near_zero += int(np.count_nonzero(np.abs(d) < 2.0 / bin_count / 2.0))  # bin_width / 2
+        return d, None
+
+    h = _histogram(len(result), delta, -1.0, 1.0, bin_count)
+    return DeltaHistogram(h.lo, h.hi, h.bin_count, h.counts, h.total, delta_sum=delta_sum, near_zero=near_zero)
 
 
 def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
     """P(E_0) histogram over [0, 1], the optional companion output."""
-    return _histogram(result.e0, 0.0, 1.0, bin_count)
+    return _histogram(len(result), lambda s: (result.e0[s], None), 0.0, 1.0, bin_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +313,9 @@ class ConditionalProfile:
 
 def conditional_mean(result: EnsembleResult, bin_count: int, min_count: int = DEFAULT_MIN_OCCUPANCY) -> ConditionalProfile:
     """Mean E_F per E_0 bin over [0, 1]: the E_0 histogram weighted by E_F."""
-    if min_count < 1:  # an empty bin would count as occupied, with mean 0 / 0
-        raise UsageError(f"min_count must be >= 1, got {min_count}")
-    hist = _histogram(result.e0, 0.0, 1.0, bin_count, weights=result.ef)
+    # below 1, an empty bin would count as occupied, with mean 0 / 0
+    require_integer("min_count", min_count, 1, MAX_TRIALS)
+    hist = _histogram(len(result), lambda s: (result.e0[s], result.ef[s]), 0.0, 1.0, bin_count, weighted=True)
     mean = np.full(bin_count, np.nan)
     ok = hist.counts >= min_count
     mean[ok] = hist.sums[ok] / hist.counts[ok]

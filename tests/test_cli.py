@@ -220,12 +220,14 @@ def test_golden_csv_bytes(tmp_path, ensemble):
 
 def test_one_reduction_per_axis(tmp_path, monkeypatch):
     """A CLI run bins delta E once and E_0 once (the profile is the E_0
-    histogram with E_F sums), and forms delta E = E_F - E_0 once."""
-    binned, formed = [], []  # bin count of each binning pass; one entry per delta E formed
+    histogram with E_F sums), and forms delta E = E_F - E_0 once, one slice
+    at a time: `EnsembleResult.delta` is never read."""
+    binned, sizes, formed = [], [], []  # bin count and value count of each binning pass; one entry per delta E formed
     bin_indices = experiment._bin_indices
 
     def counted_bin_indices(values, edges):
         binned.append(len(edges) - 1)
+        sizes.append((len(edges) - 1, len(values)))
         return bin_indices(values, edges)
 
     class FinalEoF(np.ndarray):
@@ -245,6 +247,16 @@ def test_one_reduction_per_axis(tmp_path, monkeypatch):
     assert main(argv) == EXIT_OK
     assert binned == [20, 10]
     assert formed == [(2000,)]
+
+    trials = 2 * CHUNK_SIZE + 17  # three slices, the last one short
+    sizes.clear()
+    formed.clear()
+    argv[1] = str(trials)
+    assert main(argv) == EXIT_OK
+    assert sum(n for (n,) in formed) == trials and max(formed) == (CHUNK_SIZE,)
+    for bins in (20, 10):
+        assert sum(n for b, n in sizes if b == bins) == trials
+        assert max(n for b, n in sizes if b == bins) == CHUNK_SIZE
 
 
 def test_writers_linear_in_bins(tmp_path):

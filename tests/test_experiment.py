@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from entlab.experiment import (
     RETRY_STRIDE,
     EnsembleResult,
     EnsembleSpec,
+    _bin_indices,
     _chunk_task,
+    _histogram,
     conditional_mean,
     entanglement_histogram,
     histogram_delta,
@@ -402,6 +405,73 @@ class TestHistogramDelta:
         res = run_ensemble(EnsembleSpec("mixed", 2000, 10))
         h = histogram_delta(res, 50)
         assert h.densities().sum() * h.bin_width == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStreamedReduction:
+    """The histograms walk a result in CHUNK_SIZE slices, with the results of
+    one pass over whole arrays and none of its per-trial temporaries."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 17])
+    def test_matches_one_shot_bincount(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.uniform(-0.1, 1.1, n)  # some beyond either end
+        values[::7] = np.round(values[::7] * 50) / 50  # some on the edges
+        weights = rng.random(n)
+        h = _histogram(n, lambda s: (values[s], weights[s]), 0.0, 1.0, 50, weighted=True)
+        idx = _bin_indices(values, np.linspace(0.0, 1.0, 51))
+        assert h.total == n
+        assert np.array_equal(h.counts, np.bincount(idx, minlength=50))
+        assert h.sums.tobytes() == np.bincount(idx, weights=weights, minlength=50).tobytes()
+
+    def test_delta_statistics_match_whole_arrays(self):
+        rng = np.random.default_rng(3)
+        e0 = rng.random(2 * CHUNK_SIZE + 5)
+        ef = np.where(rng.random(e0.size) < 0.3, e0, rng.random(e0.size))  # some delta E exactly 0
+        res, delta = result(e0, ef), ef - e0
+        for bins in (7, 100):
+            h = histogram_delta(res, bins)
+            assert h.zero_fraction == float(np.mean(np.abs(delta) < h.bin_width / 2.0))
+            assert h.mean == pytest.approx(float(delta.mean()), rel=1e-14, abs=1e-17)
+
+    def test_memory_independent_of_trial_count(self):
+        """2^20 trials reduce in well under the 8 MiB that one whole-length
+        temporary would take."""
+        rng = np.random.default_rng(5)
+        res = result(rng.random(1 << 20), rng.random(1 << 20))
+        tracemalloc.start()
+        try:
+            h = histogram_delta(res, 100)
+            scalars = h.mean, h.zero_fraction
+            conditional_mean(res, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= scalars[1] <= 1.0
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("e0, ef", [([0.1, np.nan], [0.3, 0.4]), ([0.1, 0.2], [np.inf, 0.4])])
+    def test_rejects_non_finite_values(self, e0, ef):
+        """searchsorted sorts NaN last, so it would count in the top bin."""
+        rec = result(e0, ef)
+        with pytest.raises(UsageError, match="non-finite"):
+            histogram_delta(rec, 4)
+        with pytest.raises(UsageError, match="non-finite"):
+            conditional_mean(rec, 4, min_count=1)
+
+    def test_rejects_empty_result(self):
+        rec = result([], [])
+        for reduce in (histogram_delta, entanglement_histogram, conditional_mean):
+            with pytest.raises(UsageError, match="empty"):
+                reduce(rec, 4)
+
+    def test_rejects_non_integer_counts(self):
+        rec = result([0.1], [0.2])
+        with pytest.raises(UsageError, match="bin_count"):
+            histogram_delta(rec, 2.5)
+        with pytest.raises(UsageError, match="bin_count"):
+            entanglement_histogram(rec, 4.0)
+        with pytest.raises(UsageError, match="min_count"):
+            conditional_mean(rec, 3, min_count=1.5)
 
 
 def edge_values(lo: float, bins: int) -> np.ndarray:

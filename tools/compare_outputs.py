@@ -7,18 +7,18 @@ Usage (from the repository root):
 
 PARENT_SRC and CHANGE_SRC are checkouts of the repository or their `src`
 directories. For each configuration in CONFIGS (both ensembles at 50000
-and 200000 trials and `mixed` at 10^6, with the default 100 delta-E and 50
-E_0 bins; and `mixed` at 200000 trials with 7 and 3 bins, for uneven
-delta-E edges, an E_0 bin that sums ~2e5 values and a NaN mean), the CLI
-runs once from each tree, as
-`python3 -m entlab.cli` with that tree on PYTHONPATH, into a temporary
+and 200000 trials, `mixed` at 10^6 and `pure` at 524288, the benchmark's
+peak-memory run, with the default 100 delta-E and 50 E_0 bins; and `mixed`
+at 200000 trials with 7 and 3 bins, for uneven delta-E edges, an E_0 bin
+that sums ~2e5 values and a NaN mean), the CLI runs once from each tree,
+as `python3 -m entlab.cli` with that tree on PYTHONPATH, into a temporary
 directory. The script prints, per configuration, whether each CSV is
 byte-identical, and the largest relative difference between the means in
 the two `summary.json` files (they may move in their last digits when the
-kernels' rounding does). It also prints each run's peak memory (max RSS)
-and minor page faults, parent first, as `os.wait4` reports them for the CLI
-process and the workers it forked; they are for reading only. It exits 1 if
-any CSV differs and 2 if a run fails.
+kernels' rounding does, or the order of a sum). It also prints each run's
+peak memory (max RSS) and minor page faults, parent first, as `os.wait4`
+reports them for the CLI process and the workers it forked; they are for
+reading only. It exits 1 if any CSV differs and 2 if a run fails.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ CONFIGS = (
     ("pure", 200_000, 100, 50),
     ("mixed", 200_000, 100, 50),
     ("mixed", 1_000_000, 100, 50),
+    ("pure", 524_288, 100, 50),
     ("mixed", 200_000, 7, 3),
 )
 CSV_FILES = ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv")
