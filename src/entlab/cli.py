@@ -37,9 +37,10 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import NumericError, ResourceError, UsageError
+from .errors import NumericError, ResourceError, UsageError, require_integer
 from .experiment import (
     MAX_BINS,
+    MAX_TRIALS,
     ConditionalProfile,
     EnsembleSpec,
     Histogram,
@@ -102,11 +103,9 @@ def _build_parser() -> _Parser:
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse flags into a validated RunConfig; raises UsageError on bad input."""
     ns = _build_parser().parse_args(argv)
-    if ns.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    for flag, bins in (("--delta-bins", ns.delta_bins), ("--e0-bins", ns.e0_bins)):
-        if not 2 <= bins <= MAX_BINS:
-            raise UsageError(f"{flag} must lie in [2, {MAX_BINS}], got {bins}")
+    require_integer("--trials", ns.trials, 1, MAX_TRIALS)
+    require_integer("--delta-bins", ns.delta_bins, 2, MAX_BINS)
+    require_integer("--e0-bins", ns.e0_bins, 2, MAX_BINS)
     if ns.workers == "auto":
         workers = available_cpus()
     else:
@@ -228,14 +227,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _keep_freed_memory()
+        return execute(config)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    _keep_freed_memory()
-    try:
-        return execute(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,8 +6,8 @@ rank-1 factor (k = 1, a unit state vector) takes the closed form 2|ad - bc|
 (Wootters, PRL 80, 2245, 1998); any other factor one 4x4 SVD in
 `factor_lambdas`. `concurrence_batch` takes density matrices, which
 `linalg.psd_factor` factors first; the validated scalar `concurrence`/`eof`
-put one density matrix through the same factor and SVD. `binary_entropy`
-and `eof_from_concurrence` are elementwise.
+are `concurrence_batch` on a stack of one, returned as floats.
+`binary_entropy` and `eof_from_concurrence` are elementwise.
 
 Before the SVD, `factor_concurrence` screens out separable states: a
 two-qubit state is entangled if and only if det(rho^Gamma) < 0, rho^Gamma
@@ -20,8 +20,6 @@ Sanpera & Lewenstein, PRA 58, 883, 1998).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +43,6 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_SIGNS = (1, -1, 1, 1, -1, 1)
 # rho^Gamma[i, j] = rho[_PARTIAL_TRANSPOSE[i][j]], i = 2a + b: rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)]
 _PARTIAL_TRANSPOSE = [[(2 * (i >> 1) + (j & 1), 2 * (j >> 1) + (i & 1)) for j in range(4)] for i in range(4)]
-
-
-@dataclass(frozen=True)
-class ConcurrenceReport:
-    """Spectrum-level output of the concurrence computation.
-
-    lambdas are the square roots, non-increasing, of the eigenvalues of
-    rho @ rho_tilde; concurrence = max(0, l1 - l2 - l3 - l4); eof is the
-    binary-entropy function of the concurrence.
-    """
-
-    lambdas: np.ndarray
-    concurrence: float
-    eof: float
 
 
 def rho_tilde(rho: DensityMatrix) -> np.ndarray:
@@ -175,14 +159,11 @@ def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
     return factor_concurrence(psd_factor(rhos))
 
 
-def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
+def concurrence(rho: DensityMatrix) -> float:
     """Concurrence of one validated state: a stack-of-one kernel call."""
-    lambdas = factor_lambdas(psd_factor(rho.matrix[None]))[0]
-    c = float(concurrence_from_lambdas(lambdas))
-    return ConcurrenceReport(lambdas=lambdas, concurrence=c, eof=float(eof_from_concurrence(c)))
+    return float(concurrence_batch(rho.matrix[None])[0])
 
 
 def eof(rho: DensityMatrix) -> float:
-    """Entanglement of formation of an arbitrary two-qubit state, in [0, 1]."""
-    return concurrence(rho).eof
-
+    """Entanglement of formation of one validated state, in [0, 1]."""
+    return float(eof_from_concurrence(concurrence(rho)))

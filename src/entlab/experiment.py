@@ -26,6 +26,7 @@ a time, unless a caller asks for `EnsembleResult.delta`.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ MAX_FAILURE_RATE = 1e-6
 MAX_RETRIES = 8
 MAX_TRIALS = 10**8
 MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
-DEFAULT_MIN_OCCUPANCY = 100
+MIN_OCCUPANCY = 100  # samples an E_0 bin needs for its mean E_F to be reported
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     """Run the full ensemble; the result is a deterministic function of the
     spec alone, regardless of `workers`."""
+    require_integer("workers", workers, 1, math.inf)
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
     processes = max(1, min(workers, len(tasks), available_cpus()))
     if processes > 1:
@@ -221,19 +223,11 @@ class Histogram:
 
 @dataclass(frozen=True, eq=False)
 class DeltaHistogram(Histogram):
-    """The delta E histogram, with the sum of delta E and the number of
+    """The delta E histogram, with the mean of delta E and the fraction of
     |delta E| < bin_width / 2, both taken in the same pass."""
 
-    delta_sum: float = 0.0
-    near_zero: int = 0
-
-    @property
-    def mean(self) -> float:
-        return self.delta_sum / self.total
-
-    @property
-    def zero_fraction(self) -> float:
-        return self.near_zero / self.total
+    mean: float = 0.0
+    zero_fraction: float = 0.0
 
 
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -281,7 +275,9 @@ def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
         return d, None
 
     h = _histogram(len(result), delta, -1.0, 1.0, bin_count)
-    return DeltaHistogram(h.lo, h.hi, h.bin_count, h.counts, h.total, delta_sum=delta_sum, near_zero=near_zero)
+    return DeltaHistogram(
+        h.lo, h.hi, h.bin_count, h.counts, h.total, mean=delta_sum / h.total, zero_fraction=near_zero / h.total
+    )
 
 
 def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -294,29 +290,26 @@ class ConditionalProfile:
     """Per-bin mean of final EoF conditioned on binned initial EoF.
 
     `hist` is the E_0 histogram over [0, 1], with the per-bin sums of E_F.
-    Bins with fewer than `min_count` samples carry mean NaN and are excluded
-    from the occupied mask.
+    Bins with fewer than MIN_OCCUPANCY samples carry mean NaN and are
+    excluded from the occupied mask.
     """
 
     hist: Histogram
     mean_ef: np.ndarray
-    min_count: int
 
     @property
     def occupied(self) -> np.ndarray:
-        return self.hist.counts >= self.min_count
+        return self.hist.counts >= MIN_OCCUPANCY
 
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.hist.edges[:-1] + self.hist.edges[1:])
 
 
-def conditional_mean(result: EnsembleResult, bin_count: int, min_count: int = DEFAULT_MIN_OCCUPANCY) -> ConditionalProfile:
+def conditional_mean(result: EnsembleResult, bin_count: int) -> ConditionalProfile:
     """Mean E_F per E_0 bin over [0, 1]: the E_0 histogram weighted by E_F."""
-    # below 1, an empty bin would count as occupied, with mean 0 / 0
-    require_integer("min_count", min_count, 1, MAX_TRIALS)
     hist = _histogram(len(result), lambda s: (result.e0[s], result.ef[s]), 0.0, 1.0, bin_count, weighted=True)
     mean = np.full(bin_count, np.nan)
-    ok = hist.counts >= min_count
+    ok = hist.counts >= MIN_OCCUPANCY
     mean[ok] = hist.sums[ok] / hist.counts[ok]
-    return ConditionalProfile(hist=hist, mean_ef=mean, min_count=min_count)
+    return ConditionalProfile(hist=hist, mean_ef=mean)

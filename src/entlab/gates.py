@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .linalg import as_matrix, kron, max_abs, sum_rows
+from .linalg import as_matrix, max_abs, sum_rows
 from .qstate import DensityMatrix
 
 UNITARY_TOL = 1e-12
@@ -33,10 +33,6 @@ class UnitaryGate:
         if dev > UNITARY_TOL:
             raise UsageError(f"matrix is not unitary: max deviation {dev:.3e}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +56,7 @@ def circuit() -> UnitaryGate:
 
     Maps each product basis state to a Bell state.
     """
-    h2 = kron(hadamard().matrix, np.eye(2, dtype=complex))
-    return UnitaryGate(cnot().matrix @ h2)
+    return UnitaryGate(cnot().matrix @ np.kron(hadamard().matrix, np.eye(2)))
 
 
 def apply_to_factors(gate: UnitaryGate, w: np.ndarray) -> np.ndarray:
@@ -82,7 +77,7 @@ def apply(gate: UnitaryGate, rho: DensityMatrix) -> DensityMatrix:
     before revalidation, so repeated applications keep downstream
     eigensolver preconditions intact.
     """
-    if gate.dim != 4:
+    if gate.matrix.shape != (4, 4):
         raise UsageError("apply needs a 4x4 gate")
     out = gate.matrix @ rho.matrix @ gate.matrix.conj().T
     out = 0.5 * (out + out.conj().T)

@@ -1,9 +1,8 @@
 """Dense complex matrix helpers for 2x2 and 4x4 Hermitian problems.
 
 Matrices are plain complex ndarrays; the functions here add the validation
-and the small set of operations the rest of the package needs: Kronecker
-products, the max-entry norm (`max_abs`), row sums in a fixed order
-(`sum_rows`), the roundoff clamp on a spectrum (`clamp_spectrum`) and the
+and the small set of operations the rest of the package needs: the
+max-entry norm (`max_abs`), row sums in a fixed order (`sum_rows`) and the
 stacked PSD factor. Only `psd_factor` calls LAPACK (numpy's `eigh`).
 """
 
@@ -36,12 +35,6 @@ def as_matrix(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices; the first factor acts on the
-    first (control) qubit, basis ordering |00>,|01>,|10>,|11>."""
-    return np.kron(as_matrix(a, dim=2), as_matrix(b, dim=2))
-
-
 def max_abs(a) -> float:
     """Largest entry modulus; the max-entry norm used by tolerance checks."""
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
@@ -58,21 +51,16 @@ def sum_rows(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def clamp_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues that are roundoff noise on a rank-deficient
-    spectrum: anything below a small relative multiple of the largest
-    eigenvalue. Keeps sqrt(w) free of spurious sqrt(machine-eps) values."""
-    floor = 64.0 * np.finfo(float).eps * np.max(np.abs(w), axis=-1, keepdims=True)
-    return np.where(w < floor, 0.0, w)
-
-
 def psd_factor(a: np.ndarray) -> np.ndarray:
     """A factor F with F F^dag = A for each matrix in a (..., n, n) PSD stack:
-    eigh, then `clamp_spectrum`, then V diag(sqrt(w)).
+    eigh, then V diag(sqrt(w)). Eigenvalues below a small relative multiple
+    of the largest are roundoff on a rank-deficient spectrum; they are zeroed
+    first, so F has no spurious sqrt(machine-eps) columns.
 
     No validation: callers pass density matrices, PSD by construction, so
     the clamp only removes roundoff (a negative eigenvalue of any size is
     zeroed, not reported).
     """
     w, v = np.linalg.eigh(a)
-    return v * np.sqrt(clamp_spectrum(w))[..., None, :]
+    floor = 64.0 * np.finfo(float).eps * np.max(np.abs(w), axis=-1, keepdims=True)
+    return v * np.sqrt(np.where(w < floor, 0.0, w))[..., None, :]

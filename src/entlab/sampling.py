@@ -30,13 +30,12 @@ from typing import Literal
 import numpy as np
 
 from . import ziggurat_tables
-from .errors import UsageError, require_integer
+from .errors import require_integer
 from .gates import UnitaryGate
 from .linalg import sum_rows
 
 Kind = Literal["pure", "mixed"]
 
-SIMPLEX_SUM_TOL = 1e-12
 DRAW_RECORD = {  # the raw numbers of one trial, per kind, in draw order
     "pure": np.dtype([("normals", float, (2, 4))]),
     "mixed": np.dtype([("normals", float, (2, 4, 4)), ("uniforms", float, 3)]),
@@ -86,21 +85,6 @@ class RandomStream:
             key = np.array([self.seed, self.stream_index], dtype=np.uint64)
             object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox(key=key)))
         return self._gen
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexPoint:
-    """Four weights on the probability simplex: each in [0, 1], summing to 1."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
-        if lam.shape != (4,):
-            raise UsageError(f"simplex point needs 4 weights, got {lam.shape}")
-        if lam.min() < 0.0 or lam.max() > 1.0 or abs(lam.sum() - 1.0) > SIMPLEX_SUM_TOL:
-            raise UsageError("weights must lie in [0,1] and sum to 1")
-        object.__setattr__(self, "lambdas", lam)
 
 
 def draw(kind: Kind, rng: RandomStream) -> tuple[np.ndarray, ...]:
@@ -368,6 +352,6 @@ def haar_unitary(rng: RandomStream) -> UnitaryGate:
     return UnitaryGate(haar_unitaries(_complex(rng.generator.standard_normal((1, 2, 4, 4))))[0])
 
 
-def simplex_point(rng: RandomStream) -> SimplexPoint:
-    """Uniform point on the 3-simplex via sorted-uniform spacings."""
-    return SimplexPoint(simplex_spacings(rng.generator.random((1, 3)))[0])
+def simplex_point(rng: RandomStream) -> np.ndarray:
+    """Uniform point on the 3-simplex via sorted-uniform spacings, as a (4,) array."""
+    return simplex_spacings(rng.generator.random((1, 3)))[0]

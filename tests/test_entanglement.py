@@ -20,6 +20,7 @@ from entlab.entanglement import (
     rho_tilde,
 )
 from entlab.errors import UsageError
+from entlab.linalg import psd_factor
 from entlab.qstate import DensityMatrix, PureState, densify, ket
 from entlab.gates import circuit
 from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, sample_chunk
@@ -103,9 +104,9 @@ def assert_kernel_matches_definition(rhos: np.ndarray, tol: float) -> None:
     assert np.max(np.abs(concurrence_batch(rhos) - c_def)) <= tol
     assert np.max(np.abs(density_eof(rhos) - definition_eof(c_def))) <= tol
     for i in range(0, len(rhos), 10):
-        rep = concurrence(DensityMatrix(0.5 * (rhos[i] + rhos[i].conj().T)))
-        assert rep.concurrence == pytest.approx(c_def[i], abs=tol)
-        assert rep.eof == pytest.approx(definition_eof(c_def[i]), abs=tol)
+        rho = DensityMatrix(0.5 * (rhos[i] + rhos[i].conj().T))
+        assert concurrence(rho) == pytest.approx(c_def[i], abs=tol)
+        assert eof(rho) == pytest.approx(definition_eof(c_def[i]), abs=tol)
 
 
 class TestRhoTilde:
@@ -157,24 +158,22 @@ class TestBinaryEntropy:
 
 class TestConcurrence:
     def test_maximally_mixed(self):
-        assert concurrence(DensityMatrix(I4 / 4)).concurrence == 0.0
+        assert concurrence(DensityMatrix(I4 / 4)) == 0.0
 
     def test_bell_state(self):
-        rep = concurrence(densify(PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))))
-        assert rep.concurrence == pytest.approx(1.0, abs=1e-9)
-        assert rep.eof == pytest.approx(1.0, abs=1e-9)
+        rho = densify(PureState(np.array([1, 0, 0, 1]) / np.sqrt(2)))
+        assert concurrence(rho) == pytest.approx(1.0, abs=1e-9)
+        assert eof(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
-        assert concurrence(densify(ket("00"))).concurrence == 0.0
+        assert concurrence(densify(ket("00"))) == 0.0
 
     def test_werner_half(self):
-        rep = concurrence(werner(0.5))
-        assert rep.concurrence == pytest.approx(0.25, abs=1e-9)
+        assert concurrence(werner(0.5)) == pytest.approx(0.25, abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.0, 0.2, 1 / 3 - 1e-6, 1 / 3, 1 / 3 + 1e-6, 0.5, 0.8, 1.0])
     def test_werner_family_closed_form(self, x):
-        rep = concurrence(werner(x))
-        assert rep.concurrence == pytest.approx(werner_concurrence_closed_form(x), abs=1e-9)
+        assert concurrence(werner(x)) == pytest.approx(werner_concurrence_closed_form(x), abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0])
     def test_werner_closed_form_against_brute_force(self, x):
@@ -184,14 +183,22 @@ class TestConcurrence:
 
     def test_report_invariants(self):
         for rho in mixed_states(22, 200):
-            rep = concurrence(rho)
-            lam = rep.lambdas
+            lam = factor_lambdas(psd_factor(rho.matrix))
+            c, e = concurrence(rho), eof(rho)
             assert np.all(np.diff(lam) <= 0)
             assert lam.min() >= 0.0
-            assert rep.concurrence == pytest.approx(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), abs=1e-10)
-            assert rep.eof == pytest.approx(eof_from_concurrence(rep.concurrence), abs=1e-10)
-            assert 0.0 <= rep.concurrence <= 1.0
-            assert 0.0 <= rep.eof <= 1.0
+            assert c == pytest.approx(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), abs=1e-10)
+            assert e == pytest.approx(eof_from_concurrence(c), abs=1e-10)
+            assert 0.0 <= c <= 1.0
+            assert 0.0 <= e <= 1.0
+
+    def test_scalar_is_a_stack_of_one(self):
+        """The scalar functions give the batched kernel's values bit for bit."""
+        states = mixed_states(22, 200)
+        rhos = np.array([rho.matrix for rho in states])
+        c, e = concurrence_batch(rhos), factor_eof(psd_factor(rhos))
+        assert [concurrence(rho) for rho in states] == c.tolist()
+        assert [eof(rho) for rho in states] == e.tolist()
 
 
 class TestEof:
@@ -215,8 +222,7 @@ class TestEof:
 
     def test_zero_iff_zero_concurrence(self):
         for rho in mixed_states(23, 100):
-            rep = concurrence(rho)
-            assert (rep.eof <= 1e-10) == (rep.concurrence <= 1e-10)
+            assert (eof(rho) <= 1e-10) == (concurrence(rho) <= 1e-10)
 
 
 class TestPureOracle:
@@ -234,7 +240,7 @@ class TestPureOracle:
         psi = PureState(np.array([0.6, 0.0, 0.0, 0.8]))
         a, b, c, d = psi.amplitudes
         assert 2 * abs(a * d - b * c) == pytest.approx(0.96, abs=1e-12)
-        assert concurrence(densify(psi)).concurrence == pytest.approx(0.96, abs=1e-9)
+        assert concurrence(densify(psi)) == pytest.approx(0.96, abs=1e-9)
 
     def test_agrees_with_spectral_route(self):
         states = pure_states(24, 10_000)

@@ -13,6 +13,7 @@ from entlab.entanglement import eof_from_concurrence
 from entlab.errors import NumericError, ResourceError, UsageError
 from entlab.experiment import (
     CHUNK_SIZE,
+    MIN_OCCUPANCY,
     RETRY_STRIDE,
     EnsembleResult,
     EnsembleSpec,
@@ -113,9 +114,11 @@ class TestEnsembleSpec:
             with pytest.raises(UsageError, match="seed"):
                 EnsembleSpec("pure", 10, seed)
 
-    @pytest.mark.parametrize("trials,seed", [(100, 1.7), (10.5, 1), (100, 2.0), (np.float64(10), 1), (100, "3")])
+    @pytest.mark.parametrize(
+        "trials,seed", [(100, 1.7), (10.5, 1), (100, 2.0), (np.float64(10), 1), (100, "3"), (True, 1), (100, True)]
+    )
     def test_rejects_non_integers(self, trials, seed):
-        # as RandomStream does: a whole float would run, and a fraction fail deep inside the run
+        # as RandomStream does: a whole float or a bool would run, and a fraction fail deep inside the run
         with pytest.raises(UsageError, match="must be an integer in"):
             EnsembleSpec("pure", trials, seed)
 
@@ -182,6 +185,13 @@ class TestRunEnsemble:
         res = run_ensemble(spec, workers=2)
         assert res.processes == 1
         assert np.array_equal(res.e0, serial.e0) and np.array_equal(res.ef, serial.ef)
+
+    @pytest.mark.parametrize("workers", [2.5, 0, -3, True, "2"])
+    def test_rejects_bad_workers(self, monkeypatch, workers):
+        # with CPUs to spare, 2.5 reached the shared mapping's size as a float, and -3 ran serially
+        monkeypatch.setattr(experiment, "available_cpus", lambda: 8)
+        with pytest.raises(UsageError, match="workers must be an integer in"):
+            run_ensemble(EnsembleSpec("pure", 40_000, 5), workers=workers)
 
     def test_matches_scalar_trials(self):
         res = run_ensemble(EnsembleSpec("mixed", 64, 6))
@@ -456,7 +466,7 @@ class TestStreamedReduction:
         with pytest.raises(UsageError, match="non-finite"):
             histogram_delta(rec, 4)
         with pytest.raises(UsageError, match="non-finite"):
-            conditional_mean(rec, 4, min_count=1)
+            conditional_mean(rec, 4)
 
     def test_rejects_empty_result(self):
         rec = result([], [])
@@ -470,8 +480,6 @@ class TestStreamedReduction:
             histogram_delta(rec, 2.5)
         with pytest.raises(UsageError, match="bin_count"):
             entanglement_histogram(rec, 4.0)
-        with pytest.raises(UsageError, match="min_count"):
-            conditional_mean(rec, 3, min_count=1.5)
 
 
 def edge_values(lo: float, bins: int) -> np.ndarray:
@@ -498,7 +506,7 @@ class TestBinRule:
                 rec = result([x], [x])
                 h = entanglement_histogram(rec, bins)
                 assert h.counts[h.bin_index(x)] == 1, (bins, x)
-                assert conditional_mean(rec, bins, min_count=1).hist.counts[h.bin_index(x)] == 1, (bins, x)
+                assert conditional_mean(rec, bins).hist.counts[h.bin_index(x)] == 1, (bins, x)
 
 
 class TestEntanglementHistogram:
@@ -516,12 +524,12 @@ class TestEntanglementHistogram:
 
 class TestConditionalMean:
     def test_all_mass_in_first_bin(self):
-        prof = conditional_mean(result([0.0] * 5, [1.0] * 5), 10, min_count=1)
+        prof = conditional_mean(result([0.0] * MIN_OCCUPANCY, [1.0] * MIN_OCCUPANCY), 10)
         assert prof.mean_ef[0] == pytest.approx(1.0)
         assert np.all(np.isnan(prof.mean_ef[1:]))
 
     def test_occupancy_threshold(self):
-        prof = conditional_mean(result([0.0] * 99, [0.5] * 99), 10, min_count=100)
+        prof = conditional_mean(result([0.0] * (MIN_OCCUPANCY - 1), [0.5] * (MIN_OCCUPANCY - 1)), 10)
         assert not prof.occupied[0]
         assert np.isnan(prof.mean_ef[0])
 
@@ -529,12 +537,6 @@ class TestConditionalMean:
         with pytest.raises(UsageError):
             conditional_mean(result([0.0], [0.0]), 1)
 
-    @pytest.mark.parametrize("min_count", [0, -1])
-    def test_rejects_min_count_below_one(self, min_count):
-        """Below 1, an empty bin would count as occupied, with mean 0 / 0."""
-        with pytest.raises(UsageError, match="min_count"):
-            conditional_mean(result([0.0] * 5, [1.0] * 5), 10, min_count=min_count)
-
     def test_top_edge_lands_in_last_bin(self):
-        prof = conditional_mean(result([1.0], [0.2]), 10, min_count=1)
+        prof = conditional_mean(result([1.0], [0.2]), 10)
         assert prof.hist.counts[-1] == 1

@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import eof
 from entlab.errors import UsageError
 from entlab.gates import UnitaryGate, apply, apply_to_factors, circuit, cnot, hadamard
-from entlab.linalg import kron, max_abs
+from entlab.linalg import max_abs
 from entlab.qstate import DensityMatrix, densify, ket
 from entlab.sampling import sample_chunk
 
@@ -59,7 +59,7 @@ class TestCnot:
 
 class TestCircuit:
     def test_is_cnot_after_hadamard_on_control(self):
-        expected = cnot().matrix @ kron(hadamard().matrix, I2)
+        expected = cnot().matrix @ np.kron(hadamard().matrix, I2)
         assert np.array_equal(circuit().matrix, expected)
 
     def test_unitary(self):
@@ -135,8 +135,8 @@ class TestHadamardConventionRobustness:
 
     def test_entanglement_statistics_identical(self):
         h_a = (SX + SZ) * INV_SQRT2
-        alt_circuit = UnitaryGate(cnot().matrix @ kron(h_a, I2))
-        flip = kron(SX, I2)
+        alt_circuit = UnitaryGate(cnot().matrix @ np.kron(h_a, I2))
+        flip = np.kron(SX, I2)
         for rho in mixed_states(13, 1000):
             rho_flipped = DensityMatrix(flip @ rho.matrix @ flip)
             ef_alt = eof(apply(alt_circuit, rho_flipped))

@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import SIGMA_Y
 from entlab.errors import UsageError
 from entlab.gates import circuit, cnot, hadamard
-from entlab.linalg import as_matrix, kron, max_abs, psd_factor
+from entlab.linalg import as_matrix, max_abs, psd_factor
 
 from conftest import mixed_matrices
 
@@ -20,7 +20,7 @@ class TestMatmul:
     """Products of the package's matrices, taken with `@` on validated operands."""
 
     def test_yy_involution(self):
-        yy = kron(SIGMA_Y, SIGMA_Y)
+        yy = np.kron(SIGMA_Y, SIGMA_Y)
         assert np.allclose(yy @ yy, I4)
 
     def test_cnot_involution(self):
@@ -35,7 +35,7 @@ class TestMatmul:
         # products of Kronecker factors regroup: (a x b)(c x d) = (ac) x (bd)
         for _ in range(50):
             a, b, c, d = (random_matrix(rng, 2) for _ in range(4))
-            assert max_abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)) <= 1e-10
+            assert max_abs(np.kron(a, b) @ np.kron(c, d) - np.kron(a @ c, b @ d)) <= 1e-10
 
 
 class TestAdjoint:
@@ -49,31 +49,29 @@ class TestAdjoint:
 
 
 class TestKron:
+    """`np.kron`, with which `gates.circuit` builds H (x) I: the first factor
+    acts on the first (control) qubit, basis order |00>, |01>, |10>, |11>."""
+
     def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
+        assert np.array_equal(np.kron(I2, I2), I4)
 
     def test_sigma_y_pair(self):
         # hand expansion: anti-diagonal (-1, 1, 1, -1) from the top-right corner
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = expected[3, 0] = -1.0
         expected[1, 2] = expected[2, 1] = 1.0
-        assert np.allclose(kron(SIGMA_Y, SIGMA_Y), expected, atol=1e-15)
+        assert np.allclose(np.kron(SIGMA_Y, SIGMA_Y), expected, atol=1e-15)
 
     def test_sigma_y_pair_spectrum(self):
-        values = np.linalg.eigvalsh(kron(SIGMA_Y, SIGMA_Y))
+        values = np.linalg.eigvalsh(np.kron(SIGMA_Y, SIGMA_Y))
         assert np.allclose(values, [-1, -1, 1, 1], atol=1e-12)
 
     def test_bilinearity(self, rng):
         for _ in range(50):
             a, b, c = (random_matrix(rng, 2) for _ in range(3))
-            lhs = kron(a + b, c)
-            rhs = kron(a, c) + kron(b, c)
+            lhs = np.kron(a + b, c)
+            rhs = np.kron(a, c) + np.kron(b, c)
             assert max_abs(lhs - rhs) <= 1e-12
-
-    def test_rejects_4x4(self):
-        with pytest.raises(UsageError):
-            kron(I4, I2)
-
 
 def gram(f: np.ndarray) -> np.ndarray:
     return f @ f.conj().swapaxes(-1, -2)
