@@ -2,8 +2,10 @@
 
 Each run writes into one directory: delta_hist.csv, conditional_mean.csv,
 e0_hist.csv (one file per figure-style output) and summary.json. The files
-are written in a temporary directory beside it and moved in only once all
-are written, summary.json last. Exit statuses: 0 success, 1 usage, 2 I/O
+are written in a temporary directory beside it. Once all are written, the
+outputs of any format the run does not write are removed from the
+directory and the new files moved in, summary.json last, so the directory
+then holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
 failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
 a worker process killed, as by the kernel's out-of-memory killer).
 
@@ -34,10 +36,9 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import NumericError, ResourceError, UsageError, require_integer
+from .errors import Frozen, NumericError, ResourceError, UsageError, require_integer
 from .experiment import (
     MAX_BINS,
     MAX_TRIALS,
@@ -52,6 +53,8 @@ from .experiment import (
 from .experiment import entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
+# the files a run writes, per format
+OUTPUT_NAMES = {"csv": ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"), "json": ("summary.json",)}
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets
 _M_TRIM_THRESHOLD = -1
@@ -66,16 +69,14 @@ EXIT_NUMERIC = 3
 EXIT_RESOURCES = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    ensemble: str
-    trials: int
-    seed: int
-    delta_bins: int
-    e0_bins: int
-    workers: int
-    output_dir: str
-    formats: tuple[str, ...]
+class RunConfig(Frozen):
+    """One run's settings, as `parse_args` validates them. `vars(config)`
+    lists the fields in this order, which `summary.json` echoes."""
+
+    def __init__(self, ensemble: str, trials: int, seed: int, delta_bins: int, e0_bins: int, workers: int,
+                 output_dir: str, formats: tuple[str, ...]):
+        self._set(ensemble=ensemble, trials=trials, seed=seed, delta_bins=delta_bins, e0_bins=e0_bins,
+                  workers=workers, output_dir=output_dir, formats=formats)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,7 +202,7 @@ def execute(config: RunConfig) -> int:
             _write_profile_csv(tmp / "conditional_mean.csv", profile)
         if "json" in config.formats:
             summary = {
-                "config": {**asdict(config), "formats": list(config.formats)},
+                "config": {**vars(config), "formats": list(config.formats)},
                 "mean_e0": float(result.e0.mean()),
                 "mean_ef": float(result.ef.mean()),
                 "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass
@@ -211,6 +212,10 @@ def execute(config: RunConfig) -> int:
                 "wall_time_s": time.monotonic() - t0,
             }
             (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        stale = [name for fmt, names in OUTPUT_NAMES.items() if fmt not in config.formats for name in names]
+        for name in stale:  # a previous run's outputs, which this run's set lacks
+            with contextlib.suppress(FileNotFoundError):
+                (out / name).unlink()
         for path in sorted(tmp.iterdir(), key=lambda p: p.name == "summary.json"):
             os.replace(path, out / path.name)
         created = []  # the run succeeded: keep the directories it made

@@ -21,11 +21,15 @@ Sanpera & Lewenstein, PRA 58, 883, 1998).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import UsageError
 from .linalg import psd_factor, sum_rows
-from .qstate import DensityMatrix
+
+if TYPE_CHECKING:
+    from .qstate import DensityMatrix
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)  # real: antidiag(-1, 1, 1, -1)

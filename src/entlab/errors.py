@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, the integer check that raises
+one, and `Frozen`, the base of the package's value classes."""
 
 import numbers
 
@@ -22,3 +23,20 @@ def require_integer(name: str, value, low: int, high: int) -> None:
     pass for 0 or 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
         raise UsageError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+class Frozen:
+    """Base of the package's value classes: `__init__` checks its arguments
+    and stores them with `_set`, in the order of its parameters, and
+    assigning or deleting an attribute afterwards raises AttributeError. A
+    `functools.cached_property` still caches, as it writes the instance's
+    `__dict__` directly. Equality is identity unless a subclass defines it."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of frozen {type(self).__name__}")

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .entanglement import eof  # noqa: F401 - looked up here by bench/tracer.py
 from .entanglement import factor_eof as eof_batch  # under the name bench/tracer.py wraps
-from .errors import NumericError, ResourceError, UsageError, require_integer
+from .errors import Frozen, NumericError, ResourceError, UsageError, require_integer
 from .gates import apply_to_factors, circuit
 from .sampling import Kind, RandomStream, haar_phase_fix, pure_state_vector  # noqa: F401 - the last three for bench/tracer.py
 from .sampling import sample_chunk as _sample_chunk  # under the name bench/tracer.py wraps
@@ -50,30 +49,23 @@ MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays
 MIN_OCCUPANCY = 100  # samples an E_0 bin needs for its mean E_F to be reported
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Frozen):
     """One surveyed population: which measure, how many trials, which seed."""
 
-    kind: Kind
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in ("pure", "mixed"):
-            raise UsageError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-        require_integer("trials", self.trials, 1, MAX_TRIALS)  # the cap is a memory guard
-        require_integer("seed", self.seed, 0, (1 << 64) - 1)
+    def __init__(self, kind: Kind, trials: int, seed: int):
+        if kind not in ("pure", "mixed"):
+            raise UsageError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+        require_integer("trials", trials, 1, MAX_TRIALS)  # the cap is a memory guard
+        require_integer("seed", seed, 0, (1 << 64) - 1)
+        self._set(kind=kind, trials=trials, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
+class EnsembleResult(Frozen):
     """Per-trial initial and final EoF as flat arrays, and the processes used.
     `delta`, E_F - E_0, is formed on first use and kept."""
 
-    e0: np.ndarray
-    ef: np.ndarray
-    failures: int = 0
-    processes: int = 1
+    def __init__(self, e0: np.ndarray, ef: np.ndarray, failures: int = 0, processes: int = 1):
+        self._set(e0=e0, ef=ef, failures=failures, processes=processes)
 
     @cached_property
     def delta(self) -> np.ndarray:
@@ -193,17 +185,14 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(Frozen):
     """Fixed-range binned counts, and per-bin sums of the weights where
     some were binned; density = count / (total * bin width)."""
 
-    lo: float
-    hi: float
-    bin_count: int
-    counts: np.ndarray
-    total: int
-    sums: np.ndarray | None = None
+    def __init__(
+        self, lo: float, hi: float, bin_count: int, counts: np.ndarray, total: int, sums: np.ndarray | None = None
+    ):
+        self._set(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=total, sums=sums)
 
     @property
     def bin_width(self) -> float:
@@ -221,13 +210,13 @@ class Histogram:
         return int(_bin_indices(np.array([x]), self.edges)[0])
 
 
-@dataclass(frozen=True, eq=False)
 class DeltaHistogram(Histogram):
     """The delta E histogram, with the mean of delta E and the fraction of
     |delta E| < bin_width / 2, both taken in the same pass."""
 
-    mean: float = 0.0
-    zero_fraction: float = 0.0
+    def __init__(self, *histogram, mean: float = 0.0, zero_fraction: float = 0.0):
+        super().__init__(*histogram)
+        self._set(mean=mean, zero_fraction=zero_fraction)
 
 
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -285,8 +274,7 @@ def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
     return _histogram(len(result), lambda s: (result.e0[s], None), 0.0, 1.0, bin_count)
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalProfile:
+class ConditionalProfile(Frozen):
     """Per-bin mean of final EoF conditioned on binned initial EoF.
 
     `hist` is the E_0 histogram over [0, 1], with the per-bin sums of E_F.
@@ -294,8 +282,8 @@ class ConditionalProfile:
     excluded from the occupied mask.
     """
 
-    hist: Histogram
-    mean_ef: np.ndarray
+    def __init__(self, hist: Histogram, mean_ef: np.ndarray):
+        self._set(hist=hist, mean_ef=mean_ef)
 
     @property
     def occupied(self) -> np.ndarray:

@@ -9,30 +9,29 @@ first (control) qubit, which carries the product basis onto the Bell basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import Frozen, NumericError, UsageError
 from .linalg import as_matrix, max_abs, sum_rows
-from .qstate import DensityMatrix
+
+if TYPE_CHECKING:
+    from .qstate import DensityMatrix
 
 UNITARY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryGate:
+class UnitaryGate(Frozen):
     """A unitary matrix, checked to satisfy U^dag U = I within 1e-12."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
+    def __init__(self, matrix):
+        m = as_matrix(matrix)
         dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
         if dev > UNITARY_TOL:
             raise UsageError(f"matrix is not unitary: max deviation {dev:.3e}")
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +76,8 @@ def apply(gate: UnitaryGate, rho: DensityMatrix) -> DensityMatrix:
     before revalidation, so repeated applications keep downstream
     eigensolver preconditions intact.
     """
+    from .qstate import DensityMatrix  # a run does not pay for the import
+
     if gate.matrix.shape != (4, 4):
         raise UsageError("apply needs a 4x4 gate")
     out = gate.matrix @ rho.matrix @ gate.matrix.conj().T

@@ -6,11 +6,9 @@ qubit acting as control for the CNOT gate and target of the Hadamard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import UsageError
+from .errors import Frozen, UsageError
 from .linalg import HERMITIAN_TOL, as_matrix, max_abs
 
 NORM_TOL = 1e-10
@@ -18,38 +16,32 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Frozen):
     """Unit vector (a, b, c, d) over |00>, |01>, |10>, |11>."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes):
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (4,):
             raise UsageError(f"pure state needs 4 amplitudes, got {amp.shape}")
         if not (np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
             raise UsageError("pure state contains non-finite amplitudes")
         if abs(np.linalg.norm(amp) - 1.0) > NORM_TOL:
             raise UsageError(f"pure state norm {np.linalg.norm(amp):.12f} != 1")
-        object.__setattr__(self, "amplitudes", amp)
+        self._set(amplitudes=amp)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Validated 4x4 density matrix: Hermitian, unit trace, PSD."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, dim=4)
+    def __init__(self, matrix):
+        m = as_matrix(matrix, dim=4)
         if max_abs(m - m.conj().T) > HERMITIAN_TOL:
             raise UsageError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise UsageError(f"density matrix trace {np.trace(m):.12f} != 1")
         if np.linalg.eigvalsh(m).min() < EIG_FLOOR:
             raise UsageError("density matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
 
 def ket(bits: str) -> PureState:

@@ -24,13 +24,12 @@ for and redraws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from . import ziggurat_tables
-from .errors import require_integer
+from .errors import Frozen, require_integer
 from .gates import UnitaryGate
 from .linalg import sum_rows
 
@@ -61,29 +60,34 @@ _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 _ZIGGURAT_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class RandomStream:
+class RandomStream(Frozen):
     """Deterministic substream of a 64-bit seeded Philox generator.
 
-    Equal (seed, stream_index) pairs reproduce identical sequences; distinct
-    stream_index values give statistically independent streams. Both must
-    lie in [0, 2^64). `generator` is started on first read; reading it
-    again continues where the last draw stopped.
+    Equal (seed, stream_index) pairs reproduce identical sequences, and
+    streams with equal pairs compare and hash equal; distinct stream_index
+    values give statistically independent streams. Both must lie in
+    [0, 2^64). `generator` is started on first read; reading it again
+    continues where the last draw stopped.
     """
 
-    seed: int
-    stream_index: int = 0
-    _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, seed: int, stream_index: int = 0):
+        require_integer("seed", seed, 0, _U64)
+        require_integer("stream_index", stream_index, 0, _U64)
+        self._set(seed=seed, stream_index=stream_index, _gen=None)
 
-    def __post_init__(self):
-        require_integer("seed", self.seed, 0, _U64)
-        require_integer("stream_index", self.stream_index, 0, _U64)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seed, self.stream_index) == (other.seed, other.stream_index)
+
+    def __hash__(self):
+        return hash((self.seed, self.stream_index))
 
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:  # an explicit uint64 key: a plain list above 2^63 would pass through float64
             key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-            object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox(key=key)))
+            self._set(_gen=np.random.Generator(np.random.Philox(key=key)))
         return self._gen
 
 

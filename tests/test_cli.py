@@ -2,7 +2,6 @@ import ast
 import contextlib
 import csv
 import ctypes
-import dataclasses
 import hashlib
 import io
 import json
@@ -143,6 +142,27 @@ class TestExecute:
         assert summary["failures"] == 0
         assert summary["wall_time_s"] > 0
 
+    def test_summary_layout(self, tmp_path):
+        """The top-level keys in order, and the config echo's keys, order,
+        values and JSON types, for `small_config`."""
+        execute(small_config(tmp_path))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert list(summary) == [
+            "config", "mean_e0", "mean_ef", "mean_delta", "zero_delta_fraction", "failures", "workers_used", "wall_time_s",
+        ]
+        config = {
+            "ensemble": "mixed",
+            "trials": 2000,
+            "seed": 11,
+            "delta_bins": 20,
+            "e0_bins": 10,
+            "workers": 1,
+            "output_dir": str(tmp_path / "out"),
+            "formats": ["csv", "json"],
+        }
+        assert json.dumps(summary["config"]) == json.dumps(config)  # order and types: 2000, not 2000.0
+        assert [type(summary[k]) for k in list(summary)[1:]] == [float, float, float, float, int, int, float]
+
     def test_formats_json_only(self, tmp_path):
         cfg = small_config(tmp_path, formats=("json",))
         execute(cfg)
@@ -239,7 +259,7 @@ def test_one_reduction_per_axis(tmp_path, monkeypatch):
 
     def counted_run(spec, workers):
         res = run(spec, workers=workers)
-        return dataclasses.replace(res, ef=res.ef.view(FinalEoF))
+        return experiment.EnsembleResult(res.e0, res.ef.view(FinalEoF), res.failures, res.processes)
 
     monkeypatch.setattr(experiment, "_bin_indices", counted_bin_indices)
     monkeypatch.setattr(cli, "run_ensemble", counted_run)
@@ -364,6 +384,24 @@ class TestOutputWrites:
         assert "No space left" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["run"]  # no temporary directory left
+
+    @pytest.mark.parametrize("formats", ["json", "csv"])
+    def test_subset_run_leaves_only_its_set(self, tmp_path, formats):
+        """A run writing one format removes a previous run's files of the
+        other, and leaves files that are not entlab outputs alone."""
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert main([*self.ARGS, "--seed", "1", "--output-dir", str(out)]) == EXIT_OK
+        (out / "notes.txt").write_text("kept")
+        for d in (out, fresh):
+            assert main([*self.ARGS, "--seed", "2", "--formats", formats, "--output-dir", str(d)]) == EXIT_OK
+        names = {"json": ["summary.json"], "csv": ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv"]}[formats]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept"
+        for name in names:
+            if name == "summary.json":
+                assert json.loads((out / name).read_text())["config"]["seed"] == 2
+            else:
+                assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_summary_moves_in_last(self, tmp_path, monkeypatch):
         moved, replace = [], os.replace
@@ -554,19 +592,31 @@ class TestWorkerFailures:
         assert err.startswith("resources exhausted: ") and "killed by signal" in err
 
 
-def test_serial_run_imports_no_process_machinery(tmp_path):
-    """`import entlab.cli` and a one-worker run leave the process modules unimported."""
-    env = subprocess_env()
+def imported_by_serial_run(tmp_path, modules: tuple[str, ...]) -> str:
+    """Which of `modules` a fresh process holds after `import entlab.cli`,
+    and then after a one-worker `main`, as two printed lists."""
     code = (
         "import sys, entlab.cli\n"
-        "unwanted = ('multiprocessing', 'concurrent.futures')\n"
+        f"unwanted = {modules!r}\n"
         "imported = [m for m in unwanted if m in sys.modules]\n"
         f"assert entlab.cli.main(['--trials', '20000', '--workers', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
         "print(imported, [m for m in unwanted if m in sys.modules])\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[] []\n"
+    return done.stdout
+
+
+def test_serial_run_imports_no_process_machinery(tmp_path):
+    """`import entlab.cli` and a one-worker run leave the process modules unimported."""
+    assert imported_by_serial_run(tmp_path, ("multiprocessing", "concurrent.futures")) == "[] []\n"
+
+
+def test_serial_run_imports_no_unused_modules(tmp_path):
+    """Nor do they import `dataclasses` (the value classes are plain),
+    `entlab.qstate` (only the scalar API takes its states) or `numpy.random`
+    (the engine runs its own Philox)."""
+    assert imported_by_serial_run(tmp_path, ("dataclasses", "entlab.qstate", "numpy.random")) == "[] []\n"
 
 
 needs_mallopt = pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt: malloc is not glibc's")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from entlab import experiment, sampling
+from entlab.cli import RunConfig
 from entlab.entanglement import eof_from_concurrence
 from entlab.errors import NumericError, ResourceError, UsageError
 from entlab.experiment import (
@@ -26,6 +27,7 @@ from entlab.experiment import (
     run_ensemble,
 )
 from entlab.gates import circuit
+from entlab.qstate import DensityMatrix, ket
 from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
 
 from conftest import definition_concurrence, definition_eof, in_children, poison_draws, sigkill
@@ -125,6 +127,44 @@ class TestEnsembleSpec:
     def test_accepts_numpy_integers(self):
         spec = EnsembleSpec("pure", np.int64(3), np.uint64(2**64 - 1))
         assert len(run_ensemble(spec)) == 3
+
+
+def value_instances():
+    """One instance of each of the package's value classes, by name."""
+    res = run_ensemble(EnsembleSpec("pure", 300, 1))
+    profile = conditional_mean(res, 4)
+    return {
+        "RunConfig": RunConfig("pure", 10, 1, 2, 2, 1, "out", ("csv",)),
+        "EnsembleSpec": EnsembleSpec("pure", 10, 1),
+        "EnsembleResult": res,
+        "Histogram": profile.hist,
+        "DeltaHistogram": histogram_delta(res, 4),
+        "ConditionalProfile": profile,
+        "UnitaryGate": circuit(),
+        "PureState": ket("01"),
+        "DensityMatrix": DensityMatrix(np.eye(4) / 4),
+        "RandomStream": RandomStream(1, 2),
+    }
+
+
+def test_value_classes_are_frozen():
+    """Every value class refuses assignment and deletion after construction,
+    so the circuit gate that `circuit()` caches for the whole process cannot
+    be changed through one caller, while `delta` and `edges` still cache."""
+    values = value_instances()
+    assert sorted({type(v).__name__ for v in values.values()}) == sorted(values)
+    for name, value in values.items():
+        field = next(iter(vars(value)))
+        before = vars(value)[field]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert vars(value)[field] is before, name
+    res, hist = values["EnsembleResult"], values["Histogram"]
+    assert res.delta is res.delta and hist.edges is hist.edges
 
 
 class TestRunEnsemble:

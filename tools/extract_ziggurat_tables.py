@@ -65,9 +65,7 @@ def extract(archive: Path) -> dict[str, tuple]:
 
 def render(tables: dict[str, tuple], numpy_version: str) -> str:
     def rows(items):
-        return "".join(
-            "    " + " ".join(f"{x}," for x in items[i : i + PER_LINE]) + "\n" for i in range(0, len(items), PER_LINE)
-        )
+        return "".join("    " + " ".join(items[i : i + PER_LINE]) + "\n" for i in range(0, len(items), PER_LINE))
 
     return (
         f'''"""The ziggurat tables of numpy's standard normal sampler, as exact literals.
@@ -85,14 +83,18 @@ Copyright (c) 2005-2017 NumPy Developers, for numpy's code, and the MIT
 licence, Copyright (c) 2009-2019 Jeff Bezanson, Stefan Karpinski, Viral B.
 Shah and other contributors, for the ziggurat methods numpy derived from
 Julia.
+
+Each table is one string of exact hex words, split at import: one constant
+compiles faster than 256 literals. `KI` holds the integers; `WI_HEX` and
+`FI_HEX` hold the words for `float.fromhex`.
 """
 
-KI = (
-{rows([hex(k) for k in tables["ki"]])})
-WI_HEX = (
-{rows([repr(w.hex()) for w in tables["wi"]])})
-FI_HEX = (
-{rows([repr(f.hex()) for f in tables["fi"]])})
+KI = tuple(int(word, 16) for word in """
+{rows([hex(k) for k in tables["ki"]])}""".split())
+WI_HEX = tuple("""
+{rows([w.hex() for w in tables["wi"]])}""".split())
+FI_HEX = tuple("""
+{rows([f.hex() for f in tables["fi"]])}""".split())
 '''
     )
 
