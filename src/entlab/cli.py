@@ -13,14 +13,16 @@ Before a run, the CLI process asks glibc's malloc to keep the memory it
 frees: arrays up to 32 MiB come from the heap, whose top goes back to the
 system only beyond 64 MiB. Each chunk's arrays (0.1-2.6 MB) then reuse
 pages the chunk before it left resident, instead of being mapped, faulted
-in page by page and unmapped again. Forked workers inherit the setting.
+in page by page and unmapped again. The run's workers, forked with
+`os.fork`, inherit the setting.
 Where malloc is not glibc's, it is left as it is; importing the package
 changes nothing. No output byte depends on it.
 
 The program entry, `run`, freezes the objects the imports made
 (`gc.freeze`) before the run, so neither the run's collections nor the
 interpreter's exit walk and free them; the system reclaims that memory with
-the process, and forked workers inherit the frozen heap. `main` leaves the
+the process. The forked workers inherit the frozen heap, and leave by
+`os._exit`, with no interpreter teardown at all. `main` leaves the
 collector alone, for in-process callers.
 """
 

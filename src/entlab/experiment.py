@@ -16,8 +16,10 @@ A run allocates its results once, on a shared anonymous mapping, and uses
 at most min(workers, chunks, CPUs it may run on) processes, counting its
 own. Process p runs chunks p, p + processes, ... and writes each chunk's
 E_0 and E_F into its slices in place: process 0 is the calling process, the
-others are forked from it. Where the fork start method does not exist, the
-run is serial.
+others are workers it forks with `os.fork`. A worker reports only a failure,
+on a pipe of its own, and leaves by `os._exit`; the calling process reads
+each pipe to its end and then reaps that worker by pid, so it never reaps a
+child it did not fork. Where `os` has no `fork`, the run is serial.
 
 The reductions walk a result in CHUNK_SIZE slices, so none of them makes
 an array as long as the run: delta E, in particular, is formed a slice at
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -104,39 +107,29 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     spec alone, regardless of `workers`."""
     require_integer("workers", workers, 1, math.inf)
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
-    processes = max(1, min(workers, len(tasks), available_cpus()))
-    if processes > 1:
-        import multiprocessing  # a serial run does not pay for the import
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            processes = 1
+    processes = max(1, min(workers, len(tasks), available_cpus())) if hasattr(os, "fork") else 1
     # e0 and ef of every trial, then one failure count per process
     buf = mmap.mmap(-1, 8 * (2 * spec.trials + processes))
     out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
     failures = np.frombuffer(buf, np.int64, processes, 16 * spec.trials)
-    children = []
+    children = {}  # pid of each worker not yet reaped -> the read end of its pipe
     try:
-        if processes > 1:
-            fork = multiprocessing.get_context("fork")
-            for p in range(1, processes):
-                conn, child_conn = fork.Pipe(duplex=False)
-                child = fork.Process(target=_worker, args=(tasks[p::processes], out, failures, p, child_conn), daemon=True)
-                with child_conn:  # once forked, only the child holds the sending end
-                    try:
-                        child.start()
-                    except OSError as exc:  # fork refused: out of memory or of processes
-                        raise ResourceError(f"could not start a worker process: {exc}") from exc
-                children.append((child, conn))
+        # a generator: the workers forked before a refused fork are in `children`, to be stopped
+        children.update(_fork_worker(tasks[p::processes], out, failures, p) for p in range(1, processes))
         _run_share(tasks[::processes], out, failures, 0)
-        for child, conn in children:
-            child.join()
-            _check_worker(child, conn)
+        for pid, pipe in list(children.items()):
+            report = pipe.read()  # to EOF first: a long report must not block its worker's exit
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            _check_worker(os.waitstatus_to_exitcode(status), report)
     finally:
-        for child, conn in children:
-            child.terminate()  # no-op on a worker already reaped
-        for child, conn in children:
-            child.join()
-            conn.close()
+        if children:  # the run failed with workers left: stop and reap them
+            import signal  # ~1 ms, which a run that succeeds does not pay
+
+            for pid, pipe in children.items():
+                os.kill(pid, signal.SIGTERM)  # never a reaped pid, which the system may have reused
+                os.waitpid(pid, 0)
+                pipe.close()
     total = int(failures.sum())
     if total > MAX_FAILURE_RATE * spec.trials:
         raise NumericError(f"{total} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
@@ -152,32 +145,53 @@ def _run_share(share, out: np.ndarray, failures: np.ndarray, p: int) -> None:
         failures[p] += failed
 
 
-def _worker(share, out: np.ndarray, failures: np.ndarray, p: int, conn) -> None:
-    """Body of forked process p. An exception goes back to the parent as
-    (type name, message), and the process exits with status 1 without the
-    traceback `multiprocessing` would print."""
+def _fork_worker(share, out: np.ndarray, failures: np.ndarray, p: int):
+    """Fork process p to run `share`; returns its pid and the read end of its
+    pipe. The worker never returns into the caller's frames: it leaves by
+    `os._exit`, which flushes nothing this process buffered, with status 0,
+    or 1 after writing an exception's type name, a NUL and its message."""
+    r, w = os.pipe()
     try:
-        _run_share(share, out, failures, p)
-    except BaseException as exc:
+        pid = os.fork()
+    except OSError as exc:  # out of memory or of processes
+        os.close(r)
+        os.close(w)
+        raise ResourceError(f"could not start a worker process: {exc}") from exc
+    if pid:
+        os.close(w)  # once forked, only the worker holds the writing end
+        return pid, open(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        # `multiprocessing.util.Finalize` hooks, run at a worker's exit as
+        # multiprocessing's own workers do, for bench/tracer.py's spans; drop
+        # this once the tracer reads summary.json (ROADMAP item 2)
+        hooks = sys.modules.get("multiprocessing.util")
+        if hooks is not None:
+            hooks._finalizer_registry.clear()
         try:
-            conn.send((type(exc).__name__, str(exc)))
-        finally:
-            raise SystemExit(1)
+            _run_share(share, out, failures, p)
+            status = 0
+        except BaseException as exc:
+            with open(w, "wb") as pipe:
+                pipe.write(f"{type(exc).__name__}\0{exc}".encode(errors="replace"))
+        if hooks is not None:
+            hooks._run_finalizers()
+    finally:
+        os._exit(status)
 
 
-def _check_worker(child, conn) -> None:
+def _check_worker(code: int, report: bytes) -> None:
     """Raise what a reaped worker reported, or that it was lost."""
-    if child.exitcode == 0:
-        return
-    try:
-        name, message = conn.recv()
-    except EOFError:  # it died before it could report
-        if child.exitcode < 0:
-            raise ResourceError(f"a worker process was killed by signal {-child.exitcode}") from None
-        raise ResourceError(f"a worker process exited with status {child.exitcode}") from None
-    if name == "MemoryError":
-        raise MemoryError(message)
-    raise NumericError(message if name == "NumericError" else f"{name} in a worker process: {message}")
+    if code < 0:
+        raise ResourceError(f"a worker process was killed by signal {-code}")
+    if report:
+        name, _, message = report.decode(errors="replace").partition("\0")
+        if name == "MemoryError":
+            raise MemoryError(message)
+        raise NumericError(message if name == "NumericError" else f"{name} in a worker process: {message}")
+    if code:
+        raise ResourceError(f"a worker process exited with status {code}")
 
 
 def available_cpus() -> int:
@@ -206,7 +220,10 @@ class Histogram(Frozen):
         return self.counts / (self.total * self.bin_width)
 
     def bin_index(self, x: float) -> int:
-        """Index of the bin that counts x."""
+        """Index of the bin that counts x; a non-finite x, which no histogram
+        counts, is refused."""
+        if not math.isfinite(x):
+            raise UsageError(f"cannot bin a non-finite value: {x!r}")
         return int(_bin_indices(np.array([x]), self.edges)[0])
 
 
@@ -221,10 +238,16 @@ class DeltaHistogram(Histogram):
 
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The one binning rule: bin i holds edges[i] <= x < edges[i + 1], the last
-    bin also holds its upper edge, and values beyond either end go to the end bins."""
-    idx = np.searchsorted(edges, values, side="right")
-    idx -= 1  # in place, like the clip: one index array per call
-    return np.clip(idx, 0, len(edges) - 2, out=idx)
+    bin also holds its upper edge, and values beyond either end go to the end bins.
+    The bins are equal, so (x - lo) / width estimates i to within one bin, and
+    one compare against the edges either side of the estimate corrects it."""
+    last = len(edges) - 2
+    est = values - edges[0]
+    est *= (last + 1) / (edges[-1] - edges[0])
+    idx = np.clip(est, 0, last, out=est).astype(np.intp)  # truncation is floor once clipped at 0
+    idx -= values < edges[idx]
+    idx += values >= edges[idx + 1]
+    return np.clip(idx, 0, last, out=idx)
 
 
 def _histogram(total: int, part, lo: float, hi: float, bin_count: int, weighted: bool = False) -> Histogram:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import Frozen, NumericError, UsageError
-from .linalg import as_matrix, max_abs, sum_rows
+from .linalg import as_matrix, max_abs, read_only, sum_rows
 
 if TYPE_CHECKING:
     from .qstate import DensityMatrix
@@ -24,14 +24,15 @@ UNITARY_TOL = 1e-12
 
 
 class UnitaryGate(Frozen):
-    """A unitary matrix, checked to satisfy U^dag U = I within 1e-12."""
+    """A unitary matrix, checked to satisfy U^dag U = I within 1e-12, and
+    stored read-only: `circuit()`'s gate is shared by the whole process."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix)
         dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
         if dev > UNITARY_TOL:
             raise UsageError(f"matrix is not unitary: max deviation {dev:.3e}")
-        self._set(matrix=m)
+        self._set(matrix=read_only(m, matrix))
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,16 @@ def as_matrix(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def read_only(m: np.ndarray, source) -> np.ndarray:
+    """`m` as a value class stores it: read-only, and copied first where it
+    shares memory with `source`, the caller's argument, so the caller's
+    array stays writable and a later write to it cannot reach the value."""
+    if np.may_share_memory(m, source):
+        m = m.copy()
+    m.flags.writeable = False
+    return m
+
+
 def max_abs(a) -> float:
     """Largest entry modulus; the max-entry norm used by tolerance checks."""
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0

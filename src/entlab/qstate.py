@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Frozen, UsageError
-from .linalg import HERMITIAN_TOL, as_matrix, max_abs
+from .linalg import HERMITIAN_TOL, as_matrix, max_abs, read_only
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -17,7 +17,7 @@ EIG_FLOOR = -1e-10
 
 
 class PureState(Frozen):
-    """Unit vector (a, b, c, d) over |00>, |01>, |10>, |11>."""
+    """Unit vector (a, b, c, d) over |00>, |01>, |10>, |11>, stored read-only."""
 
     def __init__(self, amplitudes):
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -27,11 +27,11 @@ class PureState(Frozen):
             raise UsageError("pure state contains non-finite amplitudes")
         if abs(np.linalg.norm(amp) - 1.0) > NORM_TOL:
             raise UsageError(f"pure state norm {np.linalg.norm(amp):.12f} != 1")
-        self._set(amplitudes=amp)
+        self._set(amplitudes=read_only(amp, amplitudes))
 
 
 class DensityMatrix(Frozen):
-    """Validated 4x4 density matrix: Hermitian, unit trace, PSD."""
+    """Validated 4x4 density matrix: Hermitian, unit trace, PSD; stored read-only."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix, dim=4)
@@ -41,7 +41,7 @@ class DensityMatrix(Frozen):
             raise UsageError(f"density matrix trace {np.trace(m):.12f} != 1")
         if np.linalg.eigvalsh(m).min() < EIG_FLOOR:
             raise UsageError("density matrix has a negative eigenvalue beyond tolerance")
-        self._set(matrix=m)
+        self._set(matrix=read_only(m, matrix))
 
 
 def ket(bits: str) -> PureState:

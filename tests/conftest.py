@@ -71,6 +71,12 @@ def in_children(monkeypatch, action):
     monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def sigkill(start):
     """An `in_children` action: the out-of-memory killer's signal."""
     os.kill(os.getpid(), signal.SIGKILL)

@@ -5,7 +5,6 @@ import ctypes
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,7 +20,7 @@ from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_USAG
 from entlab.errors import NumericError, UsageError
 from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
-from conftest import in_children, poison_draws, sigkill
+from conftest import assert_no_children, in_children, poison_draws, sigkill
 
 
 class TestParseArgs:
@@ -560,7 +559,7 @@ class TestWorkerFailures:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # no .entlab-* and no output directory
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         return code, err
 
     def test_numeric_error_in_a_child_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -592,14 +591,18 @@ class TestWorkerFailures:
         assert err.startswith("resources exhausted: ") and "killed by signal" in err
 
 
-def imported_by_serial_run(tmp_path, modules: tuple[str, ...]) -> str:
+def imported_by_run(tmp_path, modules: tuple[str, ...], workers: int = 1) -> str:
     """Which of `modules` a fresh process holds after `import entlab.cli`,
-    and then after a one-worker `main`, as two printed lists."""
+    and then after a `main` on `workers` processes (on two CPUs, whatever
+    this machine has), as two printed lists."""
     code = (
-        "import sys, entlab.cli\n"
+        "import json, os, sys, entlab.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"unwanted = {modules!r}\n"
         "imported = [m for m in unwanted if m in sys.modules]\n"
-        f"assert entlab.cli.main(['--trials', '20000', '--workers', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"argv = ['--trials', '20000', '--workers', '{workers}', '--output-dir', {str(tmp_path / 'run')!r}]\n"
+        "assert entlab.cli.main(argv) == 0\n"
+        f"assert json.loads(open({str(tmp_path / 'run' / 'summary.json')!r}).read())['workers_used'] == {workers}\n"
         "print(imported, [m for m in unwanted if m in sys.modules])\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
@@ -609,14 +612,46 @@ def imported_by_serial_run(tmp_path, modules: tuple[str, ...]) -> str:
 
 def test_serial_run_imports_no_process_machinery(tmp_path):
     """`import entlab.cli` and a one-worker run leave the process modules unimported."""
-    assert imported_by_serial_run(tmp_path, ("multiprocessing", "concurrent.futures")) == "[] []\n"
+    assert imported_by_run(tmp_path, ("multiprocessing", "concurrent.futures")) == "[] []\n"
 
 
 def test_serial_run_imports_no_unused_modules(tmp_path):
     """Nor do they import `dataclasses` (the value classes are plain),
     `entlab.qstate` (only the scalar API takes its states) or `numpy.random`
     (the engine runs its own Philox)."""
-    assert imported_by_serial_run(tmp_path, ("dataclasses", "entlab.qstate", "numpy.random")) == "[] []\n"
+    assert imported_by_run(tmp_path, ("dataclasses", "entlab.qstate", "numpy.random")) == "[] []\n"
+
+
+def test_parallel_run_imports_no_process_machinery(tmp_path):
+    """A two-worker run imports no process machinery either: it forks with
+    `os.fork` and reports through a plain pipe, with no `multiprocessing`
+    and no sockets; only a failed run imports `signal` to stop its workers."""
+    modules = ("multiprocessing", "concurrent.futures", "socket", "selectors", "signal")
+    assert imported_by_run(tmp_path, modules, workers=2) == "[] []\n"
+
+
+def test_long_worker_report_reaches_the_caller(tmp_path):
+    """A worker's report longer than a pipe holds arrives whole: the CLI
+    process reads it to the end before it waits for the worker, which
+    would otherwise block in its write while the CLI process waits."""
+    code = (
+        "import os, sys\n"
+        "from entlab import cli, experiment\n"
+        "from entlab.errors import NumericError\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "task, parent = experiment._chunk_task, os.getpid()\n"
+        "def chunk_task(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        raise NumericError('x' * 200_000)\n"
+        "    return task(*args)\n"
+        "experiment._chunk_task = chunk_task\n"
+        f"sys.exit(cli.main(['--trials', '{CHUNK_SIZE + 1}', '--workers', '2', '--output-dir', {str(tmp_path / 'run')!r}]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == EXIT_NUMERIC, done.stderr[:1000]
+    assert done.stderr == f"numeric quality breach: {'x' * 200_000}\n"
 
 
 needs_mallopt = pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt: malloc is not glibc's")

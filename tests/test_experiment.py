@@ -1,5 +1,4 @@
 import errno
-import multiprocessing
 import os
 import signal
 import time
@@ -26,11 +25,18 @@ from entlab.experiment import (
     histogram_delta,
     run_ensemble,
 )
-from entlab.gates import circuit
-from entlab.qstate import DensityMatrix, ket
+from entlab.gates import UnitaryGate, circuit
+from entlab.qstate import DensityMatrix, PureState, ket
 from entlab.sampling import RandomStream, mixed_state_matrix, pure_state_vector, sample_chunk
 
-from conftest import definition_concurrence, definition_eof, in_children, poison_draws, sigkill
+from conftest import (
+    assert_no_children,
+    definition_concurrence,
+    definition_eof,
+    in_children,
+    poison_draws,
+    sigkill,
+)
 
 # the definition route loses half its digits on rank-1 (pure) states
 REFERENCE_TOL = {"pure": 1e-6, "mixed": 1e-10}
@@ -165,6 +171,27 @@ def test_value_classes_are_frozen():
         assert vars(value)[field] is before, name
     res, hist = values["EnsembleResult"], values["Histogram"]
     assert res.delta is res.delta and hist.edges is hist.edges
+    with pytest.raises(ValueError, match="read-only"):  # nor through its array
+        circuit().matrix[0, 0] = 5
+
+
+@pytest.mark.parametrize(
+    "cls, field, array",
+    [
+        (UnitaryGate, "matrix", np.eye(4, dtype=complex)),
+        (PureState, "amplitudes", np.array([1, 0, 0, 0], dtype=complex)),
+        (DensityMatrix, "matrix", np.eye(4, dtype=complex) / 4),
+    ],
+)
+def test_value_class_arrays_are_read_only(cls, field, array):
+    """A value's array refuses writes, and it is not the caller's array: the
+    caller's stays writable, and a later write to it does not reach the value."""
+    value = cls(array)
+    stored = getattr(value, field)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 5
+    array[0] = 7
+    assert stored.flat[0] != 7
 
 
 class TestRunEnsemble:
@@ -191,15 +218,13 @@ class TestRunEnsemble:
                 assert np.array_equal(seq.ef, par.ef)
 
     def test_pool_no_larger_than_chunk_count(self, monkeypatch):
-        started = []
-        fork_process = multiprocessing.get_context("fork").Process
-        start = fork_process.start
+        started, fork = [], os.fork
 
-        def recording(self):
-            started.append(self)
-            start(self)
+        def recording():
+            started.append(None)
+            return fork()
 
-        monkeypatch.setattr(fork_process, "start", recording)
+        monkeypatch.setattr(os, "fork", recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         res = run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=4)
         # two chunks: this process and one child; a third and fourth process would sit idle
@@ -215,13 +240,13 @@ class TestRunEnsemble:
         # one chunk runs in this process, whatever was asked for
         assert run_ensemble(EnsembleSpec("pure", 100, 5), workers=64).processes == 1
         assert len(started) == 2
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_serial_where_fork_does_not_exist(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = EnsembleSpec("pure", 2 * CHUNK_SIZE + 5, 5)
         serial = run_ensemble(spec, workers=1)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         res = run_ensemble(spec, workers=2)
         assert res.processes == 1
         assert np.array_equal(res.e0, serial.e0) and np.array_equal(res.ef, serial.ef)
@@ -259,7 +284,7 @@ class TestWorkers:
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         yield
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_numeric_error_in_a_child_reaches_the_caller(self, monkeypatch):
         def failing(start):
@@ -289,19 +314,38 @@ class TestWorkers:
     def test_refused_fork_is_a_resource_error(self, monkeypatch):
         # the second fork fails: the first child is stopped, and the error names the cause
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        fork_process = multiprocessing.get_context("fork").Process
-        start, started = fork_process.start, []
+        fork, started = os.fork, []
 
-        def second_refused(self):
+        def second_refused():
             if started:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-            started.append(self)
-            start(self)
+            started.append(fork())
+            return started[-1]
 
-        monkeypatch.setattr(fork_process, "start", second_refused)
+        monkeypatch.setattr(os, "fork", second_refused)
         with pytest.raises(ResourceError, match="could not start a worker process"):
             run_ensemble(EnsembleSpec("pure", 3 * CHUNK_SIZE, 5), workers=3)
-        assert len(started) == 1 and started[0].exitcode is not None
+        assert len(started) == 1
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(started[0], os.WNOHANG)
+
+    def test_worker_runs_its_own_finalizers_only(self, monkeypatch, tmp_path):
+        """Where `multiprocessing.util` is loaded, as bench/tracer.py loads it,
+        a worker runs the `Finalize` hooks registered in it when it exits,
+        and none it inherited from this process."""
+        import multiprocessing.util
+
+        def mark(tag):
+            (tmp_path / f"{tag}-{os.getpid()}").touch()
+
+        inherited = multiprocessing.util.Finalize(None, mark, args=("parent",), exitpriority=10)
+        in_children(monkeypatch, lambda start: multiprocessing.util.Finalize(None, mark, args=("worker",), exitpriority=10))
+        try:
+            assert run_ensemble(EnsembleSpec("pure", CHUNK_SIZE + 1, 5), workers=2).processes == 2
+        finally:
+            inherited.cancel()
+        marks = [path.name.split("-") for path in tmp_path.iterdir()]
+        assert len(marks) == 1 and marks[0][0] == "worker" and int(marks[0][1]) != os.getpid()
 
     def test_children_stopped_when_this_process_fails(self, monkeypatch):
         def interrupted(kind, seed, start, count):
@@ -501,12 +545,17 @@ class TestStreamedReduction:
 
     @pytest.mark.parametrize("e0, ef", [([0.1, np.nan], [0.3, 0.4]), ([0.1, 0.2], [np.inf, 0.4])])
     def test_rejects_non_finite_values(self, e0, ef):
-        """searchsorted sorts NaN last, so it would count in the top bin."""
+        """A NaN has no bin: the binning rule would cast it to an arbitrary index."""
         rec = result(e0, ef)
         with pytest.raises(UsageError, match="non-finite"):
             histogram_delta(rec, 4)
         with pytest.raises(UsageError, match="non-finite"):
             conditional_mean(rec, 4)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_bin_index_rejects_non_finite_values(self, x):
+        with pytest.raises(UsageError, match="non-finite"):
+            entanglement_histogram(result([0.5], [0.5]), 4).bin_index(x)
 
     def test_rejects_empty_result(self):
         rec = result([], [])
@@ -547,6 +596,27 @@ class TestBinRule:
                 h = entanglement_histogram(rec, bins)
                 assert h.counts[h.bin_index(x)] == 1, (bins, x)
                 assert conditional_mean(rec, bins).hist.counts[h.bin_index(x)] == 1, (bins, x)
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0])
+@pytest.mark.parametrize("bins", [2, 3, 7, 50, 100, 997, 10**4, 10**6])
+def test_bin_indices_match_searchsorted(lo, bins):
+    """The arithmetic estimate and its one corrective compare give the bins
+    that the sorted search over the edges gives, on random values, every
+    edge, both float neighbours of every edge, and values beyond either end."""
+    edges = np.linspace(lo, 1.0, bins + 1)
+    rng = np.random.default_rng(bins)
+    values = np.concatenate([
+        rng.uniform(lo, 1.0, 50_000),
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        rng.uniform(lo - 1.0, lo, 1000),
+        rng.uniform(1.0, 2.0, 1000),
+        [-np.inf, -1e300, 1e300, np.inf],
+    ])
+    oracle = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
+    assert np.array_equal(_bin_indices(values, edges), oracle)
 
 
 class TestEntanglementHistogram:
