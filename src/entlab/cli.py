@@ -33,6 +33,7 @@ import contextlib
 import ctypes  # already imported by numpy
 import gc
 import json
+import math
 import os
 import shutil
 import sys
@@ -43,7 +44,6 @@ from pathlib import Path
 from .errors import Frozen, NumericError, ResourceError, UsageError, require_integer
 from .experiment import (
     MAX_BINS,
-    MAX_TRIALS,
     ConditionalProfile,
     EnsembleSpec,
     Histogram,
@@ -72,13 +72,26 @@ EXIT_RESOURCES = 4
 
 
 class RunConfig(Frozen):
-    """One run's settings, as `parse_args` validates them. `vars(config)`
-    lists the fields in this order, which `summary.json` echoes."""
+    """One run's settings, checked here for `parse_args` and for in-process
+    callers of `execute` alike: the ensemble, trials and seed as
+    `EnsembleSpec` checks them, each bin count in [2, MAX_BINS], workers >= 1,
+    a non-empty output directory, and formats a non-empty subset of
+    OUTPUT_NAMES. Integers are stored as `int` and formats as a tuple, so
+    `vars(config)`, in this order, is `summary.json`'s config echo."""
 
     def __init__(self, ensemble: str, trials: int, seed: int, delta_bins: int, e0_bins: int, workers: int,
                  output_dir: str, formats: tuple[str, ...]):
-        self._set(ensemble=ensemble, trials=trials, seed=seed, delta_bins=delta_bins, e0_bins=e0_bins,
-                  workers=workers, output_dir=output_dir, formats=formats)
+        EnsembleSpec(kind=ensemble, trials=trials, seed=seed)
+        require_integer("--delta-bins", delta_bins, 2, MAX_BINS)
+        require_integer("--e0-bins", e0_bins, 2, MAX_BINS)
+        require_integer("--workers", workers, 1, math.inf)
+        if not isinstance(output_dir, str) or not output_dir:
+            raise UsageError(f"--output-dir must be a non-empty string, got {output_dir!r}")
+        formats = tuple(formats)
+        if not formats or not set(formats) <= OUTPUT_NAMES.keys():
+            raise UsageError(f"--formats must be a non-empty subset of {','.join(OUTPUT_NAMES)}, got {formats!r}")
+        self._set(ensemble=ensemble, trials=int(trials), seed=int(seed), delta_bins=int(delta_bins),
+                  e0_bins=int(e0_bins), workers=int(workers), output_dir=output_dir, formats=formats)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,37 +117,16 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Parse flags into a validated RunConfig; raises UsageError on bad input."""
+    """Turn flags into a RunConfig, which checks them; raises UsageError on bad input."""
     ns = _build_parser().parse_args(argv)
-    require_integer("--trials", ns.trials, 1, MAX_TRIALS)
-    require_integer("--delta-bins", ns.delta_bins, 2, MAX_BINS)
-    require_integer("--e0-bins", ns.e0_bins, 2, MAX_BINS)
-    if ns.workers == "auto":
-        workers = available_cpus()
-    else:
-        try:
-            workers = int(ns.workers)
-        except ValueError:
-            raise UsageError(f"--workers must be an integer or 'auto', got {ns.workers!r}") from None
-        if workers < 1:
-            raise UsageError("--workers must be >= 1")
-    formats = tuple(f for f in ns.formats.split(",") if f)
-    bad = [f for f in formats if f not in ("csv", "json")]
-    if bad or not formats:
-        raise UsageError(f"--formats must be a non-empty subset of csv,json, got {ns.formats!r}")
-    if ns.output_dir == "":
-        raise UsageError("--output-dir must not be empty")
-    output_dir = ns.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"  # an empty variable counts as unset
-    return RunConfig(
-        ensemble=ns.ensemble,
-        trials=ns.trials,
-        seed=ns.seed,
-        delta_bins=ns.delta_bins,
-        e0_bins=ns.e0_bins,
-        workers=workers,
-        output_dir=output_dir,
-        formats=formats,
-    )
+    try:
+        workers = available_cpus() if ns.workers == "auto" else int(ns.workers)
+    except ValueError:
+        raise UsageError(f"--workers must be an integer or 'auto', got {ns.workers!r}") from None
+    # an explicit --output-dir, even an empty one, beats the variable; an empty variable counts as unset
+    output_dir = ns.output_dir if ns.output_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or "out"
+    return RunConfig(ns.ensemble, ns.trials, ns.seed, ns.delta_bins, ns.e0_bins, workers, output_dir,
+                     filter(None, ns.formats.split(",")))
 
 
 def _fmt(x: float) -> str:
@@ -204,7 +196,7 @@ def execute(config: RunConfig) -> int:
             _write_profile_csv(tmp / "conditional_mean.csv", profile)
         if "json" in config.formats:
             summary = {
-                "config": {**vars(config), "formats": list(config.formats)},
+                "config": vars(config),
                 "mean_e0": float(result.e0.mean()),
                 "mean_ef": float(result.ef.mean()),
                 "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass

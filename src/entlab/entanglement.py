@@ -109,20 +109,16 @@ def _laplace_det4(m) -> np.ndarray:
     return det
 
 
-def det4(m: np.ndarray) -> np.ndarray:
-    """Determinant of each matrix in a (..., 4, 4) stack, in closed form."""
-    return _laplace_det4(np.moveaxis(m, (-2, -1), (0, 1)))
-
-
 def partial_transpose_det(w: np.ndarray) -> np.ndarray:
     """det(rho^Gamma) of each state rho = W W^dag in a (..., 4, k) stack of
     factors W, rho^Gamma being rho transposed on qubit B:
     rho^Gamma[(a, b), (a', b')] = rho[(a, b'), (a', b)]. The 10 distinct
     entries of rho are sums over W's rows, rho[i, j] = sum_c W[i, c] W*[j, c];
     rho^Gamma is those entries relabelled, and its determinant the Laplace
-    expansion of `det4`, all elementwise along the stack (contiguous when W
-    is laid out row, column, then stack, as the engine's factors are), with
-    no matmul and no 4x4 temporaries. Real, as rho^Gamma is Hermitian."""
+    expansion of `_laplace_det4`, all elementwise along the stack
+    (contiguous when W is laid out row, column, then stack, as the engine's
+    factors are), with no matmul and no 4x4 temporaries. Real, as rho^Gamma
+    is Hermitian."""
     rows = np.moveaxis(w, (-2, -1), (0, 1))
     rows_conj = rows.conj()
     rho = {(i, j): sum_rows(rows[i] * rows_conj[j]) for i in range(4) for j in range(i, 4)}

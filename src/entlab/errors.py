@@ -13,7 +13,8 @@ class NumericError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """The run lost a worker process it needs: one could not start, or one was killed."""
+    """The run lacks a resource it needs: memory to map its results, or a
+    worker process that could not start or was killed."""
 
 
 def require_integer(name: str, value, low: int, high: int) -> None:
@@ -26,11 +27,17 @@ def require_integer(name: str, value, low: int, high: int) -> None:
 
 
 class Frozen:
-    """Base of the package's value classes: `__init__` checks its arguments
-    and stores them with `_set`, in the order of its parameters, and
-    assigning or deleting an attribute afterwards raises AttributeError. A
-    `functools.cached_property` still caches, as it writes the instance's
-    `__dict__` directly. Equality is identity unless a subclass defines it."""
+    """Base of the package's value classes: `__init__` stores its arguments
+    with `_set`, in the order of its parameters, and assigning or deleting
+    an attribute afterwards raises AttributeError. A class built from
+    caller input first checks it, raising UsageError: `cli.RunConfig` a
+    run's settings (its ensemble, trials and seed by building an
+    `EnsembleSpec`, which checks those three), `RandomStream` its seed and
+    stream index, and `UnitaryGate`, `PureState` and `DensityMatrix` their
+    arrays. `EnsembleResult`, `Histogram` and `ConditionalProfile` hold what
+    the engine computed and check nothing. A `functools.cached_property`
+    still caches, as it writes the instance's `__dict__` directly. Equality
+    is identity unless a subclass defines it."""
 
     def _set(self, **fields) -> None:
         self.__dict__.update(fields)

@@ -109,7 +109,10 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
     processes = max(1, min(workers, len(tasks), available_cpus())) if hasattr(os, "fork") else 1
     # e0 and ef of every trial, then one failure count per process
-    buf = mmap.mmap(-1, 8 * (2 * spec.trials + processes))
+    try:
+        buf = mmap.mmap(-1, 8 * (2 * spec.trials + processes))
+    except OSError as exc:  # out of memory, or over the process's address-space limit
+        raise ResourceError(f"could not map the results of {spec.trials} trials: {exc}") from exc
     out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
     failures = np.frombuffer(buf, np.int64, processes, 16 * spec.trials)
     children = {}  # pid of each worker not yet reaped -> the read end of its pipe

@@ -109,6 +109,37 @@ def small_config(tmp_path, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+class TestRunConfig:
+    """`RunConfig` checks every setting itself, so `execute(RunConfig(...))`
+    refuses what the CLI refuses, before any file is touched or trial run."""
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"formats": ("xml",)}, "formats"),
+        ({"formats": ()}, "formats"),
+        ({"output_dir": ""}, "output-dir"),
+        ({"delta_bins": 1}, "delta-bins"),
+        ({"e0_bins": 10**7}, "e0-bins"),
+        ({"workers": 0}, "workers"),
+        ({"seed": -1}, "seed"),
+        ({"trials": 0}, "trials"),
+        ({"ensemble": "thermal"}, "thermal"),
+    ], ids=["xml", "no-formats", "empty-output-dir", "one-delta-bin", "huge-e0-bins", "no-workers", "negative-seed",
+            "no-trials", "thermal"])
+    def test_refuses_at_construction(self, tmp_path, fields, name):
+        with pytest.raises(UsageError, match=name):
+            small_config(tmp_path, **fields)
+
+    def test_numpy_integers_echo_as_plain_ints(self, tmp_path):
+        """A config of numpy integers, and formats as a list, writes the same
+        config block to summary.json as plain ints and a tuple."""
+        blocks = []
+        for convert, formats in ((int, ("csv", "json")), (np.int64, ["csv", "json"])):
+            fields = {k: convert(v) for k, v in dict(trials=2000, seed=11, delta_bins=20, e0_bins=10, workers=1).items()}
+            assert execute(small_config(tmp_path, formats=formats, **fields)) == EXIT_OK
+            blocks.append(json.dumps(json.loads((tmp_path / "out" / "summary.json").read_text())["config"]))
+        assert blocks[0] == blocks[1]
+
+
 class TestExecute:
     def test_writes_all_outputs(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -652,6 +683,23 @@ def test_long_worker_report_reaches_the_caller(tmp_path):
     )
     assert done.returncode == EXIT_NUMERIC, done.stderr[:1000]
     assert done.stderr == f"numeric quality breach: {'x' * 200_000}\n"
+
+
+def test_unmappable_results_exit_code(tmp_path):
+    """A run whose result mapping exceeds the address-space limit exits 4
+    with one line on stderr, and leaves neither a temporary directory nor
+    the output directories it made."""
+    code = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        f"sys.argv = ['entlab', '--trials', '{MAX_TRIALS}', '--workers', '1', '--output-dir', 'new/out']\n"
+        "runpy.run_module('entlab.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_RESOURCES, done.stderr
+    assert done.stderr.startswith("resources exhausted: ") and done.stderr.count("\n") == 1, done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 needs_mallopt = pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt: malloc is not glibc's")

@@ -23,6 +23,7 @@ def test_same_tree_gives_identical_outputs(tool, monkeypatch, capsys):
     assert tool.main([str(ROOT), str(ROOT / "src"), "--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all("CSVs identical" in line for line in lines)
+    assert all("; other summary keys identical; " in line for line in lines)  # the config echo included
     assert all(line.endswith("at most 0 (relative)") for line in lines)
     for line in lines:  # each run's cost, parent first
         usage = re.search(r"max RSS (\S+) -> (\S+) MiB, minor faults (\d+) -> (\d+);", line)
@@ -45,13 +46,15 @@ def test_differing_csv_and_means_are_reported(tool, tmp_path):
     a.mkdir()
     for name in tool.CSV_FILES:
         (a / name).write_text("x,1\n")
-    (a / "summary.json").write_text('{"mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25}')
+    (a / "summary.json").write_text('{"config": {"trials": 10}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25, '
+                                    '"failures": 0, "wall_time_s": 1.0}')
     shutil.copytree(a, b)
-    assert tool.compare(a, b) == ([], 0.0)
+    assert tool.compare(a, b) == ([], 0.0, [])
     (b / "e0_hist.csv").write_text("x,2\n")
-    (b / "summary.json").write_text('{"mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.2500001}')
-    differ, rel = tool.compare(a, b)
-    assert differ == ["e0_hist.csv"] and rel == pytest.approx(4e-7, rel=1e-6)
+    (b / "summary.json").write_text('{"config": {"trials": 10}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.2500001, '
+                                    '"failures": 1, "wall_time_s": 2.0}')
+    differ, rel, keys = tool.compare(a, b)
+    assert differ == ["e0_hist.csv"] and rel == pytest.approx(4e-7, rel=1e-6) and keys == ["failures"]
 
 
 def test_failed_run_exits_2(tool, monkeypatch, tmp_path, capsys):

@@ -12,13 +12,17 @@ peak-memory run, with the default 100 delta-E and 50 E_0 bins; and `mixed`
 at 200000 trials with 7 and 3 bins, for uneven delta-E edges, an E_0 bin
 that sums ~2e5 values and a NaN mean), the CLI runs once from each tree,
 as `python3 -m entlab.cli` with that tree on PYTHONPATH, into a temporary
-directory. The script prints, per configuration, whether each CSV is
-byte-identical, and the largest relative difference between the means in
-the two `summary.json` files (they may move in their last digits when the
+directory (named relative to the run's working directory, so both runs echo
+the same `output_dir`). The script prints, per configuration, whether each
+CSV is byte-identical; which `summary.json` keys differ, of all but the
+three means and `wall_time_s` (the config echo, `zero_delta_fraction`,
+`failures` and `workers_used`); and the largest relative difference between
+the means in the two files (they may move in their last digits when the
 kernels' rounding does, or the order of a sum). It also prints each run's
 peak memory (max RSS) and minor page faults, parent first, as `os.wait4`
-reports them for the CLI process and the workers it forked; they are for
-reading only. It exits 1 if any CSV differs and 2 if a run fails.
+reports them for the CLI process and the workers it forked. The summary
+keys and the costs are for reading only: the script exits 1 if any CSV
+differs and 2 if a run fails.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ CONFIGS = (
 )
 CSV_FILES = ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv")
 MEANS = ("mean_e0", "mean_ef", "mean_delta")
+UNCOMPARED = (*MEANS, "wall_time_s")  # summary keys left out of the exact comparison
 
 
 def source_dir(tree: Path) -> Path:
@@ -65,9 +70,9 @@ def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers
             delta_bins: int = 100, e0_bins: int = 50) -> Usage:
     argv = [sys.executable, "-m", "entlab.cli", "--ensemble", ensemble, "--trials", str(trials),
             "--delta-bins", str(delta_bins), "--e0-bins", str(e0_bins),
-            "--seed", str(seed), "--workers", str(workers), "--output-dir", str(out)]
+            "--seed", str(seed), "--workers", str(workers), "--output-dir", out.name]
     with tempfile.TemporaryFile() as log:  # a file, not a pipe: the child never blocks on a full pipe
-        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=str(src)), stdout=log, stderr=log)
+        proc = subprocess.Popen(argv, cwd=out.parent, env=dict(os.environ, PYTHONPATH=str(src)), stdout=log, stderr=log)
         try:
             _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:
@@ -82,13 +87,15 @@ def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers
     return Usage(usage.ru_maxrss / 1024.0, usage.ru_minflt)  # Linux reports ru_maxrss in KiB
 
 
-def compare(a: Path, b: Path) -> tuple[list[str], float]:
-    """The CSVs whose bytes differ between output directories a and b, and
-    the largest relative difference between their summary means."""
+def compare(a: Path, b: Path) -> tuple[list[str], float, list[str]]:
+    """The CSVs whose bytes differ between output directories a and b, the
+    largest relative difference between their summary means, and the other
+    summary keys, bar `wall_time_s`, whose values differ."""
     differ = [name for name in CSV_FILES if (a / name).read_bytes() != (b / name).read_bytes()]
     sa, sb = (json.loads((d / "summary.json").read_text()) for d in (a, b))
     rel = max(abs(sa[k] - sb[k]) / max(abs(sa[k]), abs(sb[k]), 1e-300) for k in MEANS)
-    return differ, rel
+    keys = [k for k in {**sa, **sb} if k not in UNCOMPARED and sa.get(k) != sb.get(k)]
+    return differ, rel, keys
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,20 +108,24 @@ def main(argv: list[str] | None = None) -> int:
     trees = source_dir(args.parent), source_dir(args.change)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="entlab-compare-") as tmp:
+        sides = [Path(tmp, side) for side in ("parent", "change")]
+        for side in sides:
+            side.mkdir()
         for ensemble, trials, delta_bins, e0_bins in CONFIGS:
-            outs = [Path(tmp) / f"{side}-{ensemble}-{trials}-{delta_bins}-{e0_bins}" for side in ("parent", "change")]
+            outs = [side / f"{ensemble}-{trials}-{delta_bins}-{e0_bins}" for side in sides]
             try:
                 parent, change = [run_cli(src, out, ensemble, trials, args.seed, args.workers, delta_bins, e0_bins)
                                   for src, out in zip(trees, outs)]
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            differ, rel = compare(*outs)
+            differ, rel, keys = compare(*outs)
             differing += len(differ)
             csvs = "CSVs identical" if not differ else "CSVs DIFFER: " + ", ".join(differ)
+            others = "other summary keys identical" if not keys else "other summary keys DIFFER: " + ", ".join(keys)
             print(f"{ensemble} {trials} trials, {delta_bins}/{e0_bins} bins (seed {args.seed}, {args.workers} workers): "
                   f"max RSS {parent.max_rss_mib:.1f} -> {change.max_rss_mib:.1f} MiB, "
-                  f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; "
+                  f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; {others}; "
                   f"summary means differ by at most {rel:.3g} (relative)")
     return 1 if differing else 0
 
