@@ -1,13 +1,15 @@
 """Command-line front end: run an ensemble and write CSV/JSON outputs.
 
 Each run writes into one directory: delta_hist.csv, conditional_mean.csv,
-e0_hist.csv (one file per figure-style output) and summary.json. The files
-are written in a temporary directory beside it. Once all are written, the
-outputs of any format the run does not write are removed from the
-directory and the new files moved in, summary.json last, so the directory
-then holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
+e0_hist.csv (one file per figure-style output) and summary.json, and
+removes the outputs of any format it does not write, so the directory then
+holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
 failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
 a worker process killed, as by the kernel's out-of-memory killer).
+
+The files are written in a temporary directory beside the output
+directory. Once all are written, the stale outputs are removed and the new
+files moved in, summary.json last.
 
 Before a run, the CLI process asks glibc's malloc to keep the memory it
 frees: arrays up to 32 MiB come from the heap, whose top goes back to the
@@ -44,7 +46,6 @@ from pathlib import Path
 from .errors import Frozen, NumericError, ResourceError, UsageError, require_integer
 from .experiment import (
     MAX_BINS,
-    ConditionalProfile,
     EnsembleSpec,
     Histogram,
     available_cpus,
@@ -100,7 +101,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="entlab", description=__doc__, add_help=True)
+    # the docstring's first two paragraphs, what a run writes and its exit statuses (none under -OO)
+    p = _Parser(prog="entlab", description="\n\n".join((__doc__ or "").split("\n\n")[:2]), add_help=True)
     p.add_argument("--ensemble", choices=["pure", "mixed"], default="pure",
                    help="which population of initial states to survey")
     p.add_argument("--trials", type=int, default=1_000_000, help="number of Monte Carlo trials")
@@ -143,10 +145,10 @@ def _write_histogram_csv(path: Path, hist: Histogram) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_profile_csv(path: Path, prof: ConditionalProfile) -> None:
-    edges, counts, mean = prof.hist.edges, prof.hist.counts, prof.mean_ef
+def _write_profile_csv(path: Path, hist: Histogram) -> None:
+    edges, counts, mean = hist.edges, hist.counts, hist.mean_ef
     lines = ["e0_lo,e0_hi,mean_ef,count"]
-    for i in range(prof.hist.bin_count):
+    for i in range(hist.bin_count):
         lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(mean[i])},{int(counts[i])}")  # NaN as "nan"
     path.write_text("\n".join(lines) + "\n")
 
@@ -189,11 +191,11 @@ def execute(config: RunConfig) -> int:
         tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
         result = run_ensemble(spec, workers=config.workers)
         delta_hist = histogram_delta(result, config.delta_bins)
-        profile = conditional_mean(result, config.e0_bins)  # its `hist` is the E_0 histogram
+        e0_hist = conditional_mean(result, config.e0_bins)  # the E_0 histogram, with the E_F means
         if "csv" in config.formats:
             _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
-            _write_histogram_csv(tmp / "e0_hist.csv", profile.hist)
-            _write_profile_csv(tmp / "conditional_mean.csv", profile)
+            _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
+            _write_profile_csv(tmp / "conditional_mean.csv", e0_hist)
         if "json" in config.formats:
             summary = {
                 "config": vars(config),

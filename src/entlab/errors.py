@@ -28,16 +28,16 @@ def require_integer(name: str, value, low: int, high: int) -> None:
 
 class Frozen:
     """Base of the package's value classes: `__init__` stores its arguments
-    with `_set`, in the order of its parameters, and assigning or deleting
-    an attribute afterwards raises AttributeError. A class built from
-    caller input first checks it, raising UsageError: `cli.RunConfig` a
-    run's settings (its ensemble, trials and seed by building an
-    `EnsembleSpec`, which checks those three), `RandomStream` its seed and
-    stream index, and `UnitaryGate`, `PureState` and `DensityMatrix` their
-    arrays. `EnsembleResult`, `Histogram` and `ConditionalProfile` hold what
-    the engine computed and check nothing. A `functools.cached_property`
-    still caches, as it writes the instance's `__dict__` directly. Equality
-    is identity unless a subclass defines it."""
+    with `_set`, in the order of its parameters (`Histogram` then what its
+    counts fix), and assigning or deleting an attribute afterwards raises
+    AttributeError. A class built from caller input first checks it,
+    raising UsageError: `cli.RunConfig` a run's settings (its ensemble,
+    trials and seed by building an `EnsembleSpec`, which checks those
+    three), `RandomStream` its seed and stream index, and `UnitaryGate`,
+    `PureState` and `DensityMatrix` their arrays. `EnsembleResult` and
+    `Histogram` hold what the engine computed and check nothing. A
+    `functools.cached_property` still caches, as it writes the instance's
+    `__dict__` directly. Equality is identity."""
 
     def _set(self, **fields) -> None:
         self.__dict__.update(fields)

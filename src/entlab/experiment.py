@@ -19,7 +19,9 @@ E_0 and E_F into its slices in place: process 0 is the calling process, the
 others are workers it forks with `os.fork`. A worker reports only a failure,
 on a pipe of its own, and leaves by `os._exit`; the calling process reads
 each pipe to its end and then reaps that worker by pid, so it never reaps a
-child it did not fork. Where `os` has no `fork`, the run is serial.
+child it did not fork. A worker stops before its next chunk once the
+process that forked it is gone, as when the CLI process is killed by
+SIGKILL. Where `os` has no `fork`, the run is serial.
 
 The reductions walk a result in CHUNK_SIZE slices, so none of them makes
 an array as long as the run: delta E, in particular, is formed a slice at
@@ -139,9 +141,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     return EnsembleResult(e0=out[0], ef=out[1], failures=total, processes=processes)
 
 
-def _run_share(share, out: np.ndarray, failures: np.ndarray, p: int) -> None:
-    """Run process p's chunks, writing E_0 and E_F into rows 0 and 1 of `out`."""
+def _run_share(share, out: np.ndarray, failures: np.ndarray, p: int, parent: int | None = None) -> None:
+    """Run process p's chunks, writing E_0 and E_F into rows 0 and 1 of `out`.
+    A worker passes the pid of the process that forked it as `parent`, and
+    leaves before its next chunk once that process is gone: no one would
+    read its results."""
     for kind, seed, start, count in share:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         e0, ef, failed = _chunk_task(kind, seed, start, count)
         out[0, start : start + count] = e0
         out[1, start : start + count] = ef
@@ -152,8 +159,10 @@ def _fork_worker(share, out: np.ndarray, failures: np.ndarray, p: int):
     """Fork process p to run `share`; returns its pid and the read end of its
     pipe. The worker never returns into the caller's frames: it leaves by
     `os._exit`, which flushes nothing this process buffered, with status 0,
-    or 1 after writing an exception's type name, a NUL and its message."""
+    or 1 after writing an exception's type name, a NUL and its message, or
+    1 with no report once this process is gone."""
     r, w = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError as exc:  # out of memory or of processes
@@ -173,7 +182,7 @@ def _fork_worker(share, out: np.ndarray, failures: np.ndarray, p: int):
         if hooks is not None:
             hooks._finalizer_registry.clear()
         try:
-            _run_share(share, out, failures, p)
+            _run_share(share, out, failures, p, parent)
             status = 0
         except BaseException as exc:
             with open(w, "wb") as pipe:
@@ -203,13 +212,16 @@ def available_cpus() -> int:
 
 
 class Histogram(Frozen):
-    """Fixed-range binned counts, and per-bin sums of the weights where
-    some were binned; density = count / (total * bin width)."""
+    """Fixed-range binned counts over [lo, hi], and per-bin sums of the
+    weights where some were binned; density = count / (total * bin width).
+    `bin_count` and `total` are what the counts fix: every value is binned,
+    so `total` is the number of values. The E_0 histogram weighted by E_F is
+    the conditional-mean profile: `mean_ef` is the mean weight of each bin,
+    NaN in a bin with fewer than MIN_OCCUPANCY samples, which `occupied`
+    leaves out."""
 
-    def __init__(
-        self, lo: float, hi: float, bin_count: int, counts: np.ndarray, total: int, sums: np.ndarray | None = None
-    ):
-        self._set(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=total, sums=sums)
+    def __init__(self, lo: float, hi: float, counts: np.ndarray, sums: np.ndarray | None = None):
+        self._set(lo=lo, hi=hi, counts=counts, sums=sums, bin_count=len(counts), total=int(counts.sum()))
 
     @property
     def bin_width(self) -> float:
@@ -218,6 +230,18 @@ class Histogram(Frozen):
     @cached_property
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.bin_count + 1)
+
+    @property
+    def centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+    @property
+    def occupied(self) -> np.ndarray:
+        return self.counts >= MIN_OCCUPANCY
+
+    @property
+    def mean_ef(self) -> np.ndarray:
+        return np.divide(self.sums, self.counts, out=np.full(self.bin_count, np.nan), where=self.occupied)
 
     def densities(self) -> np.ndarray:
         return self.counts / (self.total * self.bin_width)
@@ -231,11 +255,11 @@ class Histogram(Frozen):
 
 
 class DeltaHistogram(Histogram):
-    """The delta E histogram, with the mean of delta E and the fraction of
-    |delta E| < bin_width / 2, both taken in the same pass."""
+    """The delta E histogram over [-1, 1], with the mean of delta E and the
+    fraction of |delta E| < bin_width / 2, both taken in the same pass."""
 
-    def __init__(self, *histogram, mean: float = 0.0, zero_fraction: float = 0.0):
-        super().__init__(*histogram)
+    def __init__(self, counts: np.ndarray, mean: float, zero_fraction: float):
+        super().__init__(-1.0, 1.0, counts)
         self._set(mean=mean, zero_fraction=zero_fraction)
 
 
@@ -273,7 +297,7 @@ def _histogram(total: int, part, lo: float, hi: float, bin_count: int, weighted:
         np.add.at(counts, idx, 1)  # O(slice), where a bincount would cost O(bin_count) per slice
         if weighted:
             np.add.at(sums, idx, weights)
-    return Histogram(lo=lo, hi=hi, bin_count=bin_count, counts=counts, total=total, sums=sums)
+    return Histogram(lo, hi, counts, sums)
 
 
 def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
@@ -289,10 +313,8 @@ def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
         near_zero += int(np.count_nonzero(np.abs(d) < 2.0 / bin_count / 2.0))  # bin_width / 2
         return d, None
 
-    h = _histogram(len(result), delta, -1.0, 1.0, bin_count)
-    return DeltaHistogram(
-        h.lo, h.hi, h.bin_count, h.counts, h.total, mean=delta_sum / h.total, zero_fraction=near_zero / h.total
-    )
+    counts = _histogram(len(result), delta, -1.0, 1.0, bin_count).counts
+    return DeltaHistogram(counts, delta_sum / len(result), near_zero / len(result))
 
 
 def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -300,30 +322,7 @@ def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
     return _histogram(len(result), lambda s: (result.e0[s], None), 0.0, 1.0, bin_count)
 
 
-class ConditionalProfile(Frozen):
-    """Per-bin mean of final EoF conditioned on binned initial EoF.
-
-    `hist` is the E_0 histogram over [0, 1], with the per-bin sums of E_F.
-    Bins with fewer than MIN_OCCUPANCY samples carry mean NaN and are
-    excluded from the occupied mask.
-    """
-
-    def __init__(self, hist: Histogram, mean_ef: np.ndarray):
-        self._set(hist=hist, mean_ef=mean_ef)
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.hist.counts >= MIN_OCCUPANCY
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.hist.edges[:-1] + self.hist.edges[1:])
-
-
-def conditional_mean(result: EnsembleResult, bin_count: int) -> ConditionalProfile:
-    """Mean E_F per E_0 bin over [0, 1]: the E_0 histogram weighted by E_F."""
-    hist = _histogram(len(result), lambda s: (result.e0[s], result.ef[s]), 0.0, 1.0, bin_count, weighted=True)
-    mean = np.full(bin_count, np.nan)
-    ok = hist.counts >= MIN_OCCUPANCY
-    mean[ok] = hist.sums[ok] / hist.counts[ok]
-    return ConditionalProfile(hist=hist, mean_ef=mean)
+def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
+    """The E_0 histogram over [0, 1] weighted by E_F: its per-bin sums of
+    E_F, and their means where a bin is occupied (`Histogram.mean_ef`)."""
+    return _histogram(len(result), lambda s: (result.e0[s], result.ef[s]), 0.0, 1.0, bin_count, weighted=True)

@@ -63,25 +63,16 @@ _ZIGGURAT_ROWS = 1024
 class RandomStream(Frozen):
     """Deterministic substream of a 64-bit seeded Philox generator.
 
-    Equal (seed, stream_index) pairs reproduce identical sequences, and
-    streams with equal pairs compare and hash equal; distinct stream_index
-    values give statistically independent streams. Both must lie in
-    [0, 2^64). `generator` is started on first read; reading it again
-    continues where the last draw stopped.
+    Equal (seed, stream_index) pairs reproduce identical sequences;
+    distinct stream_index values give statistically independent streams.
+    Both must lie in [0, 2^64). `generator` is started on first read;
+    reading it again continues where the last draw stopped.
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
         require_integer("seed", seed, 0, _U64)
         require_integer("stream_index", stream_index, 0, _U64)
         self._set(seed=seed, stream_index=stream_index, _gen=None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.seed, self.stream_index) == (other.seed, other.stream_index)
-
-    def __hash__(self):
-        return hash((self.seed, self.stream_index))
 
     @property
     def generator(self) -> np.random.Generator:

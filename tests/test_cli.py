@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,20 @@ from entlab.errors import NumericError, UsageError
 from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
 from conftest import assert_no_children, in_children, poison_draws, sigkill
+
+
+def test_help_shows_flags_and_statuses_only(capsys):
+    """`entlab --help` names every flag and every exit status, and none of
+    the module's implementation notes."""
+    assert main(["--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())  # as argparse wrapped it, on one line
+    flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir",
+             "--formats")
+    statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted")
+    for shown in (*flags, *statuses):
+        assert shown in text, shown
+    for note in ("mallopt", "gc.freeze", "glibc"):
+        assert note not in text, note
 
 
 class TestParseArgs:
@@ -683,6 +699,58 @@ def test_long_worker_report_reaches_the_caller(tmp_path):
     )
     assert done.returncode == EXIT_NUMERIC, done.stderr[:1000]
     assert done.stderr == f"numeric quality breach: {'x' * 200_000}\n"
+
+
+def running(pid: int) -> bool:
+    """Whether `pid` names a process that has not exited: a zombie, left
+    for its new parent to reap, has."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
+def test_orphaned_worker_stops(tmp_path):
+    """A worker whose CLI process is killed by SIGKILL, so that none of its
+    cleanup runs, stops before its next chunk rather than computing the rest
+    of its share: here ~10^7 trials, which take seconds."""
+    pid_file = tmp_path / "worker.pid"
+    code = (
+        "import os, sys\n"
+        "from entlab import cli, experiment\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"task, parent, pid_file = experiment._chunk_task, os.getpid(), {str(pid_file)!r}\n"
+        "def chunk_task(*args):\n"
+        "    if os.getpid() != parent and not os.path.exists(pid_file):\n"
+        "        with open(pid_file + '.part', 'w') as f:\n"
+        "            f.write(str(os.getpid()))\n"
+        "        os.replace(pid_file + '.part', pid_file)\n"
+        "    return task(*args)\n"
+        "experiment._chunk_task = chunk_task\n"
+        f"sys.exit(cli.main(['--trials', '20000000', '--workers', '2', '--output-dir', {str(tmp_path / 'run')!r}]))\n"
+    )
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "the run forked no worker"
+            time.sleep(0.01)
+        worker = int(pid_file.read_text())
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(worker), "the orphaned worker was still running 2 s after its CLI process died"
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None and running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_unmappable_results_exit_code(tmp_path):

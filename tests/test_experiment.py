@@ -17,6 +17,7 @@ from entlab.experiment import (
     RETRY_STRIDE,
     EnsembleResult,
     EnsembleSpec,
+    Histogram,
     _bin_indices,
     _chunk_task,
     _histogram,
@@ -138,14 +139,12 @@ class TestEnsembleSpec:
 def value_instances():
     """One instance of each of the package's value classes, by name."""
     res = run_ensemble(EnsembleSpec("pure", 300, 1))
-    profile = conditional_mean(res, 4)
     return {
         "RunConfig": RunConfig("pure", 10, 1, 2, 2, 1, "out", ("csv",)),
         "EnsembleSpec": EnsembleSpec("pure", 10, 1),
         "EnsembleResult": res,
-        "Histogram": profile.hist,
+        "Histogram": conditional_mean(res, 4),
         "DeltaHistogram": histogram_delta(res, 4),
-        "ConditionalProfile": profile,
         "UnitaryGate": circuit(),
         "PureState": ket("01"),
         "DensityMatrix": DensityMatrix(np.eye(4) / 4),
@@ -595,7 +594,7 @@ class TestBinRule:
                 rec = result([x], [x])
                 h = entanglement_histogram(rec, bins)
                 assert h.counts[h.bin_index(x)] == 1, (bins, x)
-                assert conditional_mean(rec, bins).hist.counts[h.bin_index(x)] == 1, (bins, x)
+                assert conditional_mean(rec, bins).counts[h.bin_index(x)] == 1, (bins, x)
 
 
 @pytest.mark.parametrize("lo", [0.0, -1.0])
@@ -633,6 +632,21 @@ class TestEntanglementHistogram:
 
 
 class TestConditionalMean:
+    @pytest.mark.parametrize("bins", [2, 7, 50])
+    def test_is_the_e0_histogram(self, bins):
+        """The profile is the E_0 histogram itself, with the per-bin E_F
+        means read from its sums where a bin is occupied and NaN elsewhere."""
+        res = run_ensemble(EnsembleSpec("mixed", 3000, 5))
+        prof, hist = conditional_mean(res, bins), entanglement_histogram(res, bins)
+        assert type(prof) is Histogram and prof.total == len(res)
+        for name in ("counts", "edges"):
+            assert getattr(prof, name).tobytes() == getattr(hist, name).tobytes(), name
+        assert prof.densities().tobytes() == hist.densities().tobytes()
+        occupied = prof.counts >= MIN_OCCUPANCY
+        assert np.array_equal(prof.occupied, occupied) and occupied.any()
+        assert np.array_equal(prof.mean_ef[occupied], prof.sums[occupied] / prof.counts[occupied])
+        assert np.isnan(prof.mean_ef[~occupied]).all()
+
     def test_all_mass_in_first_bin(self):
         prof = conditional_mean(result([0.0] * MIN_OCCUPANCY, [1.0] * MIN_OCCUPANCY), 10)
         assert prof.mean_ef[0] == pytest.approx(1.0)
@@ -649,4 +663,4 @@ class TestConditionalMean:
 
     def test_top_edge_lands_in_last_bin(self):
         prof = conditional_mean(result([1.0], [0.2]), 10)
-        assert prof.hist.counts[-1] == 1
+        assert prof.counts[-1] == 1
