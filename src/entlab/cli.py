@@ -5,7 +5,8 @@ e0_hist.csv (one file per figure-style output) and summary.json, and
 removes the outputs of any format it does not write, so the directory then
 holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
 failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
-a worker process killed, as by the kernel's out-of-memory killer).
+a worker process killed, as by the kernel's out-of-memory killer), 130
+interrupted (SIGINT, as by Ctrl-C).
 
 The files are written in a temporary directory beside the output
 directory. Once all are written, the stale outputs are removed and the new
@@ -70,6 +71,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCES = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell gives a process SIGINT killed
 
 
 class RunConfig(Frozen):
@@ -244,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MemoryError, ResourceError) as exc:
         print(f"resources exhausted: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCES
+    except KeyboardInterrupt:  # SIGINT: the `finally` blocks have stopped the workers and removed the directories
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def run() -> int:

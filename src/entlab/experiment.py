@@ -15,11 +15,16 @@ kernel is a numeric failure, never a count in a histogram.
 A run allocates its results once, on a shared anonymous mapping, and uses
 at most min(workers, chunks, CPUs it may run on) processes, counting its
 own. Process p runs chunks p, p + processes, ... and writes each chunk's
-E_0 and E_F into its slices in place: process 0 is the calling process, the
-others are workers it forks with `os.fork`. A worker reports only a failure,
-on a pipe of its own, and leaves by `os._exit`; the calling process reads
-each pipe to its end and then reaps that worker by pid, so it never reaps a
-child it did not fork. A worker stops before its next chunk once the
+E_0 and E_F into its slices in place, and its failure and finished-chunk
+counts beside them: process 0 is the calling process, the others are
+workers it forks with `os.fork`. A worker reports only by its exit status.
+It leaves by `os._exit`, with status 1 at the first chunk that raises,
+and never prints. The calling process reaps each worker by pid, so it never
+reaps a child it did not fork, and runs the chunks a failed worker did not
+finish itself. A trial is a function of (seed, t) alone, so a chunk that
+failed in a worker raises the same error here, as in a serial run; a
+failure only the worker met costs time, not the run. A worker killed by a
+signal is a ResourceError. A worker stops before its next chunk once the
 process that forked it is gone, as when the CLI process is killed by
 SIGKILL. Where `os` has no `fork`, the run is serial.
 
@@ -110,71 +115,68 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     require_integer("workers", workers, 1, math.inf)
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
     processes = max(1, min(workers, len(tasks), available_cpus())) if hasattr(os, "fork") else 1
-    # e0 and ef of every trial, then one failure count per process
+    # e0 and ef of every trial, then (failures, chunks finished) of each process
     try:
-        buf = mmap.mmap(-1, 8 * (2 * spec.trials + processes))
+        buf = mmap.mmap(-1, 8 * (2 * spec.trials + 2 * processes))
     except OSError as exc:  # out of memory, or over the process's address-space limit
         raise ResourceError(f"could not map the results of {spec.trials} trials: {exc}") from exc
     out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
-    failures = np.frombuffer(buf, np.int64, processes, 16 * spec.trials)
-    children = {}  # pid of each worker not yet reaped -> the read end of its pipe
+    counts = np.frombuffer(buf, np.int64, 2 * processes, 16 * spec.trials).reshape(processes, 2)
+    children = {}  # pid of each worker not yet reaped -> its process index
     try:
-        # a generator: the workers forked before a refused fork are in `children`, to be stopped
-        children.update(_fork_worker(tasks[p::processes], out, failures, p) for p in range(1, processes))
-        _run_share(tasks[::processes], out, failures, 0)
-        for pid, pipe in list(children.items()):
-            report = pipe.read()  # to EOF first: a long report must not block its worker's exit
-            status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
-            _check_worker(os.waitstatus_to_exitcode(status), report)
+        for p in range(1, processes):  # the workers forked before a refused fork are in `children`, to be stopped
+            children[_fork_worker(tasks[p::processes], out, counts, p)] = p
+        _run_share(tasks[::processes], out, counts, 0)
+        for pid, p in list(children.items()):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code < 0:
+                raise ResourceError(f"a worker process was killed by signal {-code}")
+            if code:  # the chunks it did not finish: they raise its error here, or succeed
+                _run_share(tasks[p::processes][counts[p, 1] :], out, counts, p)
     finally:
         if children:  # the run failed with workers left: stop and reap them
             import signal  # ~1 ms, which a run that succeeds does not pay
 
-            for pid, pipe in children.items():
+            for pid in children:
                 os.kill(pid, signal.SIGTERM)  # never a reaped pid, which the system may have reused
                 os.waitpid(pid, 0)
-                pipe.close()
-    total = int(failures.sum())
+    total = int(counts[:, 0].sum())
     if total > MAX_FAILURE_RATE * spec.trials:
         raise NumericError(f"{total} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
     return EnsembleResult(e0=out[0], ef=out[1], failures=total, processes=processes)
 
 
-def _run_share(share, out: np.ndarray, failures: np.ndarray, p: int, parent: int | None = None) -> None:
-    """Run process p's chunks, writing E_0 and E_F into rows 0 and 1 of `out`.
-    A worker passes the pid of the process that forked it as `parent`, and
-    leaves before its next chunk once that process is gone: no one would
-    read its results."""
+def _run_share(share, out: np.ndarray, counts: np.ndarray, p: int, parent: int | None = None) -> None:
+    """Run chunks of process p, writing E_0 and E_F into rows 0 and 1 of
+    `out`, and adding each chunk's failures and 1 to row p of `counts`, so a
+    worker's row says how much of its share it finished. A worker passes the
+    pid of the process that forked it as `parent`, and leaves before its
+    next chunk once that process is gone: no one would read its results."""
     for kind, seed, start, count in share:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         e0, ef, failed = _chunk_task(kind, seed, start, count)
         out[0, start : start + count] = e0
         out[1, start : start + count] = ef
-        failures[p] += failed
+        counts[p] += failed, 1
 
 
-def _fork_worker(share, out: np.ndarray, failures: np.ndarray, p: int):
-    """Fork process p to run `share`; returns its pid and the read end of its
-    pipe. The worker never returns into the caller's frames: it leaves by
-    `os._exit`, which flushes nothing this process buffered, with status 0,
-    or 1 after writing an exception's type name, a NUL and its message, or
-    1 with no report once this process is gone."""
-    r, w = os.pipe()
+def _fork_worker(share, out: np.ndarray, counts: np.ndarray, p: int) -> int:
+    """Fork process p to run `share`; returns its pid. The worker never
+    returns into the caller's frames and never prints: it leaves by
+    `os._exit`, which flushes nothing this process buffered, with status 0
+    once its share is done, or 1 at the first chunk that raises or once this
+    process is gone."""
     parent = os.getpid()
     try:
         pid = os.fork()
     except OSError as exc:  # out of memory or of processes
-        os.close(r)
-        os.close(w)
         raise ResourceError(f"could not start a worker process: {exc}") from exc
     if pid:
-        os.close(w)  # once forked, only the worker holds the writing end
-        return pid, open(r, "rb")
+        return pid
     status = 1
     try:
-        os.close(r)
         # `multiprocessing.util.Finalize` hooks, run at a worker's exit as
         # multiprocessing's own workers do, for bench/tracer.py's spans; drop
         # this once the tracer reads summary.json (ROADMAP item 2)
@@ -182,28 +184,13 @@ def _fork_worker(share, out: np.ndarray, failures: np.ndarray, p: int):
         if hooks is not None:
             hooks._finalizer_registry.clear()
         try:
-            _run_share(share, out, failures, p, parent)
+            _run_share(share, out, counts, p, parent)
             status = 0
-        except BaseException as exc:
-            with open(w, "wb") as pipe:
-                pipe.write(f"{type(exc).__name__}\0{exc}".encode(errors="replace"))
-        if hooks is not None:
-            hooks._run_finalizers()
+        finally:  # an exception is then dropped by `os._exit`: the caller reruns the chunk that raised it
+            if hooks is not None:
+                hooks._run_finalizers()
     finally:
         os._exit(status)
-
-
-def _check_worker(code: int, report: bytes) -> None:
-    """Raise what a reaped worker reported, or that it was lost."""
-    if code < 0:
-        raise ResourceError(f"a worker process was killed by signal {-code}")
-    if report:
-        name, _, message = report.decode(errors="replace").partition("\0")
-        if name == "MemoryError":
-            raise MemoryError(message)
-        raise NumericError(message if name == "NumericError" else f"{name} in a worker process: {message}")
-    if code:
-        raise ResourceError(f"a worker process exited with status {code}")
 
 
 def available_cpus() -> int:

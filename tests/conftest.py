@@ -71,6 +71,20 @@ def in_children(monkeypatch, action):
     monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
 
 
+def fail_at(monkeypatch, start, exc):
+    """Raise `exc` at the start of the chunk that begins at trial `start`, in
+    every process that runs it, this one or a forked child: a failure that
+    follows the trial, as every failure of a deterministic run does."""
+    task = experiment._chunk_task
+
+    def chunk_task(kind, seed, first, count):
+        if first == start:
+            raise exc
+        return task(kind, seed, first, count)
+
+    monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
+
+
 def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):

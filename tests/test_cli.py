@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entlab import cli, experiment
-from entlab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
+from entlab.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
 from entlab.errors import NumericError, UsageError
 from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
-from conftest import assert_no_children, in_children, poison_draws, sigkill
+from conftest import assert_no_children, fail_at, in_children, poison_draws, sigkill
 
 
 def test_help_shows_flags_and_statuses_only(capsys):
@@ -32,7 +32,8 @@ def test_help_shows_flags_and_statuses_only(capsys):
     text = " ".join(capsys.readouterr().out.split())  # as argparse wrapped it, on one line
     flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir",
              "--formats")
-    statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted")
+    statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted",
+                "130 interrupted")
     for shown in (*flags, *statuses):
         assert shown in text, shown
     for note in ("mallopt", "gc.freeze", "glibc"):
@@ -610,10 +611,7 @@ class TestWorkerFailures:
         return code, err
 
     def test_numeric_error_in_a_child_exit_code(self, tmp_path, capsys, monkeypatch):
-        def failing(start):
-            raise NumericError(f"chunk {start} failed")
-
-        in_children(monkeypatch, failing)
+        fail_at(monkeypatch, CHUNK_SIZE, NumericError(f"chunk {CHUNK_SIZE} failed"))  # the child's chunk
         code, err = self.run(tmp_path, capsys, monkeypatch)
         assert code == EXIT_NUMERIC
         assert err == f"numeric quality breach: chunk {CHUNK_SIZE} failed\n"
@@ -625,8 +623,8 @@ class TestWorkerFailures:
 
         if where == "this process":
             monkeypatch.setattr(experiment, "_chunk_task", exhausted)
-        else:
-            in_children(monkeypatch, exhausted)
+        else:  # the child's chunk, which fails again when the caller reruns it
+            fail_at(monkeypatch, CHUNK_SIZE, MemoryError())
         code, err = self.run(tmp_path, capsys, monkeypatch)
         assert code == EXIT_RESOURCES
         assert err == "resources exhausted: out of memory\n"
@@ -671,26 +669,27 @@ def test_serial_run_imports_no_unused_modules(tmp_path):
 
 def test_parallel_run_imports_no_process_machinery(tmp_path):
     """A two-worker run imports no process machinery either: it forks with
-    `os.fork` and reports through a plain pipe, with no `multiprocessing`
-    and no sockets; only a failed run imports `signal` to stop its workers."""
+    `os.fork` and reaps with `os.waitpid`, with no `multiprocessing`, no
+    pipes and no sockets; only a failed run imports `signal` to stop its
+    workers."""
     modules = ("multiprocessing", "concurrent.futures", "socket", "selectors", "signal")
     assert imported_by_run(tmp_path, modules, workers=2) == "[] []\n"
 
 
 def test_long_worker_report_reaches_the_caller(tmp_path):
-    """A worker's report longer than a pipe holds arrives whole: the CLI
-    process reads it to the end before it waits for the worker, which
-    would otherwise block in its write while the CLI process waits."""
+    """The error of a worker's chunk arrives whole however long its message,
+    here longer than a pipe holds: the worker sends nothing, and the CLI
+    process raises the error when it reruns the chunk."""
     code = (
         "import os, sys\n"
         "from entlab import cli, experiment\n"
         "from entlab.errors import NumericError\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "task, parent = experiment._chunk_task, os.getpid()\n"
-        "def chunk_task(*args):\n"
-        "    if os.getpid() != parent:\n"
+        "task = experiment._chunk_task\n"
+        "def chunk_task(kind, seed, start, count):\n"
+        f"    if start == {CHUNK_SIZE}:\n"
         "        raise NumericError('x' * 200_000)\n"
-        "    return task(*args)\n"
+        "    return task(kind, seed, start, count)\n"
         "experiment._chunk_task = chunk_task\n"
         f"sys.exit(cli.main(['--trials', '{CHUNK_SIZE + 1}', '--workers', '2', '--output-dir', {str(tmp_path / 'run')!r}]))\n"
     )
@@ -711,11 +710,11 @@ def running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
-def test_orphaned_worker_stops(tmp_path):
-    """A worker whose CLI process is killed by SIGKILL, so that none of its
-    cleanup runs, stops before its next chunk rather than computing the rest
-    of its share: here ~10^7 trials, which take seconds."""
+def start_parallel_run(tmp_path, output_dir: Path, **popen) -> tuple[subprocess.Popen, int]:
+    """A CLI run of 2·10^7 pure trials at `--workers 2` in a subprocess,
+    once its worker has begun its first chunk: the process, and the pid a
+    wrapped `experiment._chunk_task` wrote to `tmp_path / "worker.pid"` in
+    the worker."""
     pid_file = tmp_path / "worker.pid"
     code = (
         "import os, sys\n"
@@ -729,17 +728,37 @@ def test_orphaned_worker_stops(tmp_path):
         "        os.replace(pid_file + '.part', pid_file)\n"
         "    return task(*args)\n"
         "experiment._chunk_task = chunk_task\n"
-        f"sys.exit(cli.main(['--trials', '20000000', '--workers', '2', '--output-dir', {str(tmp_path / 'run')!r}]))\n"
+        f"sys.exit(cli.main(['--trials', '20000000', '--workers', '2', '--output-dir', {str(output_dir)!r}]))\n"
     )
     env = subprocess_env(OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    worker = None
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL, **popen)
     try:
         deadline = time.monotonic() + 60
         while not pid_file.exists():
             assert proc.poll() is None and time.monotonic() < deadline, "the run forked no worker"
             time.sleep(0.01)
-        worker = int(pid_file.read_text())
+        return proc, int(pid_file.read_text())
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+
+
+def stop(proc: subprocess.Popen, worker: int) -> None:
+    """Kill a run started by `start_parallel_run`, and its worker, if either is still running."""
+    proc.kill()
+    proc.wait()
+    if running(worker):
+        os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
+def test_orphaned_worker_stops(tmp_path):
+    """A worker whose CLI process is killed by SIGKILL, so that none of its
+    cleanup runs, stops before its next chunk rather than computing the rest
+    of its share: here ~10^7 trials, which take seconds."""
+    proc, worker = start_parallel_run(tmp_path, tmp_path / "run", stderr=subprocess.DEVNULL)
+    try:
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 2
@@ -747,10 +766,25 @@ def test_orphaned_worker_stops(tmp_path):
             time.sleep(0.01)
         assert not running(worker), "the orphaned worker was still running 2 s after its CLI process died"
     finally:
-        proc.kill()
-        proc.wait()
-        if worker is not None and running(worker):
-            os.kill(worker, signal.SIGKILL)
+        stop(proc, worker)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
+def test_interrupted_run_exit_code(tmp_path):
+    """SIGINT to the CLI process of a two-worker run, once its worker has
+    started: exit 130 with one stderr line, the worker stopped and reaped,
+    and neither the temporary directory nor the output directories the run
+    made left behind."""
+    proc, worker = start_parallel_run(tmp_path, tmp_path / "new" / "run", stderr=subprocess.PIPE, text=True)
+    try:
+        proc.send_signal(signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == EXIT_INTERRUPTED, err[-2000:]
+        assert err == "interrupted\n"
+        assert not running(worker), "the worker outlived its CLI process"
+        assert [path.name for path in tmp_path.iterdir()] == ["worker.pid"]  # no .entlab-*, no new/ or new/run
+    finally:
+        stop(proc, worker)
 
 
 def test_unmappable_results_exit_code(tmp_path):

@@ -34,6 +34,7 @@ from conftest import (
     assert_no_children,
     definition_concurrence,
     definition_eof,
+    fail_at,
     in_children,
     poison_draws,
     sigkill,
@@ -276,8 +277,9 @@ class TestRunEnsemble:
 
 
 class TestWorkers:
-    """The forked processes of a run: what goes wrong in one reaches the
-    caller, their counts add up as in a serial run, and none outlives the run."""
+    """The forked processes of a run: a chunk that fails in one fails again
+    in the caller, which raises its error as a serial run does; their counts
+    add up as in a serial run, and none outlives the run."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -286,12 +288,54 @@ class TestWorkers:
         assert_no_children()
 
     def test_numeric_error_in_a_child_reaches_the_caller(self, monkeypatch):
-        def failing(start):
-            raise NumericError(f"chunk {start} failed")
-
-        in_children(monkeypatch, failing)
+        # chunk 1 is the child's: it fails there first, then in the caller
+        fail_at(monkeypatch, CHUNK_SIZE, NumericError(f"chunk {CHUNK_SIZE} failed"))
         with pytest.raises(NumericError, match=f"^chunk {CHUNK_SIZE} failed$"):
             run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=2)
+
+    def test_error_as_in_a_serial_run(self, monkeypatch):
+        """Any exception type arrives as itself, with its message, not
+        renamed by a report from the worker."""
+        fail_at(monkeypatch, CHUNK_SIZE, UsageError(f"chunk {CHUNK_SIZE} refused"))
+        spec = EnsembleSpec("pure", 3 * CHUNK_SIZE, 5)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(Exception) as info:
+                run_ensemble(spec, workers=workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(UsageError, f"chunk {CHUNK_SIZE} refused")] * 2
+
+    def test_failure_in_a_child_only_costs_time(self, monkeypatch):
+        """A chunk that fails only in the child, as on memory only it ran
+        short of, is run again by the caller: the run succeeds, with the
+        results and the failure count of a serial run."""
+        monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
+        poison_draws(monkeypatch, {c * CHUNK_SIZE + c for c in range(6)})  # one redraw per chunk
+        spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 7, 8)
+        serial = run_ensemble(spec, workers=1)
+
+        def exhausted(start):
+            if start == 3 * CHUNK_SIZE:  # the child's second chunk of three: 1, 3, 5
+                raise MemoryError
+
+        in_children(monkeypatch, exhausted)
+        par = run_ensemble(spec, workers=2)
+        assert par.processes == 2
+        assert serial.failures == par.failures == 6
+        assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
+
+    def test_no_pipe(self, monkeypatch):
+        """A worker reports by its exit status and the shared mapping alone."""
+
+        def refused():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", refused)
+        spec = EnsembleSpec("pure", 2 * CHUNK_SIZE + 5, 5)
+        par = run_ensemble(spec, workers=2)
+        serial = run_ensemble(spec, workers=1)
+        assert par.processes == 2
+        assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
 
     @pytest.mark.parametrize("workers", [2, 6])
     def test_child_retries_count_as_in_a_serial_run(self, monkeypatch, workers):
