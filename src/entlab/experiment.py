@@ -14,19 +14,21 @@ kernel is a numeric failure, never a count in a histogram.
 
 A run allocates its results once, on a shared anonymous mapping, and uses
 at most min(workers, chunks, CPUs it may run on) processes, counting its
-own. Process p runs chunks p, p + processes, ... and writes each chunk's
-E_0 and E_F into its slices in place, and its failure and finished-chunk
-counts beside them: process 0 is the calling process, the others are
-workers it forks with `os.fork`. A worker reports only by its exit status.
-It leaves by `os._exit`, with status 1 at the first chunk that raises,
-and never prints. The calling process reaps each worker by pid, so it never
-reaps a child it did not fork, and runs the chunks a failed worker did not
-finish itself. A trial is a function of (seed, t) alone, so a chunk that
-failed in a worker raises the same error here, as in a serial run; a
-failure only the worker met costs time, not the run. A worker killed by a
-signal is a ResourceError. A worker stops before its next chunk once the
-process that forked it is gone, as when the CLI process is killed by
-SIGKILL. Where `os` has no `fork`, the run is serial.
+own. Process p runs chunks p, p + processes, ... in order: process 0 is the
+calling process, the others are workers it forks with `os.fork`. For each
+chunk it writes E_0 and E_F into their slices in place, then the chunk's
+failure count + 1 into the chunk's record beside them, 0 until then. A
+process stops at its first chunk that raises; where that is the calling
+process, it kills the workers at once. A worker reports nothing else: it
+never prints, and leaves by `os._exit`. The calling process reaps each
+worker by pid, so it never reaps a child it did not fork, then runs every
+chunk whose record is still 0 itself, in chunk order. A trial is a function
+of (seed, t) alone, so the lowest failing chunk raises its error there, as
+in a serial run, whichever process met it first; a failure only one process
+met costs time, not the run. A worker killed by a signal is a ResourceError.
+A worker stops before its next chunk once the process that forked it is
+gone, as when the CLI process is killed by SIGKILL. Where `os` has no
+`fork`, the run is serial.
 
 The reductions walk a result in CHUNK_SIZE slices, so none of them makes
 an array as long as the run: delta E, in particular, is formed a slice at
@@ -115,59 +117,58 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     require_integer("workers", workers, 1, math.inf)
     tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
     processes = max(1, min(workers, len(tasks), available_cpus())) if hasattr(os, "fork") else 1
-    # e0 and ef of every trial, then (failures, chunks finished) of each process
+    # e0 and ef of every trial, then each chunk's failures + 1 once it is written, 0 until then
     try:
-        buf = mmap.mmap(-1, 8 * (2 * spec.trials + 2 * processes))
+        buf = mmap.mmap(-1, 8 * (2 * spec.trials + len(tasks)))
     except OSError as exc:  # out of memory, or over the process's address-space limit
         raise ResourceError(f"could not map the results of {spec.trials} trials: {exc}") from exc
     out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
-    counts = np.frombuffer(buf, np.int64, 2 * processes, 16 * spec.trials).reshape(processes, 2)
-    children = {}  # pid of each worker not yet reaped -> its process index
+    done = np.frombuffer(buf, np.int64, len(tasks), 16 * spec.trials)
+    children = []  # pids of the workers not yet reaped
     try:
         for p in range(1, processes):  # the workers forked before a refused fork are in `children`, to be stopped
-            children[_fork_worker(tasks[p::processes], out, counts, p)] = p
-        _run_share(tasks[::processes], out, counts, 0)
-        for pid, p in list(children.items()):
+            children.append(_fork_worker(tasks[p::processes], out, done))
+        try:
+            _run_share(tasks[::processes], out, done)
+        except Exception:  # this process's own failure: its chunk is rerun below, in order with the workers'
+            _stop(children)
+        for pid in children[:]:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
+            children.remove(pid)
             if code < 0:
                 raise ResourceError(f"a worker process was killed by signal {-code}")
-            if code:  # the chunks it did not finish: they raise its error here, or succeed
-                _run_share(tasks[p::processes][counts[p, 1] :], out, counts, p)
     finally:
-        if children:  # the run failed with workers left: stop and reap them
-            import signal  # ~1 ms, which a run that succeeds does not pay
-
-            for pid in children:
-                os.kill(pid, signal.SIGTERM)  # never a reaped pid, which the system may have reused
-                os.waitpid(pid, 0)
-    total = int(counts[:, 0].sum())
+        _stop(children)
+    # every chunk no process finished, in chunk order: the lowest failing chunk raises, as in a serial run
+    _run_share([tasks[c] for c in np.flatnonzero(done == 0)], out, done)
+    total = int(done.sum()) - len(tasks)
     if total > MAX_FAILURE_RATE * spec.trials:
         raise NumericError(f"{total} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
     return EnsembleResult(e0=out[0], ef=out[1], failures=total, processes=processes)
 
 
-def _run_share(share, out: np.ndarray, counts: np.ndarray, p: int, parent: int | None = None) -> None:
-    """Run chunks of process p, writing E_0 and E_F into rows 0 and 1 of
-    `out`, and adding each chunk's failures and 1 to row p of `counts`, so a
-    worker's row says how much of its share it finished. A worker passes the
-    pid of the process that forked it as `parent`, and leaves before its
-    next chunk once that process is gone: no one would read its results."""
+def _run_share(share, out: np.ndarray, done: np.ndarray, parent: int | None = None) -> None:
+    """Run chunks in order, writing their E_0 and E_F into rows 0 and 1 of
+    `out`, and then each chunk's failure count + 1 into its entry of `done`,
+    so an entry still 0 names a chunk no process finished. The first chunk
+    that raises ends the share. A worker passes the pid of the process that
+    forked it as `parent`, and stops before its next chunk once that process
+    is gone: no one would read its results."""
     for kind, seed, start, count in share:
         if parent is not None and os.getppid() != parent:
-            os._exit(1)
+            return
         e0, ef, failed = _chunk_task(kind, seed, start, count)
         out[0, start : start + count] = e0
         out[1, start : start + count] = ef
-        counts[p] += failed, 1
+        done[start // CHUNK_SIZE] = failed + 1
 
 
-def _fork_worker(share, out: np.ndarray, counts: np.ndarray, p: int) -> int:
-    """Fork process p to run `share`; returns its pid. The worker never
+def _fork_worker(share, out: np.ndarray, done: np.ndarray) -> int:
+    """Fork a worker to run `share`; returns its pid. The worker never
     returns into the caller's frames and never prints: it leaves by
-    `os._exit`, which flushes nothing this process buffered, with status 0
-    once its share is done, or 1 at the first chunk that raises or once this
-    process is gone."""
+    `os._exit(0)`, which flushes nothing this process buffered, once its
+    share is done, at the first chunk that raises, or once this process is
+    gone. Only a signal that kills it makes its exit status tell."""
     parent = os.getpid()
     try:
         pid = os.fork()
@@ -175,7 +176,6 @@ def _fork_worker(share, out: np.ndarray, counts: np.ndarray, p: int) -> int:
         raise ResourceError(f"could not start a worker process: {exc}") from exc
     if pid:
         return pid
-    status = 1
     try:
         # `multiprocessing.util.Finalize` hooks, run at a worker's exit as
         # multiprocessing's own workers do, for bench/tracer.py's spans; drop
@@ -184,13 +184,21 @@ def _fork_worker(share, out: np.ndarray, counts: np.ndarray, p: int) -> int:
         if hooks is not None:
             hooks._finalizer_registry.clear()
         try:
-            _run_share(share, out, counts, p, parent)
-            status = 0
+            _run_share(share, out, done, parent)
         finally:  # an exception is then dropped by `os._exit`: the caller reruns the chunk that raised it
             if hooks is not None:
                 hooks._run_finalizers()
     finally:
-        os._exit(status)
+        os._exit(0)
+
+
+def _stop(children: list) -> None:
+    """Kill the workers in `children` and reap them, emptying it. SIGKILL: a
+    worker cannot ignore it, as it can SIGTERM when it inherits an ignored
+    SIGTERM from whoever started the run."""
+    while children:  # never a reaped pid, which the system may have reused
+        os.kill(children[-1], 9)  # SIGKILL wherever `os.fork` exists, without the ~1 ms `import signal`
+        os.waitpid(children.pop(), 0)
 
 
 def available_cpus() -> int:

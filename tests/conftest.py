@@ -71,15 +71,16 @@ def in_children(monkeypatch, action):
     monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
 
 
-def fail_at(monkeypatch, start, exc):
-    """Raise `exc` at the start of the chunk that begins at trial `start`, in
-    every process that runs it, this one or a forked child: a failure that
-    follows the trial, as every failure of a deterministic run does."""
+def fail_at(monkeypatch, errors):
+    """Raise `errors[start]` at the start of the chunk that begins at trial
+    `start`, for each start in `errors`, in every process that runs it, this
+    one or a forked child: a failure that follows the trial, as every
+    failure of a deterministic run does."""
     task = experiment._chunk_task
 
     def chunk_task(kind, seed, first, count):
-        if first == start:
-            raise exc
+        if first in errors:
+            raise errors[first]
         return task(kind, seed, first, count)
 
     monkeypatch.setattr(experiment, "_chunk_task", chunk_task)

@@ -611,7 +611,7 @@ class TestWorkerFailures:
         return code, err
 
     def test_numeric_error_in_a_child_exit_code(self, tmp_path, capsys, monkeypatch):
-        fail_at(monkeypatch, CHUNK_SIZE, NumericError(f"chunk {CHUNK_SIZE} failed"))  # the child's chunk
+        fail_at(monkeypatch, {CHUNK_SIZE: NumericError(f"chunk {CHUNK_SIZE} failed")})  # the child's chunk
         code, err = self.run(tmp_path, capsys, monkeypatch)
         assert code == EXIT_NUMERIC
         assert err == f"numeric quality breach: chunk {CHUNK_SIZE} failed\n"
@@ -624,7 +624,7 @@ class TestWorkerFailures:
         if where == "this process":
             monkeypatch.setattr(experiment, "_chunk_task", exhausted)
         else:  # the child's chunk, which fails again when the caller reruns it
-            fail_at(monkeypatch, CHUNK_SIZE, MemoryError())
+            fail_at(monkeypatch, {CHUNK_SIZE: MemoryError()})
         code, err = self.run(tmp_path, capsys, monkeypatch)
         assert code == EXIT_RESOURCES
         assert err == "resources exhausted: out of memory\n"
@@ -670,8 +670,8 @@ def test_serial_run_imports_no_unused_modules(tmp_path):
 def test_parallel_run_imports_no_process_machinery(tmp_path):
     """A two-worker run imports no process machinery either: it forks with
     `os.fork` and reaps with `os.waitpid`, with no `multiprocessing`, no
-    pipes and no sockets; only a failed run imports `signal` to stop its
-    workers."""
+    pipes and no sockets, and a failed run kills its workers with `os.kill`
+    alone, so no run imports `signal`."""
     modules = ("multiprocessing", "concurrent.futures", "socket", "selectors", "signal")
     assert imported_by_run(tmp_path, modules, workers=2) == "[] []\n"
 
@@ -785,6 +785,41 @@ def test_interrupted_run_exit_code(tmp_path):
         assert [path.name for path in tmp_path.iterdir()] == ["worker.pid"]  # no .entlab-*, no new/ or new/run
     finally:
         stop(proc, worker)
+
+
+def test_failed_run_kills_workers_that_ignore_sigterm(tmp_path):
+    """A two-worker run started with SIGTERM ignored, which its workers
+    inherit, whose chunk 0 fails in the CLI process: the worker is killed
+    at once, not left to finish its share of 5·10^6 trials (seconds), and
+    the run exits 3 with no child left."""
+    code = (
+        "import os, signal, sys, time\n"
+        "from entlab import cli, experiment\n"
+        "from entlab.errors import NumericError\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "task = experiment._chunk_task\n"
+        "def chunk_task(kind, seed, start, count):\n"
+        "    if start == 0:\n"
+        "        raise NumericError('chunk 0 failed')\n"
+        "    return task(kind, seed, start, count)\n"
+        "experiment._chunk_task = chunk_task\n"
+        "t0 = time.monotonic()\n"
+        f"code = cli.main(['--trials', '10000000', '--workers', '2', '--output-dir', {str(tmp_path / 'run')!r}])\n"
+        "print(time.monotonic() - t0)\n"
+        "try:\n"
+        "    print(os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
+        "sys.exit(code)\n"
+    )
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_NUMERIC, done.stderr[-2000:]
+    assert done.stderr == "numeric quality breach: chunk 0 failed\n"
+    seconds, children = done.stdout.splitlines()
+    assert float(seconds) < 2, f"the failed run took {seconds} s to return"
+    assert children == "no child"
 
 
 def test_unmappable_results_exit_code(tmp_path):

@@ -277,9 +277,11 @@ class TestRunEnsemble:
 
 
 class TestWorkers:
-    """The forked processes of a run: a chunk that fails in one fails again
-    in the caller, which raises its error as a serial run does; their counts
-    add up as in a serial run, and none outlives the run."""
+    """The forked processes of a run: each stops at its first chunk that
+    raises, and the caller then reruns every chunk no process finished, in
+    chunk order, so it raises the lowest failing chunk's error as a serial
+    run does; their counts add up as in a serial run, and none outlives the
+    run."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -289,43 +291,52 @@ class TestWorkers:
 
     def test_numeric_error_in_a_child_reaches_the_caller(self, monkeypatch):
         # chunk 1 is the child's: it fails there first, then in the caller
-        fail_at(monkeypatch, CHUNK_SIZE, NumericError(f"chunk {CHUNK_SIZE} failed"))
+        fail_at(monkeypatch, {CHUNK_SIZE: NumericError(f"chunk {CHUNK_SIZE} failed")})
         with pytest.raises(NumericError, match=f"^chunk {CHUNK_SIZE} failed$"):
             run_ensemble(EnsembleSpec("pure", 2 * CHUNK_SIZE, 5), workers=2)
 
-    def test_error_as_in_a_serial_run(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["chunk 1", "chunks 1 and 2"])
+    def test_error_as_in_a_serial_run(self, monkeypatch, failing):
         """Any exception type arrives as itself, with its message, not
-        renamed by a report from the worker."""
-        fail_at(monkeypatch, CHUNK_SIZE, UsageError(f"chunk {CHUNK_SIZE} refused"))
-        spec = EnsembleSpec("pure", 3 * CHUNK_SIZE, 5)
+        renamed by a report from the worker. Where several chunks fail, the
+        lowest one is named, though at two workers the caller meets its own
+        chunk 2 before it reaps the child that failed at chunk 1."""
+        fail_at(monkeypatch, {c * CHUNK_SIZE: UsageError(f"chunk {c} failed") for c in failing})
+        spec = EnsembleSpec("pure", 4 * CHUNK_SIZE, 5)
         raised = []
         for workers in (1, 2):
             with pytest.raises(Exception) as info:
                 run_ensemble(spec, workers=workers)
             raised.append((type(info.value), str(info.value)))
-        assert raised == [(UsageError, f"chunk {CHUNK_SIZE} refused")] * 2
+        assert raised == [(UsageError, "chunk 1 failed")] * 2
 
-    def test_failure_in_a_child_only_costs_time(self, monkeypatch):
-        """A chunk that fails only in the child, as on memory only it ran
-        short of, is run again by the caller: the run succeeds, with the
+    @pytest.mark.parametrize("where", ["a child", "the caller"])
+    def test_failure_in_one_process_only_costs_time(self, monkeypatch, where):
+        """A chunk that fails once, in one process only, as on memory only it
+        ran short of, is run again by the caller: the run succeeds, with the
         results and the failure count of a serial run."""
         monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
         poison_draws(monkeypatch, {c * CHUNK_SIZE + c for c in range(6)})  # one redraw per chunk
         spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 7, 8)
         serial = run_ensemble(spec, workers=1)
+        second = {"a child": 3, "the caller": 2}[where] * CHUNK_SIZE  # of the child's chunks 1, 3, 5 or the caller's 0, 2, 4
+        task, caller, raised = experiment._chunk_task, os.getpid(), []
 
-        def exhausted(start):
-            if start == 3 * CHUNK_SIZE:  # the child's second chunk of three: 1, 3, 5
+        def exhausted(kind, seed, start, count):
+            in_caller = os.getpid() == caller
+            if start == second and in_caller == (where == "the caller") and not raised:  # once, in that process
+                raised.append(start)
                 raise MemoryError
+            return task(kind, seed, start, count)
 
-        in_children(monkeypatch, exhausted)
+        monkeypatch.setattr(experiment, "_chunk_task", exhausted)
         par = run_ensemble(spec, workers=2)
         assert par.processes == 2
         assert serial.failures == par.failures == 6
         assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
 
     def test_no_pipe(self, monkeypatch):
-        """A worker reports by its exit status and the shared mapping alone."""
+        """A worker reports through the shared mapping alone."""
 
         def refused():
             raise OSError(errno.EMFILE, "Too many open files")
@@ -395,7 +406,7 @@ class TestWorkers:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(experiment, "_chunk_task", interrupted)
-        in_children(monkeypatch, lambda start: time.sleep(60))  # terminated long before this ends
+        in_children(monkeypatch, lambda start: time.sleep(60))  # killed long before this ends
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_ensemble(EnsembleSpec("pure", CHUNK_SIZE + 1, 5), workers=2)
