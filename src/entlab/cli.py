@@ -6,7 +6,7 @@ removes the outputs of any format it does not write, so the directory then
 holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
 failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
 a worker process killed, as by the kernel's out-of-memory killer), 130
-interrupted (SIGINT, as by Ctrl-C).
+interrupted (SIGINT, as by Ctrl-C), 143 terminated (SIGTERM).
 
 The files are written in a temporary directory beside the output
 directory. Once all are written, the stale outputs are removed and the new
@@ -25,12 +25,14 @@ The program entry, `run`, freezes the objects the imports made
 (`gc.freeze`) before the run, so neither the run's collections nor the
 interpreter's exit walk and free them; the system reclaims that memory with
 the process. The forked workers inherit the frozen heap, and leave by
-`os._exit`, with no interpreter teardown at all. `main` leaves the
-collector alone, for in-process callers.
+`os._exit`, with no interpreter teardown at all. `run` also makes SIGTERM
+end the run as SIGINT does, with the same cleanup. `main` leaves the
+collector and the signal handlers alone, for in-process callers.
 """
 
 from __future__ import annotations
 
+import _signal  # loaded at interpreter start-up, where `import signal` would cost ~1 ms
 import argparse
 import contextlib
 import ctypes  # already imported by numpy
@@ -72,6 +74,16 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCES = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the status a shell gives a process SIGINT killed
+EXIT_TERMINATED = 143  # 128 + SIGTERM
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised by the handler `run` installs. Like KeyboardInterrupt
+    it is no `Exception`, so no `except Exception` on its way stops it."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 class RunConfig(Frozen):
@@ -249,12 +261,19 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # SIGINT: the `finally` blocks have stopped the workers and removed the directories
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:  # SIGTERM, where `run` installed its handler: the same cleanup has run
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
 
 
 def run() -> int:
     """The program entry (`python -m entlab.cli` and the `entlab` script):
-    `main` on sys.argv, with the import-time heap frozen first."""
+    `main` on sys.argv, with the import-time heap frozen first and SIGTERM
+    raising `Terminated`. A forked worker inherits the handler: SIGTERM sent
+    to it alone ends it by `os._exit(0)`, and the calling process reruns
+    its chunks."""
     gc.freeze()
+    _signal.signal(_signal.SIGTERM, _terminate)
     return main()
 
 

@@ -34,8 +34,10 @@ class Frozen:
     raising UsageError: `cli.RunConfig` a run's settings (its ensemble,
     trials and seed by building an `EnsembleSpec`, which checks those
     three), `RandomStream` its seed and stream index, and `UnitaryGate`,
-    `PureState` and `DensityMatrix` their arrays. `EnsembleResult` and
-    `Histogram` hold what the engine computed and check nothing. A
+    `PureState` and `DensityMatrix` their arrays (each by the one rule,
+    `linalg.as_array`). `EnsembleResult` and `Histogram` hold what the
+    engine computed and check nothing. Only `__init__` calls `_set`, so no
+    value class changes a field after construction; a
     `functools.cached_property` still caches, as it writes the instance's
     `__dict__` directly. Equality is identity."""
 

@@ -18,9 +18,10 @@ own. Process p runs chunks p, p + processes, ... in order: process 0 is the
 calling process, the others are workers it forks with `os.fork`. For each
 chunk it writes E_0 and E_F into their slices in place, then the chunk's
 failure count + 1 into the chunk's record beside them, 0 until then. A
-process stops at its first chunk that raises; where that is the calling
-process, it kills the workers at once. A worker reports nothing else: it
-never prints, and leaves by `os._exit`. The calling process reaps each
+process stops at its first chunk that raises. The calling process then
+runs its unfinished chunks once more while the workers go on, and kills
+them only if that raises too. A worker reports through the mapping alone:
+it never prints, and leaves by `os._exit`. The calling process reaps each
 worker by pid, so it never reaps a child it did not fork, then runs every
 chunk whose record is still 0 itself, in chunk order. A trial is a function
 of (seed, t) alone, so the lowest failing chunk raises its error there, as
@@ -130,8 +131,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
             children.append(_fork_worker(tasks[p::processes], out, done))
         try:
             _run_share(tasks[::processes], out, done)
-        except Exception:  # this process's own failure: its chunk is rerun below, in order with the workers'
-            _stop(children)
+        except Exception:  # this process's own failure: one more try at its unfinished chunks, as the workers run on
+            try:
+                _run_share([t for t in tasks[::processes] if not done[t[2] // CHUNK_SIZE]], out, done)
+            except Exception:  # again: the chunk is rerun below, in order with the workers'
+                _stop(children)
         for pid in children[:]:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.remove(pid)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import Frozen, NumericError, UsageError
-from .linalg import as_matrix, max_abs, read_only, sum_rows
+from .linalg import as_array, max_abs, sum_rows
 
 if TYPE_CHECKING:
     from .qstate import DensityMatrix
@@ -28,11 +28,11 @@ class UnitaryGate(Frozen):
     stored read-only: `circuit()`'s gate is shared by the whole process."""
 
     def __init__(self, matrix):
-        m = as_matrix(matrix)
+        m = as_array(matrix, (2, 2), (4, 4))
         dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
         if dev > UNITARY_TOL:
             raise UsageError(f"matrix is not unitary: max deviation {dev:.3e}")
-        self._set(matrix=read_only(m, matrix))
+        self._set(matrix=m)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Dense complex matrix helpers for 2x2 and 4x4 Hermitian problems.
 
-Matrices are plain complex ndarrays; the functions here add the validation
-and the small set of operations the rest of the package needs: the
-max-entry norm (`max_abs`), row sums in a fixed order (`sum_rows`) and the
-stacked PSD factor. Only `psd_factor` calls LAPACK (numpy's `eigh`).
+Matrices are plain complex ndarrays; the functions here add the one rule
+by which a value class checks and freezes its array (`as_array`, for
+`PureState`, `DensityMatrix` and `UnitaryGate` alike) and the small set of
+operations the rest of the package needs: the max-entry norm (`max_abs`),
+row sums in a fixed order (`sum_rows`) and the stacked PSD factor. Only
+`psd_factor` calls LAPACK (numpy's `eigh`).
 """
 
 from __future__ import annotations
@@ -12,34 +14,20 @@ import numpy as np
 
 from .errors import UsageError
 
-VALID_DIMS = (2, 4)
-
 HERMITIAN_TOL = 1e-10
 
 
-def as_matrix(a, dim: int | None = None) -> np.ndarray:
-    """Coerce `a` to a square complex ndarray of an admitted dimension.
-
-    Rejects non-square shapes, dimensions outside {2, 4}, and non-finite
-    entries.
-    """
+def as_array(a, *shapes: tuple[int, ...]) -> np.ndarray:
+    """`a` as a value class stores it: a complex array of one of `shapes`
+    with finite entries, else UsageError; copied where it would share
+    memory with `a`, so the caller's array stays writable and a later write
+    to it cannot reach the value; and read-only."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in VALID_DIMS:
-        raise UsageError(f"dimension must be one of {VALID_DIMS}, got {m.shape[0]}")
-    if dim is not None and m.shape[0] != dim:
-        raise UsageError(f"expected a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise UsageError("matrix contains non-finite entries")
-    return m
-
-
-def read_only(m: np.ndarray, source) -> np.ndarray:
-    """`m` as a value class stores it: read-only, and copied first where it
-    shares memory with `source`, the caller's argument, so the caller's
-    array stays writable and a later write to it cannot reach the value."""
-    if np.may_share_memory(m, source):
+    if m.shape not in shapes:
+        raise UsageError(f"expected an array of shape {' or '.join(map(str, shapes))}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise UsageError("array contains non-finite entries")
+    if np.may_share_memory(m, a):
         m = m.copy()
     m.flags.writeable = False
     return m

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Frozen, UsageError
-from .linalg import HERMITIAN_TOL, as_matrix, max_abs, read_only
+from .linalg import HERMITIAN_TOL, as_array, max_abs
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -17,31 +17,29 @@ EIG_FLOOR = -1e-10
 
 
 class PureState(Frozen):
-    """Unit vector (a, b, c, d) over |00>, |01>, |10>, |11>, stored read-only."""
+    """Unit vector (a, b, c, d) over |00>, |01>, |10>, |11>, stored read-only.
+    The amplitudes come as a flat array of four: a (2, 2) or (4, 1) array is
+    refused, not flattened."""
 
     def __init__(self, amplitudes):
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amp.shape != (4,):
-            raise UsageError(f"pure state needs 4 amplitudes, got {amp.shape}")
-        if not (np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
-            raise UsageError("pure state contains non-finite amplitudes")
+        amp = as_array(amplitudes, (4,))
         if abs(np.linalg.norm(amp) - 1.0) > NORM_TOL:
             raise UsageError(f"pure state norm {np.linalg.norm(amp):.12f} != 1")
-        self._set(amplitudes=read_only(amp, amplitudes))
+        self._set(amplitudes=amp)
 
 
 class DensityMatrix(Frozen):
     """Validated 4x4 density matrix: Hermitian, unit trace, PSD; stored read-only."""
 
     def __init__(self, matrix):
-        m = as_matrix(matrix, dim=4)
+        m = as_array(matrix, (4, 4))
         if max_abs(m - m.conj().T) > HERMITIAN_TOL:
             raise UsageError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise UsageError(f"density matrix trace {np.trace(m):.12f} != 1")
         if np.linalg.eigvalsh(m).min() < EIG_FLOOR:
             raise UsageError("density matrix has a negative eigenvalue beyond tolerance")
-        self._set(matrix=read_only(m, matrix))
+        self._set(matrix=m)
 
 
 def ket(bits: str) -> PureState:

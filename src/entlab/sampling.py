@@ -65,20 +65,18 @@ class RandomStream(Frozen):
 
     Equal (seed, stream_index) pairs reproduce identical sequences;
     distinct stream_index values give statistically independent streams.
-    Both must lie in [0, 2^64). `generator` is started on first read;
-    reading it again continues where the last draw stopped.
+    Both must lie in [0, 2^64). `generator` is built with the stream, at
+    construction; each read continues where the last draw stopped.
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
         require_integer("seed", seed, 0, _U64)
         require_integer("stream_index", stream_index, 0, _U64)
-        self._set(seed=seed, stream_index=stream_index, _gen=None)
+        key = np.array([seed, stream_index], dtype=np.uint64)  # a plain list above 2^63 would pass through float64
+        self._set(seed=seed, stream_index=stream_index, _gen=np.random.Generator(np.random.Philox(key=key)))
 
     @property
     def generator(self) -> np.random.Generator:
-        if self._gen is None:  # an explicit uint64 key: a plain list above 2^63 would pass through float64
-            key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-            self._set(_gen=np.random.Generator(np.random.Philox(key=key)))
         return self._gen
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entlab import cli, experiment
-from entlab.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
+from entlab.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCES, EXIT_TERMINATED, EXIT_USAGE, MAX_BINS, RunConfig, execute, main, parse_args
 from entlab.errors import NumericError, UsageError
 from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
@@ -33,7 +33,7 @@ def test_help_shows_flags_and_statuses_only(capsys):
     flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir",
              "--formats")
     statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted",
-                "130 interrupted")
+                "130 interrupted", "143 terminated")
     for shown in (*flags, *statuses):
         assert shown in text, shown
     for note in ("mallopt", "gc.freeze", "glibc"):
@@ -710,11 +710,12 @@ def running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def start_parallel_run(tmp_path, output_dir: Path, **popen) -> tuple[subprocess.Popen, int]:
+def start_parallel_run(tmp_path, output_dir: Path, entry: str = "main", **popen) -> tuple[subprocess.Popen, int]:
     """A CLI run of 2·10^7 pure trials at `--workers 2` in a subprocess,
-    once its worker has begun its first chunk: the process, and the pid a
-    wrapped `experiment._chunk_task` wrote to `tmp_path / "worker.pid"` in
-    the worker."""
+    through `cli.main` or, with `entry="run"`, the program entry, once its
+    worker has begun its first chunk: the process, and the pid a wrapped
+    `experiment._chunk_task` wrote to `tmp_path / "worker.pid"` in the
+    worker."""
     pid_file = tmp_path / "worker.pid"
     code = (
         "import os, sys\n"
@@ -728,7 +729,8 @@ def start_parallel_run(tmp_path, output_dir: Path, **popen) -> tuple[subprocess.
         "        os.replace(pid_file + '.part', pid_file)\n"
         "    return task(*args)\n"
         "experiment._chunk_task = chunk_task\n"
-        f"sys.exit(cli.main(['--trials', '20000000', '--workers', '2', '--output-dir', {str(output_dir)!r}]))\n"
+        f"sys.argv[1:] = ['--trials', '20000000', '--workers', '2', '--output-dir', {str(output_dir)!r}]\n"
+        f"sys.exit(cli.{entry}())\n"
     )
     env = subprocess_env(OPENBLAS_NUM_THREADS="1")
     proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL, **popen)
@@ -785,6 +787,51 @@ def test_interrupted_run_exit_code(tmp_path):
         assert [path.name for path in tmp_path.iterdir()] == ["worker.pid"]  # no .entlab-*, no new/ or new/run
     finally:
         stop(proc, worker)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
+def test_terminated_run_exit_code(tmp_path):
+    """SIGTERM to the CLI process of a two-worker run started through the
+    program entry, once its worker has started: as SIGINT, but exit 143 and
+    `terminated` as the one stderr line."""
+    output_dir = tmp_path / "new" / "run"
+    proc, worker = start_parallel_run(tmp_path, output_dir, entry="run", stderr=subprocess.PIPE, text=True)
+    try:
+        proc.send_signal(signal.SIGTERM)
+        err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == EXIT_TERMINATED, err[-2000:]
+        assert err == "terminated\n"
+        assert not running(worker), "the worker outlived its CLI process"
+        assert [path.name for path in tmp_path.iterdir()] == ["worker.pid"]  # no .entlab-*, no new/ or new/run
+    finally:
+        stop(proc, worker)
+
+
+def test_worker_terminated_alone_costs_time(tmp_path):
+    """SIGTERM to a worker alone, through the handler it inherits from the
+    program entry, ends that worker without a word, and the CLI process runs
+    its chunks: the run exits 0 with the CSV bytes of a serial run."""
+    code = (
+        "import os, signal, sys\n"
+        "from entlab import cli, experiment\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "task, parent = experiment._chunk_task, os.getpid()\n"
+        "def chunk_task(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    return task(*args)\n"
+        "experiment._chunk_task = chunk_task\n"
+        "sys.exit(cli.run())\n"
+    )
+    argv = ["--trials", str(3 * CHUNK_SIZE), "--seed", "3"]
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--workers", "2", "--output-dir", str(tmp_path / "par")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr[-2000:]
+    assert done.stderr == ""
+    assert main([*argv, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == EXIT_OK
+    for name in cli.OUTPUT_NAMES["csv"]:
+        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+    assert json.loads((tmp_path / "par" / "summary.json").read_text())["workers_used"] == 2
 
 
 def test_failed_run_kills_workers_that_ignore_sigterm(tmp_path):
@@ -910,17 +957,18 @@ def test_import_and_parse_leave_malloc_alone(cli_setting):
 
 def test_library_calls_leave_the_collector_alone(tmp_path):
     """`import entlab.cli`, `parse_args` and an in-process `main` leave the
-    garbage collector enabled and nothing frozen: only the program entry freezes."""
+    garbage collector enabled and nothing frozen, and SIGTERM's handler as
+    it was: only the program entry freezes and handles SIGTERM."""
     code = (
-        "import gc\n"
+        "import gc, signal\n"
         "import entlab.cli as cli\n"
         "cli.parse_args(['--ensemble', 'mixed'])\n"
         f"assert cli.main(['--trials', '100', '--workers', '1', '--output-dir', {str(tmp_path / 'run')!r}]) == 0\n"
-        "print(gc.isenabled(), gc.get_freeze_count())\n"
+        "print(gc.isenabled(), gc.get_freeze_count(), signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "True 0\n"
+    assert done.stdout == "True 0 True\n"
 
 
 @pytest.mark.parametrize("argv, status", [(["--trials", "100", "--workers", "1"], EXIT_OK), (["--frobnicate"], EXIT_USAGE)],

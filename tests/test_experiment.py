@@ -310,11 +310,20 @@ class TestWorkers:
             raised.append((type(info.value), str(info.value)))
         assert raised == [(UsageError, "chunk 1 failed")] * 2
 
-    @pytest.mark.parametrize("where", ["a child", "the caller"])
-    def test_failure_in_one_process_only_costs_time(self, monkeypatch, where):
+    @pytest.mark.parametrize(
+        "where, finished",
+        [("a child", ([0, 2, 4, 3, 5], [1])), ("the caller", ([0, 2, 4], [1, 3, 5]))],
+        ids=["a child", "the caller"],
+    )
+    def test_failure_in_one_process_only_costs_time(self, monkeypatch, tmp_path, where, finished):
         """A chunk that fails once, in one process only, as on memory only it
         ran short of, is run again by the caller: the run succeeds, with the
-        results and the failure count of a serial run."""
+        results and the failure count of a serial run. A child stops at its
+        failure and the caller runs the rest of its share; the caller tries
+        its own unfinished chunks once more and leaves the child running, so
+        each process finishes the chunks in `finished` (the caller's, then
+        the child's), though the child is slow enough that the caller fails
+        long before the child's share is done."""
         monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
         poison_draws(monkeypatch, {c * CHUNK_SIZE + c for c in range(6)})  # one redraw per chunk
         spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 7, 8)
@@ -324,16 +333,23 @@ class TestWorkers:
 
         def exhausted(kind, seed, start, count):
             in_caller = os.getpid() == caller
+            if not in_caller:
+                time.sleep(0.05)
             if start == second and in_caller == (where == "the caller") and not raised:  # once, in that process
                 raised.append(start)
                 raise MemoryError
-            return task(kind, seed, start, count)
+            out = task(kind, seed, start, count)
+            with open(tmp_path / ("caller" if in_caller else "child"), "a") as log:
+                log.write(f"{start // CHUNK_SIZE}\n")
+            return out
 
         monkeypatch.setattr(experiment, "_chunk_task", exhausted)
         par = run_ensemble(spec, workers=2)
         assert par.processes == 2
         assert serial.failures == par.failures == 6
         assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
+        logs = tuple([int(c) for c in (tmp_path / name).read_text().split()] for name in ("caller", "child"))
+        assert logs == finished
 
     def test_no_pipe(self, monkeypatch):
         """A worker reports through the shared mapping alone."""

@@ -4,7 +4,7 @@ import pytest
 from entlab.entanglement import SIGMA_Y
 from entlab.errors import UsageError
 from entlab.gates import circuit, cnot, hadamard
-from entlab.linalg import as_matrix, max_abs, psd_factor
+from entlab.linalg import as_array, max_abs, psd_factor
 
 from conftest import mixed_matrices
 
@@ -29,7 +29,7 @@ class TestMatmul:
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            as_matrix(I2, dim=4)
+            as_array(I2, (4, 4))
 
     def test_associativity(self, rng):
         # products of Kronecker factors regroup: (a x b)(c x d) = (ac) x (bd)
@@ -115,13 +115,13 @@ class TestPsdSqrt:
             assert max_abs(gram(f) - p) <= 1e-12
 
 
-def test_as_matrix_rejects_nonfinite():
+def test_as_array_rejects_nonfinite():
     bad = I4.copy()
     bad[0, 0] = np.nan
     with pytest.raises(UsageError):
-        as_matrix(bad)
+        as_array(bad, (2, 2), (4, 4))
 
 
-def test_as_matrix_rejects_odd_dims():
+def test_as_array_rejects_odd_dims():
     with pytest.raises(UsageError):
-        as_matrix(np.eye(3))
+        as_array(np.eye(3), (2, 2), (4, 4))

@@ -33,6 +33,14 @@ class TestPureState:
         with pytest.raises(UsageError):
             PureState(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "amplitudes", [np.eye(2) / np.sqrt(2), np.array([[1.0], [0.0], [0.0], [0.0]])], ids=["(2, 2)", "(4, 1)"]
+    )
+    def test_rejects_arrays_of_other_shapes(self, amplitudes):
+        """Four unit-norm amplitudes in any shape but (4,) are refused, not flattened."""
+        with pytest.raises(UsageError, match=r"shape \(4,\)"):
+            PureState(amplitudes)
+
 
 class TestDensityMatrix:
     def test_rejects_traceless(self):

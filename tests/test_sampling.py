@@ -80,6 +80,14 @@ class TestRandomStream:
         b = RandomStream(42, 7).generator.random(100)
         assert np.array_equal(a, b)
 
+    def test_reading_the_generator_changes_no_field(self):
+        """The generator is built with the stream: reading it, and drawing
+        from it, leave the frozen stream's fields as they were."""
+        stream = RandomStream(1, 2)
+        before = dict(vars(stream))
+        stream.generator.random(3)
+        assert vars(stream) == before
+
     def test_substreams_differ(self):
         a = RandomStream(42, 0).generator.random(100)
         b = RandomStream(42, 1).generator.random(100)
@@ -99,7 +107,7 @@ class TestRandomStream:
         frozen, so by the constructor) draws what one made before any draw
         does, even when the used one's generator was left mid-buffer."""
         targets = ((seed, 0), (seed, 5 + 3 * RETRY_STRIDE), (1, 2**64 - 1))
-        fresh_streams = [RandomStream(*at) for at in targets]  # made before any generator starts
+        fresh_streams = [RandomStream(*at) for at in targets]  # made before any draw
         rng = RandomStream(seed, 12)  # the previous trial
         gen = rng.generator
         if leftover == "partial-block":
