@@ -1,16 +1,16 @@
 """Command-line front end: run an ensemble and write CSV/JSON outputs.
 
-Each run writes into one directory: delta_hist.csv, conditional_mean.csv,
-e0_hist.csv (one file per figure-style output) and summary.json, and
-removes the outputs of any format it does not write, so the directory then
-holds exactly this run's set. Exit statuses: 0 success, 1 usage, 2 I/O
-failure, 3 numeric-quality breach, 4 resources exhausted (out of memory, or
-a worker process killed, as by the kernel's out-of-memory killer), 130
-interrupted (SIGINT, as by Ctrl-C), 143 terminated (SIGTERM).
+Each run writes four files into one directory: delta_hist.csv,
+conditional_mean.csv, e0_hist.csv (one file per figure-style output) and
+summary.json. Exit statuses: 0 success, 1 usage, 2 I/O failure, 3
+numeric-quality breach, 4 resources exhausted (out of memory, or a worker
+process killed, as by the kernel's out-of-memory killer), 130 interrupted
+(SIGINT, as by Ctrl-C), 143 terminated (SIGTERM).
 
-The files are written in a temporary directory beside the output
-directory. Once all are written, the stale outputs are removed and the new
-files moved in, summary.json last.
+The files are written in a temporary directory inside the output directory,
+so only the output directory must be writable. Once all are written they
+are moved in, summary.json last. A run first removes the temporary
+directories of earlier runs killed there by SIGKILL.
 
 Before a run, the CLI process asks glibc's malloc to keep the memory it
 frees: arrays up to 32 MiB come from the heap, whose top goes back to the
@@ -59,8 +59,6 @@ from .experiment import (
 from .experiment import entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
-# the files a run writes, per format
-OUTPUT_NAMES = {"csv": ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"), "json": ("summary.json",)}
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets
 _M_TRIM_THRESHOLD = -1
@@ -90,23 +88,19 @@ class RunConfig(Frozen):
     """One run's settings, checked here for `parse_args` and for in-process
     callers of `execute` alike: the ensemble, trials and seed as
     `EnsembleSpec` checks them, each bin count in [2, MAX_BINS], workers >= 1,
-    a non-empty output directory, and formats a non-empty subset of
-    OUTPUT_NAMES. Integers are stored as `int` and formats as a tuple, so
+    and a non-empty output directory. Integers are stored as `int`, so
     `vars(config)`, in this order, is `summary.json`'s config echo."""
 
     def __init__(self, ensemble: str, trials: int, seed: int, delta_bins: int, e0_bins: int, workers: int,
-                 output_dir: str, formats: tuple[str, ...]):
+                 output_dir: str):
         EnsembleSpec(kind=ensemble, trials=trials, seed=seed)
         require_integer("--delta-bins", delta_bins, 2, MAX_BINS)
         require_integer("--e0-bins", e0_bins, 2, MAX_BINS)
         require_integer("--workers", workers, 1, math.inf)
         if not isinstance(output_dir, str) or not output_dir:
             raise UsageError(f"--output-dir must be a non-empty string, got {output_dir!r}")
-        formats = tuple(formats)
-        if not formats or not set(formats) <= OUTPUT_NAMES.keys():
-            raise UsageError(f"--formats must be a non-empty subset of {','.join(OUTPUT_NAMES)}, got {formats!r}")
         self._set(ensemble=ensemble, trials=int(trials), seed=int(seed), delta_bins=int(delta_bins),
-                  e0_bins=int(e0_bins), workers=int(workers), output_dir=output_dir, formats=formats)
+                  e0_bins=int(e0_bins), workers=int(workers), output_dir=output_dir)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,8 +121,6 @@ def _build_parser() -> _Parser:
                    help="process count, this one included (capped at the CPU and chunk counts), or 'auto'")
     p.add_argument("--output-dir", default=None,
                    help=f"output directory (default ./out, overridable via ${OUTPUT_DIR_ENV})")
-    p.add_argument("--formats", default="csv,json",
-                   help="comma-separated subset of {csv,json} to write")
     return p
 
 
@@ -141,8 +133,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError(f"--workers must be an integer or 'auto', got {ns.workers!r}") from None
     # an explicit --output-dir, even an empty one, beats the variable; an empty variable counts as unset
     output_dir = ns.output_dir if ns.output_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or "out"
-    return RunConfig(ns.ensemble, ns.trials, ns.seed, ns.delta_bins, ns.e0_bins, workers, output_dir,
-                     filter(None, ns.formats.split(",")))
+    return RunConfig(ns.ensemble, ns.trials, ns.seed, ns.delta_bins, ns.e0_bins, workers, output_dir)
 
 
 def _fmt(x: float) -> str:
@@ -189,8 +180,23 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+def _remove_orphans(out: Path) -> None:
+    """Remove each temporary directory `.entlab-<pid>-*` in `out` whose run's
+    process is gone, as a run killed by SIGKILL leaves it. A live pid, or one
+    this process may not signal, keeps its directory; other names are left alone."""
+    for tmp in out.glob(".entlab-*-*"):
+        pid = tmp.name.split("-")[1]
+        try:
+            if pid.isdecimal():
+                os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(tmp, ignore_errors=True)
+        except (OverflowError, PermissionError):  # no such pid value, or a live process this one may not signal
+            pass
+
+
 def execute(config: RunConfig) -> int:
-    """Run the configured ensemble and write the requested outputs."""
+    """Run the configured ensemble and write its four outputs."""
     t0 = time.monotonic()
     spec = EnsembleSpec(kind=config.ensemble, trials=config.trials, seed=config.seed)
     out = Path(config.output_dir)
@@ -200,32 +206,28 @@ def execute(config: RunConfig) -> int:
         # both directories exist before the run, so an unusable output
         # directory fails at once, not after the whole ensemble
         out.mkdir(parents=True, exist_ok=True)
-        # the files are written next to `out` and then moved in one by one,
-        # summary.json last, so a failed write leaves the previous set whole
-        tmp = Path(tempfile.mkdtemp(prefix=".entlab-", dir=out.parent))
+        if hasattr(os, "fork"):  # elsewhere, as on Windows, os.kill(pid, 0) would end that process
+            _remove_orphans(out)
+        # the files are written inside `out`, on its filesystem, and then moved
+        # in one by one, summary.json last, so a failed write leaves the previous set whole
+        tmp = Path(tempfile.mkdtemp(prefix=f".entlab-{os.getpid()}-", dir=out))
         result = run_ensemble(spec, workers=config.workers)
         delta_hist = histogram_delta(result, config.delta_bins)
         e0_hist = conditional_mean(result, config.e0_bins)  # the E_0 histogram, with the E_F means
-        if "csv" in config.formats:
-            _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
-            _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
-            _write_profile_csv(tmp / "conditional_mean.csv", e0_hist)
-        if "json" in config.formats:
-            summary = {
-                "config": vars(config),
-                "mean_e0": float(result.e0.mean()),
-                "mean_ef": float(result.ef.mean()),
-                "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass
-                "zero_delta_fraction": delta_hist.zero_fraction,
-                "failures": result.failures,
-                "workers_used": result.processes,
-                "wall_time_s": time.monotonic() - t0,
-            }
-            (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        stale = [name for fmt, names in OUTPUT_NAMES.items() if fmt not in config.formats for name in names]
-        for name in stale:  # a previous run's outputs, which this run's set lacks
-            with contextlib.suppress(FileNotFoundError):
-                (out / name).unlink()
+        _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
+        _write_histogram_csv(tmp / "e0_hist.csv", e0_hist)
+        _write_profile_csv(tmp / "conditional_mean.csv", e0_hist)
+        summary = {
+            "config": vars(config),
+            "mean_e0": float(result.e0.mean()),
+            "mean_ef": float(result.ef.mean()),
+            "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass
+            "zero_delta_fraction": delta_hist.zero_fraction,
+            "failures": result.failures,
+            "workers_used": result.processes,
+            "wall_time_s": time.monotonic() - t0,
+        }
+        (tmp / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         for path in sorted(tmp.iterdir(), key=lambda p: p.name == "summary.json"):
             os.replace(path, out / path.name)
         created = []  # the run succeeded: keep the directories it made

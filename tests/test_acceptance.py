@@ -198,7 +198,6 @@ def test_criterion_7_cli_determinism(tmp_path):
             e0_bins=50,
             workers=workers,
             output_dir=str(tmp_path / tag),
-            formats=("csv", "json"),
         )
         assert execute(cfg) == 0
         return {

@@ -30,8 +30,7 @@ def test_help_shows_flags_and_statuses_only(capsys):
     the module's implementation notes."""
     assert main(["--help"]) == EXIT_OK
     text = " ".join(capsys.readouterr().out.split())  # as argparse wrapped it, on one line
-    flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir",
-             "--formats")
+    flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir")
     statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted",
                 "130 interrupted", "143 terminated")
     for shown in (*flags, *statuses):
@@ -49,7 +48,6 @@ class TestParseArgs:
         assert cfg.delta_bins == 100
         assert cfg.e0_bins == 50
         assert cfg.workers >= 1
-        assert set(cfg.formats) == {"csv", "json"}
 
     def test_explicit_flags(self):
         cfg = parse_args(["--ensemble", "pure", "--trials", "1000", "--seed", "7"])
@@ -88,16 +86,6 @@ class TestParseArgs:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert parse_args(["--workers", "auto"]).workers == 3
 
-    def test_rejects_bad_formats(self):
-        with pytest.raises(UsageError, match="formats"):
-            parse_args(["--formats", "xml"])
-        with pytest.raises(UsageError, match="formats"):
-            parse_args(["--formats", ""])
-
-    def test_formats_subset(self):
-        cfg = parse_args(["--formats", "json"])
-        assert cfg.formats == ("json",)
-
     def test_env_var_output_dir(self, monkeypatch):
         monkeypatch.setenv("ENTLAB_OUTPUT_DIR", "/tmp/somewhere")
         assert parse_args([]).output_dir == "/tmp/somewhere"
@@ -120,7 +108,6 @@ def small_config(tmp_path, **overrides) -> RunConfig:
         e0_bins=10,
         workers=1,
         output_dir=str(tmp_path / "out"),
-        formats=("csv", "json"),
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -131,8 +118,6 @@ class TestRunConfig:
     refuses what the CLI refuses, before any file is touched or trial run."""
 
     @pytest.mark.parametrize("fields, name", [
-        ({"formats": ("xml",)}, "formats"),
-        ({"formats": ()}, "formats"),
         ({"output_dir": ""}, "output-dir"),
         ({"delta_bins": 1}, "delta-bins"),
         ({"e0_bins": 10**7}, "e0-bins"),
@@ -140,19 +125,18 @@ class TestRunConfig:
         ({"seed": -1}, "seed"),
         ({"trials": 0}, "trials"),
         ({"ensemble": "thermal"}, "thermal"),
-    ], ids=["xml", "no-formats", "empty-output-dir", "one-delta-bin", "huge-e0-bins", "no-workers", "negative-seed",
-            "no-trials", "thermal"])
+    ], ids=["empty-output-dir", "one-delta-bin", "huge-e0-bins", "no-workers", "negative-seed", "no-trials", "thermal"])
     def test_refuses_at_construction(self, tmp_path, fields, name):
         with pytest.raises(UsageError, match=name):
             small_config(tmp_path, **fields)
 
     def test_numpy_integers_echo_as_plain_ints(self, tmp_path):
-        """A config of numpy integers, and formats as a list, writes the same
-        config block to summary.json as plain ints and a tuple."""
+        """A config of numpy integers writes the same config block to
+        summary.json as plain ints."""
         blocks = []
-        for convert, formats in ((int, ("csv", "json")), (np.int64, ["csv", "json"])):
+        for convert in (int, np.int64):
             fields = {k: convert(v) for k, v in dict(trials=2000, seed=11, delta_bins=20, e0_bins=10, workers=1).items()}
-            assert execute(small_config(tmp_path, formats=formats, **fields)) == EXIT_OK
+            assert execute(small_config(tmp_path, **fields)) == EXIT_OK
             blocks.append(json.dumps(json.loads((tmp_path / "out" / "summary.json").read_text())["config"]))
         assert blocks[0] == blocks[1]
 
@@ -205,17 +189,9 @@ class TestExecute:
             "e0_bins": 10,
             "workers": 1,
             "output_dir": str(tmp_path / "out"),
-            "formats": ["csv", "json"],
         }
         assert json.dumps(summary["config"]) == json.dumps(config)  # order and types: 2000, not 2000.0
         assert [type(summary[k]) for k in list(summary)[1:]] == [float, float, float, float, int, int, float]
-
-    def test_formats_json_only(self, tmp_path):
-        cfg = small_config(tmp_path, formats=("json",))
-        execute(cfg)
-        out = tmp_path / "out"
-        assert (out / "summary.json").exists()
-        assert not (out / "delta_hist.csv").exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg_a = small_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -432,23 +408,34 @@ class TestOutputWrites:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["run"]  # no temporary directory left
 
-    @pytest.mark.parametrize("formats", ["json", "csv"])
-    def test_subset_run_leaves_only_its_set(self, tmp_path, formats):
-        """A run writing one format removes a previous run's files of the
-        other, and leaves files that are not entlab outputs alone."""
+    def test_second_run_replaces_every_output(self, tmp_path):
+        """A second run into the same directory replaces all four files with
+        a fresh run's, and leaves files that are not entlab outputs alone."""
         out, fresh = tmp_path / "run", tmp_path / "fresh"
         assert main([*self.ARGS, "--seed", "1", "--output-dir", str(out)]) == EXIT_OK
         (out / "notes.txt").write_text("kept")
         for d in (out, fresh):
-            assert main([*self.ARGS, "--seed", "2", "--formats", formats, "--output-dir", str(d)]) == EXIT_OK
-        names = {"json": ["summary.json"], "csv": ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv"]}[formats]
+            assert main([*self.ARGS, "--seed", "2", "--output-dir", str(d)]) == EXIT_OK
+        names = ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv", "summary.json"]
         assert sorted(p.name for p in out.iterdir()) == sorted([*names, "notes.txt"])
         assert (out / "notes.txt").read_text() == "kept"
-        for name in names:
-            if name == "summary.json":
-                assert json.loads((out / name).read_text())["config"]["seed"] == 2
-            else:
-                assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        for name in names[:3]:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (out, fresh)]
+        for summary, d in zip(summaries, (out, fresh)):  # all but the output directory and the wall time
+            assert summary["config"].pop("output_dir") == str(d) and summary.pop("wall_time_s") > 0
+        assert summaries[0] == summaries[1] and summaries[0]["config"]["seed"] == 2
+
+    def test_temporary_directory_inside_the_output_directory(self, tmp_path, monkeypatch):
+        """The files are written on the output directory's own filesystem, so
+        moving them in never crosses to another one, as it would where the
+        output directory is a mount point, and only that directory must be
+        writable."""
+        dirs, mkdtemp = [], tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda **kwargs: dirs.append(kwargs["dir"]) or mkdtemp(**kwargs))
+        out = tmp_path / "run"
+        assert main([*self.ARGS, "--seed", "3", "--output-dir", str(out)]) == EXIT_OK
+        assert [Path(d) for d in dirs] == [out]
 
     def test_summary_moves_in_last(self, tmp_path, monkeypatch):
         moved, replace = [], os.replace
@@ -532,8 +519,7 @@ class TestNumericHealth:
 
     @staticmethod
     def run(tmp_path, capsys):
-        code = main(["--trials", "500", "--seed", "3", "--workers", "1", "--formats", "json",
-                     "--output-dir", str(tmp_path / "run")])
+        code = main(["--trials", "500", "--seed", "3", "--workers", "1", "--output-dir", str(tmp_path / "run")])
         return code, capsys.readouterr().err
 
     def test_kernel_failure_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -771,6 +757,57 @@ def test_orphaned_worker_stops(tmp_path):
         stop(proc, worker)
 
 
+def cli_run(output_dir: Path) -> None:
+    """A short CLI run into `output_dir` in a subprocess, which must succeed."""
+    argv = ["--trials", "100", "--workers", "1", "--output-dir", str(output_dir)]
+    done = subprocess.run([sys.executable, "-m", "entlab.cli", *argv], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
+def test_later_run_removes_a_killed_runs_temporary_directory(tmp_path):
+    """A run killed by SIGKILL runs no cleanup and leaves its temporary
+    directory; the next run into the same output directory removes it, as
+    the pid in its name is gone."""
+    out = tmp_path / "run"
+    proc, worker = start_parallel_run(tmp_path, out, stderr=subprocess.DEVNULL)
+    try:
+        proc.kill()
+        proc.wait()
+        assert len(list(tmp_path.glob("**/.entlab-*"))) == 1
+    finally:
+        stop(proc, worker)
+    cli_run(out)
+    assert not list(tmp_path.glob("**/.entlab-*"))
+
+
+def test_live_or_unknown_temporary_directories_are_kept(tmp_path):
+    """A `.entlab-<pid>-*` directory whose pid is alive, here this test's,
+    and a `.entlab-*` of any other name are left alone."""
+    out = tmp_path / "run"
+    kept = [out / f".entlab-{os.getpid()}-x", out / ".entlab-other"]
+    for d in kept:
+        d.mkdir(parents=True)
+    cli_run(out)
+    assert sorted(out.glob(".entlab-*")) == sorted(kept)
+
+
+def test_no_sweep_without_fork(tmp_path, monkeypatch):
+    """Where `os` has no `fork`, as on Windows, whose `os.kill(pid, 0)` ends
+    that process, a run signals no process and removes no directory."""
+    leftover = tmp_path / "run" / ".entlab-1-x"
+    leftover.mkdir(parents=True)
+
+    def refused(*args):
+        raise AssertionError("os.kill was called")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "kill", refused)
+    assert main(["--trials", "100", "--workers", "1", "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+    assert leftover.is_dir()
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
 def test_interrupted_run_exit_code(tmp_path):
     """SIGINT to the CLI process of a two-worker run, once its worker has
@@ -829,7 +866,7 @@ def test_worker_terminated_alone_costs_time(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr[-2000:]
     assert done.stderr == ""
     assert main([*argv, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == EXIT_OK
-    for name in cli.OUTPUT_NAMES["csv"]:
+    for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
     assert json.loads((tmp_path / "par" / "summary.json").read_text())["workers_used"] == 2
 

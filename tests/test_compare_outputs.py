@@ -55,6 +55,13 @@ def test_differing_csv_and_means_are_reported(tool, tmp_path):
                                     '"failures": 1, "wall_time_s": 2.0}')
     differ, rel, keys = tool.compare(a, b)
     assert differ == ["e0_hist.csv"] and rel == pytest.approx(4e-7, rel=1e-6) and keys == ["failures"]
+    # a config echo that differs in one field, or lacks one, is reported by that field
+    (b / "summary.json").write_text('{"config": {"trials": 20}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25, '
+                                    '"failures": 0, "wall_time_s": 2.0}')
+    assert tool.compare(a, b)[2] == ["config.trials"]
+    (b / "summary.json").write_text('{"config": {}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25, '
+                                    '"failures": 0, "wall_time_s": 2.0}')
+    assert tool.compare(a, b)[2] == ["config.trials"]
 
 
 def test_failed_run_exits_2(tool, monkeypatch, tmp_path, capsys):

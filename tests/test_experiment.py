@@ -141,7 +141,7 @@ def value_instances():
     """One instance of each of the package's value classes, by name."""
     res = run_ensemble(EnsembleSpec("pure", 300, 1))
     return {
-        "RunConfig": RunConfig("pure", 10, 1, 2, 2, 1, "out", ("csv",)),
+        "RunConfig": RunConfig("pure", 10, 1, 2, 2, 1, "out"),
         "EnsembleSpec": EnsembleSpec("pure", 10, 1),
         "EnsembleResult": res,
         "Histogram": conditional_mean(res, 4),

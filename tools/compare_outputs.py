@@ -16,7 +16,8 @@ directory (named relative to the run's working directory, so both runs echo
 the same `output_dir`). The script prints, per configuration, whether each
 CSV is byte-identical; which `summary.json` keys differ, of all but the
 three means and `wall_time_s` (the config echo, `zero_delta_fraction`,
-`failures` and `workers_used`); and the largest relative difference between
+`failures` and `workers_used`), naming a field of the config echo as
+`config.<field>`; and the largest relative difference between
 the means in the two files (they may move in their last digits when the
 kernels' rounding does, or the order of a sum). It also prints each run's
 peak memory (max RSS) and minor page faults, parent first, as `os.wait4`
@@ -87,6 +88,20 @@ def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers
     return Usage(usage.ru_maxrss / 1024.0, usage.ru_minflt)  # Linux reports ru_maxrss in KiB
 
 
+def differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
+    """The keys whose values differ between a and b, a key missing on one
+    side included; within a value that is a dict on both sides, the
+    differing sub-keys, as `key.subkey`."""
+    keys = []
+    for k in {**a, **b}:
+        va, vb = a.get(k), b.get(k)
+        if isinstance(va, dict) and isinstance(vb, dict):
+            keys += differing_keys(va, vb, f"{prefix}{k}.")
+        elif va != vb:
+            keys.append(prefix + k)
+    return keys
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], float, list[str]]:
     """The CSVs whose bytes differ between output directories a and b, the
     largest relative difference between their summary means, and the other
@@ -94,8 +109,7 @@ def compare(a: Path, b: Path) -> tuple[list[str], float, list[str]]:
     differ = [name for name in CSV_FILES if (a / name).read_bytes() != (b / name).read_bytes()]
     sa, sb = (json.loads((d / "summary.json").read_text()) for d in (a, b))
     rel = max(abs(sa[k] - sb[k]) / max(abs(sa[k]), abs(sb[k]), 1e-300) for k in MEANS)
-    keys = [k for k in {**sa, **sb} if k not in UNCOMPARED and sa.get(k) != sb.get(k)]
-    return differ, rel, keys
+    return differ, rel, [k for k in differing_keys(sa, sb) if k not in UNCOMPARED]
 
 
 def main(argv: list[str] | None = None) -> int:
