@@ -408,11 +408,17 @@ class TestOutputWrites:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["run"]  # no temporary directory left
 
-    def test_second_run_replaces_every_output(self, tmp_path):
-        """A second run into the same directory replaces all four files with
-        a fresh run's, and leaves files that are not entlab outputs alone."""
+    @pytest.mark.parametrize("formats", ["json", "csv"])
+    def test_subset_run_leaves_only_its_set(self, tmp_path, formats):
+        """A run into a directory holding part of an earlier run's set (only
+        its summary.json, or only its CSVs) leaves exactly its own four files
+        there, each equal to a fresh run's, and leaves files that are not
+        entlab outputs alone."""
         out, fresh = tmp_path / "run", tmp_path / "fresh"
         assert main([*self.ARGS, "--seed", "1", "--output-dir", str(out)]) == EXIT_OK
+        for p in out.iterdir():
+            if (p.suffix == ".json") != (formats == "json"):
+                p.unlink()
         (out / "notes.txt").write_text("kept")
         for d in (out, fresh):
             assert main([*self.ARGS, "--seed", "2", "--output-dir", str(d)]) == EXIT_OK
