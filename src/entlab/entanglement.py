@@ -117,11 +117,11 @@ def partial_transpose_det(w: np.ndarray) -> np.ndarray:
     rho^Gamma is those entries relabelled, and its determinant the Laplace
     expansion of `_laplace_det4`, all elementwise along the stack
     (contiguous when W is laid out row, column, then stack, as the engine's
-    factors are), with no matmul and no 4x4 temporaries. Real, as rho^Gamma
-    is Hermitian."""
+    factors are), with no matmul and no 4x4 temporaries. W's rows are
+    conjugated one at a time, as the entries reach them, so no conjugated
+    copy of the stack is made. Real, as rho^Gamma is Hermitian."""
     rows = np.moveaxis(w, (-2, -1), (0, 1))
-    rows_conj = rows.conj()
-    rho = {(i, j): sum_rows(rows[i] * rows_conj[j]) for i in range(4) for j in range(i, 4)}
+    rho = {(i, j): sum_rows(rows[i] * c) for j, c in enumerate(r.conj() for r in rows) for i in range(j + 1)}
 
     def entry(i, j):
         return rho[i, j] if i <= j else rho[j, i].conj()

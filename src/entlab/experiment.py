@@ -102,8 +102,8 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
         failures += bad.size
         states[bad] = _sample_chunk(kind, seed, trials[bad] + k * RETRY_STRIDE)
     try:
-        e0 = eof_batch(states)
-        ef = eof_batch(apply_to_factors(circuit(), states))
+        e0, states = eof_batch(states), apply_to_factors(circuit(), states)  # C W; W is freed here
+        ef = eof_batch(states)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"entanglement kernel failed on trials {start}..{start + count - 1}: {exc}") from exc
     finite = np.isfinite(e0) & np.isfinite(ef)

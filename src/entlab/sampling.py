@@ -58,6 +58,10 @@ _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 # a chunk's peak memory small, while each numpy loop still runs over a
 # contiguous block of thousands of words
 _ZIGGURAT_ROWS = 1024
+# trials per `_cgs2` call in `build_states`: the temporaries beside a mixed
+# chunk's stack (three conjugated columns, one column's products) take half
+# the memory they take for 8192 trials, in the same time
+_CGS2_TRIALS = 4096
 
 
 class RandomStream(Frozen):
@@ -96,19 +100,20 @@ def draw_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
     real part first; a mixed one a (2, 4, 4) block (the Ginibre matrix), then
     3 uniforms on [0, 1) (the simplex spacings). The Philox4x64-10 cipher runs
     over all substreams one counter block at a time, and numpy's ziggurat
-    (tables in `ziggurat_tables`) parses the words of all trials together.
-    Rows where a try fails the fast test go to `_slow_rows`, which decides
-    each failed try's wedge or tail test once (with libm's exp and log1p
-    where the decision needs them) and then walks the rows. Each trial gets
+    (tables in `ziggurat_tables`) parses the words of one block of rows at a
+    time (`_parse_words`). Rows where a try fails the fast test go to
+    `_slow_rows`, which decides each failed try's wedge or tail test once
+    (with libm's exp and log1p where the decision needs them) and then
+    follows each row's tries. The records are allocated after the cipher
+    has run, so its temporaries and they are not held at once. Each trial gets
     SPARE_BLOCKS blocks of four raw words beyond the fewest its record can
     take; a trial whose rejections use up its words gets one more block and
     is parsed anew."""
     dtype = DRAW_RECORD[kind]
     normals = math.prod(dtype["normals"].shape)
     uniforms = math.prod(dtype["uniforms"].shape) if "uniforms" in dtype.names else 0
-    records = np.empty(len(streams), dtype)
-    rows = np.arange(len(streams))
     raw = philox_words(seed, streams, 0, -(-(normals + uniforms) // 4) + SPARE_BLOCKS)
+    records, rows = np.empty(len(streams), dtype), np.arange(len(streams))  # after the cipher's temporaries
     while True:
         short = _parse_words(records, rows, raw, normals, uniforms)
         if not short.any():
@@ -170,20 +175,30 @@ def _ziggurat_try(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _parse_words(records: np.ndarray, rows: np.ndarray, raw: np.ndarray, normals: int, uniforms: int) -> np.ndarray:
     """Fill records[rows] from the raw words of each row: `normals` standard
     normals, then `uniforms` doubles, consumed as numpy's `Generator`
-    consumes them. Returns the mask of rows whose words ran out."""
-    x = np.empty(raw.shape)
-    fast = np.empty(raw.shape, bool)
-    for b in range(0, len(raw), _ZIGGURAT_ROWS):
-        x[b : b + _ZIGGURAT_ROWS], fast[b : b + _ZIGGURAT_ROWS] = _ziggurat_try(raw[b : b + _ZIGGURAT_ROWS])
-    z = x[:, :normals]
-    end = np.full(len(rows), normals)  # the word after each row's normals
-    short = np.zeros(len(rows), bool)
-    slow = np.flatnonzero(~fast[:, :normals].all(axis=1))
-    if slow.size:
-        z[slow], end[slow], short[slow] = _slow_rows(raw[slow], x[slow], fast[slow], normals)
+    consumes them. Returns the mask of rows whose words ran out, whose
+    records are left undefined. One block of _ZIGGURAT_ROWS rows at a time,
+    so no temporary spans the chunk: the block's ziggurat tries, whose first
+    `normals` are written as each row's normals, and stand where all of
+    them pass the fast test. The block's other rows are held, with their
+    tries, and walked by one
+    `_slow_rows` call once _ZIGGURAT_ROWS of them, or the last block's, are
+    in hand: its fixed cost is paid a few times per chunk, where one call
+    per block would add ~2.5 ms to a mixed chunk."""
+    shape = (-1, *records.dtype["normals"].shape)
+    end, short, held = np.full(len(rows), normals), np.zeros(len(rows), bool), []  # end: the word after the normals
+    for b in range(0, len(rows), _ZIGGURAT_ROWS):
+        x, fast = _ziggurat_try(raw[b : b + _ZIGGURAT_ROWS])
+        records["normals"][rows[b : b + _ZIGGURAT_ROWS]] = x[:, :normals].reshape(shape)  # a slow row's replaced below
+        slow = np.flatnonzero(~fast[:, :normals].all(axis=1))
+        held.append((b + slow, x[slow], fast[slow]))
+        if sum(len(h[0]) for h in held) >= _ZIGGURAT_ROWS or b + _ZIGGURAT_ROWS >= len(rows):
+            at, x, fast = map(np.concatenate, zip(*held))
+            held = []
+            z, end[at], short[at] = _slow_rows(raw[at], x, fast, normals)
+            records["normals"][rows[at]] = z.reshape(shape)
+        x = fast = z = None  # freed before the next block's tries
     short |= end + uniforms > raw.shape[1]
     ok = np.flatnonzero(~short)
-    records["normals"][rows[ok]] = z[ok].reshape((-1, *records.dtype["normals"].shape))
     if uniforms:
         records["uniforms"][rows[ok]] = _doubles(raw[ok[:, None], end[ok, None] + np.arange(uniforms)])
     return short
@@ -197,9 +212,14 @@ def _slow_rows(raw: np.ndarray, x: np.ndarray, fast: np.ndarray, normals: int) -
     i > 0 reads one more double for the wedge test against exp(-x^2/2) and
     takes 2 words; one in layer 0 reads pairs of doubles until the tail
     test passes; one in the last word, or a tail that runs out of words,
-    keeps nothing and ends its row. Then each row is walked from its first
-    failed try, one try at a time, until it has its normals or its words
-    run out. Returns each row's normals, the word after them, and whether
+    keeps nothing and ends its row. A row's path, the tries it makes, is
+    then every word but those that a try on the path reads beyond its own.
+    Such a try, a jump, is on the path unless an earlier jump on it read its
+    word: found as a fixed point, from all jumps on, in one pass more than
+    the longest chain of jumps that read each other's words. A row's normals
+    are the first `normals` tries on its path that keep one, so its last
+    normal is at word normals - 1 plus the number of words before it that
+    give none. Returns each row's normals, the word after them, and whether
     its words ran out."""
     n, width = raw.shape
     words, kept = raw.ravel(), fast.ravel().copy()  # flat over the rows; per try: whether it keeps a normal
@@ -216,21 +236,21 @@ def _slow_rows(raw: np.ndarray, x: np.ndarray, fast: np.ndarray, normals: int) -
         if value is not None:
             x[row, col], kept[i] = value, True
         reads[i] = (width if value is None else stop) - col
-    at = np.argmin(fast, axis=1)  # each row's first failed try: the words before it are normals
-    got = at.copy()
-    picked = np.arange(width) < at[:, None]
-    picked_flat = picked.ravel()
-    live = np.arange(n)
-    while live.size:
-        word = live * width + at[live]  # the live rows' next tries
-        keep = kept[word]
-        picked_flat[word[keep]] = True
-        got[live] += keep
-        at[live] += reads[word]
-        live = live[(got[live] < normals) & (at[live] < width)]
-    short = got < normals
+    jumps = np.flatnonzero(reads > 1)  # the tries that read words beyond their own, in row order
+    ends, on, before = jumps + reads[jumps], np.ones(jumps.size, bool), None
+    while before is None or (on != before).any():  # a fixed point, reached in a few passes
+        reach = np.maximum.accumulate(np.where(on, ends, 0))  # flat: no row reaches into the next
+        before, on = on, jumps >= np.concatenate(([0], reach[:-1]))
+    span = reads[jumps[on]].astype(np.intp) - 1  # the words each jump on a path reads beyond its own
+    kept[np.repeat(jumps[on] + 1 - np.cumsum(span) + span, span) + np.arange(span.sum())] = False
+    lost = np.flatnonzero(~kept)  # in row order: the words that give their row no normal
+    ahead = lost % width - np.arange(lost.size) + np.searchsorted(lost, lost - lost % width)  # normals before each
+    last = normals - 1 + np.bincount(lost[ahead < normals] // width, minlength=n)  # each row's last normal
+    short = last >= width
+    end = last + reads.reshape(n, width)[np.arange(n), np.minimum(last, width - 1)]
+    picked = kept.reshape(n, width) & (np.arange(width) <= last[:, None])
     picked[short] = np.arange(width) < normals  # any `normals` words, for rows drawn again
-    return x[picked].reshape(n, normals), at, short
+    return x[picked].reshape(n, normals), end, short
 
 
 def _below_density(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -258,9 +278,14 @@ def _tail(words: np.ndarray, i: int) -> tuple[float | None, int]:
     return None, k
 
 
-def _complex(normals: np.ndarray) -> np.ndarray:
-    """Complex Gaussians from an (n, 2, ...) stack of normals, real part first."""
-    return normals[:, 0] + 1j * normals[:, 1]
+def _complex_stack(normals: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from an (n, 2, ...) stack of normals, real part
+    first, as one contiguous (..., n) array, the trial axis last: one copy
+    that interleaves the real and imaginary planes, with no complex
+    temporary."""
+    z = np.empty((*normals.shape[2:], len(normals)), complex)
+    z.view(float).reshape(*z.shape, 2)[...] = normals.transpose(*range(2, normals.ndim), 0, 1)
+    return z
 
 
 def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -272,25 +297,33 @@ def haar_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (..., d, d) stack of Ginibre matrices: the Q of
-    each one's QR factorisation whose R has a positive real diagonal, which is
-    Haar-distributed (Mezzadri, Notices AMS 54, 592, 2007). Classical
-    Gram-Schmidt with one reorthogonalisation pass (CGS2) keeps Q orthogonal
-    to machine precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
-    1069, 2005), and divides each column by a positive norm, R's diagonal.
-    Elementwise along the stack, with no LAPACK call per matrix; the result
-    is a view of a (row, column, ...) array. A zero column makes Q non-finite."""
-    q = np.array(np.moveaxis(ginibre, (-2, -1), (0, 1)), order="C")  # a copy, overwritten column by column with Q
-    q_conj = np.empty_like(q)
+    """Haar unitaries from a (..., d, d) stack of Ginibre matrices: `_cgs2`
+    on a (row, column, ...) copy of the stack, of which the result is a view."""
+    return np.moveaxis(_cgs2(np.array(np.moveaxis(ginibre, (-2, -1), (0, 1)), order="C")), (0, 1), (-2, -1))
+
+
+def _cgs2(q: np.ndarray) -> np.ndarray:
+    """Overwrite each matrix of a (row, column, ...) stack of Ginibre
+    matrices with the Q of its QR factorisation whose R has a positive real
+    diagonal, which is Haar-distributed (Mezzadri, Notices AMS 54, 592,
+    2007), and return the stack. Classical Gram-Schmidt with one
+    reorthogonalisation pass (CGS2) keeps Q orthogonal to machine precision
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069, 2005), and
+    divides each column by a positive norm, R's diagonal. Elementwise along
+    the stack, with no LAPACK call per matrix, and in place: the one other
+    array kept is each finished column's conjugate, taken once (taking it
+    anew at each projection slows a single matrix by a few percent). A zero
+    column makes Q non-finite."""
+    conj = []  # the finished columns' conjugates, each taken once
     for j in range(q.shape[1]):
         v = q[:, j]
         for _ in range(2 if j else 0):
-            r = [sum_rows(q_conj[:, k] * v) for k in range(j)]  # all from the same v: classical, not modified
+            r = [sum_rows(conj[k] * v) for k in range(j)]  # all from the same v: classical, not modified
             for k in range(j):
                 v -= q[:, k] * r[k]
         v /= np.sqrt(sum_rows(v.real * v.real + v.imag * v.imag))
-        np.conjugate(v, out=q_conj[:, j])
-    return np.moveaxis(q, (0, 1), (-2, -1))
+        conj.append(v.conj())
+    return q
 
 
 def simplex_spacings(uniforms: np.ndarray) -> np.ndarray:
@@ -303,21 +336,26 @@ def build_states(kind: Kind, draws: np.ndarray) -> np.ndarray:
     """The states of a stack of `DRAW_RECORD[kind]` records, each as a factor
     W of its density matrix, rho = W W^dag, in an (n, 4, k) view of a
     contiguous (4, k, n) array: k = 1 for pure draws, the unit vector being
-    its own factor, and k = 4 for mixed ones, W = U diag(sqrt(lambda)). The
+    its own factor, and k = 4 for mixed ones, W = U diag(sqrt(lambda)). That
+    array is the one complex stack the build makes, written from the normals'
+    real and imaginary planes, then normalised, or orthonormalised by `_cgs2`
+    (_CGS2_TRIALS trials a call) and scaled by sqrt(lambda), in place. The
     pure norm is summed in a fixed order,
     sqrt(((r0^2 + r2^2) + (r1^2 + r3^2)) + ((i0^2 + i2^2) + (i1^2 + i3^2))),
     the order OpenBLAS's ddot used when it computed this norm, so no BLAS
     kernel choice enters the pure draw contract; the mixed build calls no
     BLAS or LAPACK and sums in a fixed order too, so a state does not depend
     on the chunk it is built in."""
-    z = draws["normals"]
+    z = _complex_stack(draws["normals"])  # (4, n) pure, (4, 4, n) mixed
     if kind == "pure":
-        sq = z * z
+        sq = np.square(draws["normals"])
         halves = (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # (n, 2): real, imaginary
-        v = _complex(z) / np.sqrt(halves[:, 0] + halves[:, 1])[:, None]
-        return np.ascontiguousarray(v.T[:, None]).transpose(2, 0, 1)
-    u = haar_unitaries(_complex(z)).transpose(1, 2, 0)  # (row, column, trial), contiguous
-    return (u * np.sqrt(simplex_spacings(draws["uniforms"])).T).transpose(2, 0, 1)
+        z /= np.sqrt(halves[:, 0] + halves[:, 1])
+        return z[:, None].transpose(2, 0, 1)
+    for b in range(0, z.shape[-1], _CGS2_TRIALS):
+        _cgs2(z[..., b : b + _CGS2_TRIALS])
+    z *= np.sqrt(simplex_spacings(draws["uniforms"])).T
+    return z.transpose(2, 0, 1)
 
 
 def sample_chunk(kind: Kind, seed: int, streams: np.ndarray) -> np.ndarray:
@@ -342,7 +380,7 @@ def mixed_state_matrix(rng: RandomStream) -> np.ndarray:
 
 def haar_unitary(rng: RandomStream) -> UnitaryGate:
     """One 4x4 unitary distributed per the Haar measure on U(4)."""
-    return UnitaryGate(haar_unitaries(_complex(rng.generator.standard_normal((1, 2, 4, 4))))[0])
+    return UnitaryGate(_cgs2(_complex_stack(rng.generator.standard_normal((1, 2, 4, 4))))[..., 0])
 
 
 def simplex_point(rng: RandomStream) -> np.ndarray:

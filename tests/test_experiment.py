@@ -613,6 +613,21 @@ class TestStreamedReduction:
         assert 0.0 <= scalars[1] <= 1.0
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("kind, bound_mib", [("pure", 3.5), ("mixed", 7.5)])
+    def test_chunk_temporaries_stay_small(self, kind, bound_mib):
+        """A chunk's traced peak: its records and raw words, one row block's
+        ziggurat tries, one complex stack of factors, and the kernel's
+        temporaries for one stack at a time. A mixed chunk once peaked at
+        ~11 MiB with chunk-wide tries and three copies of its Ginibre stack."""
+        tracemalloc.start()
+        try:
+            e0, ef, failures = _chunk_task(kind, 5, 0, CHUNK_SIZE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e0.shape == ef.shape == (CHUNK_SIZE,) and failures == 0
+        assert peak < bound_mib * (1 << 20), peak / (1 << 20)
+
     @pytest.mark.parametrize("e0, ef", [([0.1, np.nan], [0.3, 0.4]), ([0.1, 0.2], [np.inf, 0.4])])
     def test_rejects_non_finite_values(self, e0, ef):
         """A NaN has no bin: the binning rule would cast it to an arbitrary index."""

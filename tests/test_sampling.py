@@ -233,6 +233,19 @@ class TestDrawChunk:
         assert len(firsts) >= 3  # some trials were extended more than once
         assert all(n < len(streams) for first, n in blocks if first > 0)  # and only those
 
+    @pytest.mark.parametrize("spare", [1, 0])
+    @pytest.mark.parametrize("kind,count", [("pure", 5000), ("mixed", 2500)])
+    def test_records_independent_of_the_row_block(self, monkeypatch, kind, count, spare):
+        # blocks of 7 rows and of 1000 rows: the runs cross block edges, slow
+        # rows and (with no spare block) rows whose words run out
+        monkeypatch.setattr(sampling, "SPARE_BLOCKS", spare)
+        streams = oracle_streams(count)
+        want = draw_chunk(kind, 11, streams)
+        for rows in (7, 1000):
+            monkeypatch.setattr(sampling, "_ZIGGURAT_ROWS", rows)
+            got = draw_chunk(kind, 11, streams)
+            assert got.tobytes() == want.tobytes(), rows
+
     def test_philox_words_match_numpy(self):
         streams = np.array([0, 1, 5 + 3 * RETRY_STRIDE, 2**63, 2**64 - 1], dtype=np.uint64)
         for seed in ORACLE_SEEDS:
