@@ -3,8 +3,11 @@
 One batched kernel, `factor_concurrence`/`factor_eof`, scores each state of
 an (n, 4, k) stack from a factor W of its density matrix, rho = W W^dag. A
 rank-1 factor (k = 1, a unit state vector) takes the closed form 2|ad - bc|
-(Wootters, PRL 80, 2245, 1998); any other factor one 4x4 SVD in
-`factor_lambdas`. `concurrence_batch` takes density matrices, which
+(Wootters, PRL 80, 2245, 1998); any other factor `factor_lambdas`, which
+forms M = W^T (sigma_y x sigma_y) W and bidiagonalises it elementwise along
+the stack, then makes one LAPACK call: the SVD of the real 4x4 upper
+bidiagonals. (The complex SVD of M by matmul, which it replaced, is the
+tests' oracle.) `concurrence_batch` takes density matrices, which
 `linalg.psd_factor` factors first; the validated scalar `concurrence`/`eof`
 are `concurrence_batch` on a stack of one, returned as floats.
 `binary_entropy` and `eof_from_concurrence` are elementwise.
@@ -33,7 +36,6 @@ if TYPE_CHECKING:
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)  # real: antidiag(-1, 1, 1, -1)
-_YY_ROW_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # _YY @ w is w with its rows reversed, then these signs
 
 ENTROPY_DOMAIN_TOL = 1e-12
 # det(rho^Gamma) above which a state is certainly separable. Entries of
@@ -82,14 +84,47 @@ def concurrence_from_lambdas(lam: np.ndarray):
 
 
 def factor_lambdas(w: np.ndarray) -> np.ndarray:
-    """Wootters' lambdas of each state rho = W W^dag in a (..., 4, 4) stack of
-    factors W, non-increasing along the last axis: the singular values of
+    """Wootters' lambdas of each state rho = W W^dag, its factor W laid out
+    (row, column, stack) in a (4, 4, n) array, as an (n, 4) array
+    non-increasing along its rows: the singular values of
     M = W^T (sigma_y x sigma_y) W, as rho @ rho_tilde = W M^dag W^T
-    (sigma_y x sigma_y) has the eigenvalues of M^dag M. The SVD gives the
-    small lambdas at absolute machine accuracy, whereas square-rooting
-    near-zero eigenvalues loses half the digits."""
-    flipped = w[..., ::-1, :] * _YY_ROW_SIGNS  # (sigma_y x sigma_y) @ w
-    return np.linalg.svd(w.swapaxes(-1, -2) @ flipped, compute_uv=False)
+    (sigma_y x sigma_y) has the eigenvalues of M^dag M. Three steps, the
+    first two elementwise along the stack (no matmul, no BLAS):
+    - M's 10 distinct entries, M[a, b] = (W1a W2b + W2a W1b) - (W0a W3b + W3a W0b);
+    - Householder bidiagonalisation (Golub & Kahan, SIAM J. Numer. Anal. 2,
+      205, 1965), seven times: reflect the first column onto its first
+      entry from the left, record its norm, drop that column and transpose
+      the rest (a left reflection of the transpose is a right one of the
+      matrix). The norms d0, e0, d1, e1, d2, e2, d3 are the moduli of the
+      bidiagonal U^dag M V; diagonal phase scalings are unitary, so they
+      form a real upper bidiagonal B with M's singular values. A zero
+      column, as a rank-deficient factor gives, has norm 0 and is not
+      reflected;
+    - one LAPACK SVD of the real (n, 4, 4) stack of B, which gives the
+      small lambdas at absolute machine accuracy, whereas square-rooting
+      near-zero eigenvalues of M^dag M loses half the digits.
+    Every complex product is of two (n,) rows: numpy's complex product may
+    fuse a multiply-add over a contiguous row but not when it broadcasts a
+    stack of one, so a state's last bits would depend on its stack."""
+    m = np.empty(w.shape, complex)
+    for a in range(4):
+        for b in range(a, 4):
+            m[a, b] = m[b, a] = (w[1, a] * w[2, b] + w[2, a] * w[1, b]) - (w[0, a] * w[3, b] + w[3, a] * w[0, b])
+    bidiagonal = np.zeros(w.shape[2:] + (4, 4))
+    for i in range(7):
+        x, m = m[:, 0], m[:, 1:]
+        p = x.real * x.real + x.imag * x.imag
+        bidiagonal[:, i // 2, (i + 1) // 2] = s = np.sqrt(sum_rows(p))
+        if len(x) > 1:  # reflecting one entry is a phase, which moves no modulus
+            r = np.sqrt(p[0])
+            x[0] = np.divide(x[0], r, out=np.ones_like(x[0]), where=r > 0) * (r + s)  # x is now v = x + phase(x0) s e0
+            half_vv = s * (s + r) + (s == 0)  # v^dag v / 2; a zero column has v = 0: no reflection, and no 0/0
+            for y in m.swapaxes(0, 1):
+                c = sum_rows([vk * yk for vk, yk in zip(x.conj(), y)]) / half_vv
+                for vk, yk in zip(x, y):
+                    yk -= vk * c
+        m = m.swapaxes(0, 1)
+    return np.linalg.svd(bidiagonal, compute_uv=False)
 
 
 def _laplace_det4(m) -> np.ndarray:
@@ -144,7 +179,7 @@ def factor_concurrence(factors: np.ndarray) -> np.ndarray:
         return 2.0 * np.sqrt(re * re + im * im)
     entangled = partial_transpose_det(factors) <= SEPARABLE_DET_MARGIN  # or too close to tell
     c = np.zeros(factors.shape[:-2])
-    c[entangled] = concurrence_from_lambdas(factor_lambdas(factors[entangled]))
+    c[entangled] = concurrence_from_lambdas(factor_lambdas(np.moveaxis(factors, (-2, -1), (0, 1))[:, :, entangled]))
     return c
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from entlab.entanglement import (
     SEPARABLE_DET_MARGIN,
+    SIGMA_Y,
     _laplace_det4,
     binary_entropy,
     concurrence,
@@ -22,7 +24,7 @@ from entlab.entanglement import (
 from entlab.errors import UsageError
 from entlab.linalg import psd_factor
 from entlab.qstate import DensityMatrix, PureState, densify, ket
-from entlab.gates import circuit
+from entlab.gates import apply_to_factors, circuit
 from entlab.sampling import RandomStream, haar_unitaries, pure_state_vector, sample_chunk
 
 from conftest import SEPARABLE_FRACTION, definition_concurrence, definition_eof, mixed_matrices, mixed_states, pure_states
@@ -183,7 +185,7 @@ class TestConcurrence:
 
     def test_report_invariants(self):
         for rho in mixed_states(22, 200):
-            lam = factor_lambdas(psd_factor(rho.matrix))
+            lam = factor_lambdas(psd_factor(rho.matrix)[..., None])[0]
             c, e = concurrence(rho), eof(rho)
             assert np.all(np.diff(lam) <= 0)
             assert lam.min() >= 0.0
@@ -400,9 +402,14 @@ class TestFactorKernel:
         assert np.max(np.abs(closed - factor_concurrence(one_column_factors(vecs)))) <= 1e-14
 
 
+def stack_lambdas(w: np.ndarray) -> np.ndarray:
+    """`factor_lambdas` on an (n, 4, 4) stack, laid out (row, column, stack) as it takes them."""
+    return factor_lambdas(np.moveaxis(w, (-2, -1), (0, 1)))
+
+
 def svd_concurrence(w: np.ndarray) -> np.ndarray:
     """The unscreened route: `factor_lambdas` on every state."""
-    return concurrence_from_lambdas(factor_lambdas(w))
+    return concurrence_from_lambdas(stack_lambdas(w))
 
 
 def weakly_entangled_vectors(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -484,3 +491,68 @@ class TestSeparableScreen:
         screened = factor_concurrence(w)
         assert np.array_equal(screened, svd_concurrence(w))
         assert np.max(np.abs(screened - c) / c) <= 1e-6
+
+
+def oracle_lambdas(w: np.ndarray) -> np.ndarray:
+    """The route `factor_lambdas` replaced, kept as its oracle: LAPACK's
+    complex SVD of M = W^T (sigma_y x sigma_y) W for each factor of an
+    (n, 4, 4) stack, M formed by matmul."""
+    return np.linalg.svd(w.swapaxes(-1, -2) @ np.kron(SIGMA_Y, SIGMA_Y).real @ w, compute_uv=False)
+
+
+class TestBidiagonalRoute:
+    """`factor_lambdas` (M elementwise, Householder bidiagonalisation, the SVD
+    of a real bidiagonal) against the complex SVD of M, within 2e-15."""
+
+    @staticmethod
+    def check(w: np.ndarray) -> np.ndarray:
+        lam = stack_lambdas(w)
+        assert np.all(np.isfinite(lam))
+        assert np.max(np.abs(lam - oracle_lambdas(w)), initial=0.0) <= 2e-15
+        return lam
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_sampled_factors_and_their_circuit_images(self, seed):
+        w = sample_chunk("mixed", seed, np.arange(2000))
+        self.check(w)
+        self.check(apply_to_factors(circuit(), w))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_psd_factors(self, rank):
+        w = psd_factor(haar_spectral_stack(rank, rank_deficient_spectra(rank)))
+        assert np.all(np.max(np.abs(w), axis=-2)[:, : 4 - rank] == 0.0)  # eigh's zero columns come first
+        self.check(w)
+
+    def test_columns_starting_with_an_exact_zero(self):
+        # product basis states: M = 0; the Bell state (|00> + |11>)/sqrt 2: M's
+        # first column is (-1, 0, 0, 0); W = P / 2 for each permutation P: rho = I/4
+        # and M = P^T (sigma_y x sigma_y) P / 4, whose columns hold one entry
+        # each, mostly away from the top
+        perms = np.array([np.eye(4)[list(p)] for p in itertools.permutations(range(4))]) / 2
+        for w, c in ((one_column_factors(np.eye(4)), 0.0), (one_column_factors(BELL_VECTORS[:1]), 1.0), (perms, 0.0)):
+            lam = self.check(w.astype(complex))
+            assert np.all(concurrence_from_lambdas(lam) == pytest.approx(c, abs=1e-15))
+
+    def test_diagonal_m(self):
+        # the Bell basis B has B^T (sigma_y x sigma_y) B = diag(-1, 1, 1, -1), so
+        # W = B diag(sqrt p) has M = diag(-p0, p1, p2, -p3) and lambdas sorted p
+        p = np.random.default_rng(60).dirichlet(np.ones(4), 200)
+        w = BELL_VECTORS.T[None] * np.sqrt(p)[:, None, :]
+        assert np.max(np.abs(oracle_lambdas(w) - np.sort(p)[:, ::-1])) <= 1e-15
+        lam = self.check(w)
+        assert np.max(np.abs(concurrence_from_lambdas(lam) - np.maximum(0.0, 2 * p.max(axis=1) - 1))) <= 1e-15
+
+    def test_empty_stack(self):
+        # product states rho_A (x) rho_B, all cleared by the screen: the SVD gets no state
+        rng = np.random.default_rng(61)
+        wa, wb = rng.standard_normal((2, 50, 2, 2)) + 1j * rng.standard_normal((2, 50, 2, 2))
+        w = kron_stack(wa, wb) / (np.linalg.norm(wa, axis=(1, 2)) * np.linalg.norm(wb, axis=(1, 2)))[:, None, None]
+        assert np.all(partial_transpose_det(w) > SEPARABLE_DET_MARGIN)
+        assert np.array_equal(factor_concurrence(w), np.zeros(50))
+        assert stack_lambdas(w[:0]).shape == (0, 4)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_werner_next_to_the_threshold(self, side):
+        x = 1 / 3 + side * 1e-12
+        lam = self.check(werner_factor(x)[None])
+        assert concurrence_from_lambdas(lam)[0] == pytest.approx(werner_concurrence_closed_form(x), abs=2e-15)
