@@ -49,6 +49,7 @@ from pathlib import Path
 from .errors import Frozen, NumericError, ResourceError, UsageError, require_integer
 from .experiment import (
     MAX_BINS,
+    Binned,
     EnsembleSpec,
     Histogram,
     available_cpus,
@@ -171,9 +172,8 @@ def _mallopt():
 
 def _keep_freed_memory() -> None:
     """Keep freed chunk temporaries in this process's heap for reuse (see
-    the module docstring). Arrays above MMAP_THRESHOLD, such as a run's
-    per-trial arrays from about 4M trials up, are still mapped and returned
-    to the system on free."""
+    the module docstring). Arrays above MMAP_THRESHOLD are still mapped and
+    returned to the system on free."""
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
@@ -211,7 +211,8 @@ def execute(config: RunConfig) -> int:
         # the files are written inside `out`, on its filesystem, and then moved
         # in one by one, summary.json last, so a failed write leaves the previous set whole
         tmp = Path(tempfile.mkdtemp(prefix=f".entlab-{os.getpid()}-", dir=out))
-        result = run_ensemble(spec, workers=config.workers)
+        # each chunk binned and summed where it ran: no per-trial array is kept
+        result = run_ensemble(spec, workers=config.workers, reducer=Binned(config.delta_bins, config.e0_bins))
         delta_hist = histogram_delta(result, config.delta_bins)
         e0_hist = conditional_mean(result, config.e0_bins)  # the E_0 histogram, with the E_F means
         _write_histogram_csv(tmp / "delta_hist.csv", delta_hist)
@@ -219,9 +220,9 @@ def execute(config: RunConfig) -> int:
         _write_profile_csv(tmp / "conditional_mean.csv", e0_hist)
         summary = {
             "config": vars(config),
-            "mean_e0": float(result.e0.mean()),
-            "mean_ef": float(result.ef.mean()),
-            "mean_delta": delta_hist.mean,  # both from histogram_delta's one pass
+            "mean_e0": e0_hist.mean,  # each mean an exact sum, rounded once, over the trial count
+            "mean_ef": e0_hist.mean_weight,
+            "mean_delta": delta_hist.mean,
             "zero_delta_fraction": delta_hist.zero_fraction,
             "failures": result.failures,
             "workers_used": result.processes,

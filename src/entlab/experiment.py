@@ -12,28 +12,34 @@ substream t + k * RETRY_STRIDE, k = 1..MAX_RETRIES, before the kernel runs;
 each redraw counts against a 1e-6 failure budget. A non-finite E from the
 kernel is a numeric failure, never a count in a histogram.
 
-A run allocates its results once, on a shared anonymous mapping, and uses
-at most min(workers, chunks, CPUs it may run on) processes, counting its
-own. Process p runs chunks p, p + processes, ... in order: process 0 is the
-calling process, the others are workers it forks with `os.fork`. For each
-chunk it writes E_0 and E_F into their slices in place, then the chunk's
-failure count + 1 into the chunk's record beside them, 0 until then. A
-process stops at its first chunk that raises. The calling process then
-runs its unfinished chunks once more while the workers go on, and kills
-them only if that raises too. A worker reports through the mapping alone:
-it never prints, and leaves by `os._exit`. The calling process reaps each
-worker by pid, so it never reaps a child it did not fork, then runs every
-chunk whose record is still 0 itself, in chunk order. A trial is a function
-of (seed, t) alone, so the lowest failing chunk raises its error there, as
-in a serial run, whichever process met it first; a failure only one process
-met costs time, not the run. A worker killed by a signal is a ResourceError.
-A worker stops before its next chunk once the process that forked it is
-gone, as when the CLI process is killed by SIGKILL. Where `os` has no
-`fork`, the run is serial.
+A run folds each finished chunk into an accumulator with a reducer: by
+default `_Arrays`, which keeps E_0 and E_F of every trial; the CLI's
+`Binned` bins and sums the chunk into exact integers, so a run's memory
+does not grow with its trials. A run uses at most min(workers, chunks, CPUs
+it may run on) processes, counting its own. Process p runs chunks p, p +
+processes, ... in order into its own accumulator: process 0 is the calling
+process, the others are workers it forks with `os.fork`. When its share
+ends, normally or by an exception, a process copies its accumulator into
+its row of a shared anonymous mapping in one assignment, with entry 0 the
+number of chunks of its share it covers. A process stops at its first chunk
+that raises. The calling process then runs its uncovered chunks once more
+while the workers go on, and kills them only if that raises too; a killed
+worker's row is cleared. A worker reports through its row alone: it never
+prints, and leaves by `os._exit`. The calling process reaps each worker by
+pid, so it never reaps a child it did not fork, then runs every chunk no
+row covers itself, in chunk order, into one more accumulator, and adds up
+all of them. A trial is a function of (seed, t) alone, so the lowest
+failing chunk raises its error there, as in a serial run, whichever process
+met it first; a failure only one process met costs time, not the run, and
+no chunk is counted twice or lost. A worker killed by a signal is a
+ResourceError. A worker stops before its next chunk once the process that
+forked it is gone, as when the CLI process is killed by SIGKILL. Where `os`
+has no `fork`, the run is serial.
 
-The reductions walk a result in CHUNK_SIZE slices, so none of them makes
-an array as long as the run: delta E, in particular, is formed a slice at
-a time, unless a caller asks for `EnsembleResult.delta`.
+The reductions, `histogram_delta` and `conditional_mean`, finalise a
+`Binned` run's sums, or run `Binned` over an array result's slices: one
+implementation of binning and summation, whose every number is independent
+of the worker count and of CHUNK_SIZE.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ CHUNK_SIZE = 8192
 RETRY_STRIDE = 1 << 48  # retry k of trial t uses substream t + k * stride
 MAX_FAILURE_RATE = 1e-6
 MAX_RETRIES = 8
-MAX_TRIALS = 10**8
+MAX_TRIALS = 1 << 32  # as many values as a limb sum holds exactly (see LIMBS)
 MAX_BINS = 10**6  # per histogram: far finer than any plot needs, and its arrays stay small
 MIN_OCCUPANCY = 100  # samples an E_0 bin needs for its mean E_F to be reported
 
@@ -68,24 +74,29 @@ class EnsembleSpec(Frozen):
     def __init__(self, kind: Kind, trials: int, seed: int):
         if kind not in ("pure", "mixed"):
             raise UsageError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-        require_integer("trials", trials, 1, MAX_TRIALS)  # the cap is a memory guard
+        require_integer("trials", trials, 1, MAX_TRIALS)
         require_integer("seed", seed, 0, (1 << 64) - 1)
         self._set(kind=kind, trials=trials, seed=seed)
 
 
 class EnsembleResult(Frozen):
-    """Per-trial initial and final EoF as flat arrays, and the processes used.
-    `delta`, E_F - E_0, is formed on first use and kept."""
+    """Per-trial initial and final EoF as flat arrays, and the processes
+    used; from a run reduced by `Binned`, empty arrays and `binned`, the
+    reducer with the run's summed accumulator. `delta`, E_F - E_0, is formed
+    on first use and kept."""
 
-    def __init__(self, e0: np.ndarray, ef: np.ndarray, failures: int = 0, processes: int = 1):
-        self._set(e0=e0, ef=ef, failures=failures, processes=processes)
+    def __init__(self, e0: np.ndarray, ef: np.ndarray, failures: int = 0, processes: int = 1, binned=None):
+        self._set(e0=e0, ef=ef, failures=failures, processes=processes, binned=binned)
 
     @cached_property
     def delta(self) -> np.ndarray:
         return self.ef - self.e0
 
     def __len__(self) -> int:
-        return self.e0.shape[0]
+        if self.binned is None:
+            return self.e0.shape[0]
+        reducer, acc = self.binned
+        return int(acc[reducer.e0_counts].sum())
 
 
 def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -112,64 +123,79 @@ def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarr
     return e0, ef, failures
 
 
-def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
-    """Run the full ensemble; the result is a deterministic function of the
-    spec alone, regardless of `workers`."""
+def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> EnsembleResult:
+    """Run the full ensemble, folding each chunk into `reducer` (by default
+    `_Arrays`, which keeps E_0 and E_F of every trial; the CLI passes a
+    `Binned`). The result is a deterministic function of the spec and the
+    reducer alone, regardless of `workers`."""
     require_integer("workers", workers, 1, math.inf)
-    tasks = [(spec.kind, spec.seed, s, min(CHUNK_SIZE, spec.trials - s)) for s in range(0, spec.trials, CHUNK_SIZE)]
-    processes = max(1, min(workers, len(tasks), available_cpus())) if hasattr(os, "fork") else 1
-    # e0 and ef of every trial, then each chunk's failures + 1 once it is written, 0 until then
-    try:
-        buf = mmap.mmap(-1, 8 * (2 * spec.trials + len(tasks)))
+    reducer = _Arrays(spec.trials) if reducer is None else reducer
+    chunks = -(-spec.trials // CHUNK_SIZE)
+    processes = max(1, min(workers, chunks, available_cpus())) if hasattr(os, "fork") else 1
+    try:  # one accumulator row per process
+        buf = mmap.mmap(-1, 8 * reducer.words * processes)
     except OSError as exc:  # out of memory, or over the process's address-space limit
-        raise ResourceError(f"could not map the results of {spec.trials} trials: {exc}") from exc
-    out = np.frombuffer(buf, np.float64, 2 * spec.trials).reshape(2, spec.trials)
-    done = np.frombuffer(buf, np.int64, len(tasks), 16 * spec.trials)
-    children = []  # pids of the workers not yet reaped
+        raise ResourceError(f"could not map the accumulators of {processes} processes: {exc}") from exc
+    rows = np.frombuffer(buf, np.int64).reshape(processes, reducer.words)
+    children = {}  # pid: row, of the workers not yet reaped
     try:
         for p in range(1, processes):  # the workers forked before a refused fork are in `children`, to be stopped
-            children.append(_fork_worker(tasks[p::processes], out, done))
+            pid = _fork_worker(spec, range(p, chunks, processes), rows[p], reducer)
+            children[pid] = p
+        own = range(0, chunks, processes)
         try:
-            _run_share(tasks[::processes], out, done)
-        except Exception:  # this process's own failure: one more try at its unfinished chunks, as the workers run on
+            _run_share(spec, own, rows[0], reducer)
+        except Exception:  # this process's own failure: one more try at its uncovered chunks, as the workers run on
             try:
-                _run_share([t for t in tasks[::processes] if not done[t[2] // CHUNK_SIZE]], out, done)
+                _run_share(spec, own, rows[0], reducer)
             except Exception:  # again: the chunk is rerun below, in order with the workers'
-                _stop(children)
-        for pid in children[:]:
+                _stop(children, rows)
+        for pid in list(children):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.remove(pid)
+            del children[pid]
             if code < 0:
                 raise ResourceError(f"a worker process was killed by signal {-code}")
     finally:
-        _stop(children)
-    # every chunk no process finished, in chunk order: the lowest failing chunk raises, as in a serial run
-    _run_share([tasks[c] for c in np.flatnonzero(done == 0)], out, done)
-    total = int(done.sum()) - len(tasks)
-    if total > MAX_FAILURE_RATE * spec.trials:
-        raise NumericError(f"{total} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
-    return EnsembleResult(e0=out[0], ef=out[1], failures=total, processes=processes)
+        _stop(children, rows)
+    # every chunk no row covers, in chunk order: the lowest failing chunk raises, as in a serial run
+    rest = sorted(c for p in range(processes) for c in range(p + int(rows[p, 0]) * processes, chunks, processes))
+    rerun = np.zeros(reducer.words, np.int64)
+    _run_share(spec, rest, rerun, reducer)
+    acc = rows.sum(axis=0) + rerun
+    if acc[1] > MAX_FAILURE_RATE * spec.trials:
+        raise NumericError(f"{acc[1]} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
+    return reducer.result(acc, processes)
 
 
-def _run_share(share, out: np.ndarray, done: np.ndarray, parent: int | None = None) -> None:
-    """Run chunks in order, writing their E_0 and E_F into rows 0 and 1 of
-    `out`, and then each chunk's failure count + 1 into its entry of `done`,
-    so an entry still 0 names a chunk no process finished. The first chunk
-    that raises ends the share. A worker passes the pid of the process that
-    forked it as `parent`, and stops before its next chunk once that process
-    is gone: no one would read its results."""
-    for kind, seed, start, count in share:
-        if parent is not None and os.getppid() != parent:
-            return
-        e0, ef, failed = _chunk_task(kind, seed, start, count)
-        out[0, start : start + count] = e0
-        out[1, start : start + count] = ef
-        done[start // CHUNK_SIZE] = failed + 1
+def _run_share(spec: EnsembleSpec, share, row: np.ndarray, reducer, parent: int | None = None) -> None:
+    """Run the chunks of `share` (chunk indices, in order) past the first
+    row[0], folding each into a copy of `row` with `reducer.add`, which
+    counts it in entry 0. The copy goes back into `row` in one assignment
+    when the share ends, by an exception too, unless the exception came
+    inside an `add`: then `row` keeps what it held, and the chunks since
+    are rerun, never counted twice. So `row` always covers the first row[0]
+    chunks of the share and no other. The first chunk that raises ends the
+    share. A worker passes the pid of the process that forked it as
+    `parent`, and stops before its next chunk once that process is gone:
+    no one would read its results."""
+    acc, adding = row.copy(), False
+    try:
+        for chunk in share[acc[0]:]:
+            if parent is not None and os.getppid() != parent:
+                return
+            start = chunk * CHUNK_SIZE
+            e0, ef, failed = _chunk_task(spec.kind, spec.seed, start, min(CHUNK_SIZE, spec.trials - start))
+            adding = True
+            reducer.add(acc, start, e0, ef, failed)
+            adding = False
+    finally:
+        if not adding:
+            row[:] = acc
 
 
-def _fork_worker(share, out: np.ndarray, done: np.ndarray) -> int:
-    """Fork a worker to run `share`; returns its pid. The worker never
-    returns into the caller's frames and never prints: it leaves by
+def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer) -> int:
+    """Fork a worker to run `share` into `row`; returns its pid. The worker
+    never returns into the caller's frames and never prints: it leaves by
     `os._exit(0)`, which flushes nothing this process buffered, once its
     share is done, at the first chunk that raises, or once this process is
     gone. Only a signal that kills it makes its exit status tell."""
@@ -188,21 +214,25 @@ def _fork_worker(share, out: np.ndarray, done: np.ndarray) -> int:
         if hooks is not None:
             hooks._finalizer_registry.clear()
         try:
-            _run_share(share, out, done, parent)
-        finally:  # an exception is then dropped by `os._exit`: the caller reruns the chunk that raised it
+            _run_share(spec, share, row, reducer, parent)
+        finally:  # an exception is then dropped by `os._exit`: the caller reruns the chunks `row` does not cover
             if hooks is not None:
                 hooks._run_finalizers()
     finally:
         os._exit(0)
 
 
-def _stop(children: list) -> None:
-    """Kill the workers in `children` and reap them, emptying it. SIGKILL: a
-    worker cannot ignore it, as it can SIGTERM when it inherits an ignored
-    SIGTERM from whoever started the run."""
+def _stop(children: dict, rows: np.ndarray) -> None:
+    """Kill the workers in `children` (pid: row) and reap them, emptying it,
+    and clear their rows, which a worker killed while it published its own
+    holds in part. SIGKILL: a worker cannot ignore it, as it can SIGTERM
+    when it inherits an ignored SIGTERM from whoever started the run."""
     while children:  # never a reaped pid, which the system may have reused
-        os.kill(children[-1], 9)  # SIGKILL wherever `os.fork` exists, without the ~1 ms `import signal`
-        os.waitpid(children.pop(), 0)
+        pid = next(reversed(children))
+        os.kill(pid, 9)  # SIGKILL wherever `os.fork` exists, without the ~1 ms `import signal`
+        p = children.pop(pid)
+        os.waitpid(pid, 0)
+        rows[p] = 0
 
 
 def available_cpus() -> int:
@@ -210,17 +240,121 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class Histogram(Frozen):
-    """Fixed-range binned counts over [lo, hi], and per-bin sums of the
-    weights where some were binned; density = count / (total * bin width).
-    `bin_count` and `total` are what the counts fix: every value is binned,
-    so `total` is the number of values. The E_0 histogram weighted by E_F is
-    the conditional-mean profile: `mean_ef` is the mean weight of each bin,
-    NaN in a bin with fewer than MIN_OCCUPANCY samples, which `occupied`
-    leaves out."""
+class _Arrays:
+    """The default reducer: E_0 and E_F of every trial, written into their
+    slices of one mapping that the run's processes share, as the chunks
+    finish. Its accumulator holds the chunks covered and the failures."""
 
-    def __init__(self, lo: float, hi: float, counts: np.ndarray, sums: np.ndarray | None = None):
-        self._set(lo=lo, hi=hi, counts=counts, sums=sums, bin_count=len(counts), total=int(counts.sum()))
+    words = 2
+
+    def __init__(self, trials: int):
+        try:
+            self._out = np.frombuffer(mmap.mmap(-1, 16 * trials), np.float64).reshape(2, trials)
+        except OSError as exc:  # out of memory, or over the process's address-space limit
+            raise ResourceError(f"could not map the results of {trials} trials: {exc}") from exc
+
+    def add(self, acc: np.ndarray, start: int, e0: np.ndarray, ef: np.ndarray, failures: int) -> None:
+        self._out[0, start : start + len(e0)] = e0
+        self._out[1, start : start + len(e0)] = ef
+        acc += 1, failures
+
+    def result(self, acc: np.ndarray, processes: int) -> EnsembleResult:
+        return EnsembleResult(self._out[0], self._out[1], int(acc[1]), processes)
+
+
+# E_0, E_F and delta E are summed as fixed-point numbers of LIMBS limbs of
+# LIMB_BITS bits, each limb summed exactly in int64 (Neal, arXiv:1505.05571):
+# the sums are exact integers, the same in any order, so they do not depend on
+# the worker count or CHUNK_SIZE. A value below 2 in magnitude makes limbs
+# below 2^31, so 2^32 values per sum stay below 2^63; MAX_TRIALS is that.
+LIMB_BITS = 30
+LIMBS = 4  # to 2^-120: exact for every float of magnitude 2^-68 or more, whose last bit is 2^-120 or above
+# a `Binned` accumulator's head: chunks covered, failures, the count of |delta E|
+# below half a bin, then the limb sums of E_0 and of delta E
+_E0_SUM, _DELTA_SUM = slice(3, 3 + LIMBS), slice(3 + LIMBS, 3 + 2 * LIMBS)
+_HEAD = _DELTA_SUM.stop
+
+
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """x, each |x| < 2, as LIMBS rows of whole numbers below 2^31 in
+    magnitude, each of x's sign: x = sum_k row_k 2^(-LIMB_BITS (k + 1)),
+    truncated toward 0 below 2^-120. Each step is exact: scaling by a power
+    of 2, truncation, and taking a float's whole part from it. A float sum
+    of up to 2^22 entries of a row is exact too: it stays below 2^53."""
+    out = np.empty((LIMBS, len(x)))
+    rest = x * float(1 << LIMB_BITS)
+    for row in out:
+        np.trunc(rest, out=row)
+        rest -= row
+        rest *= float(1 << LIMB_BITS)
+    return out
+
+
+def _exact_sum(limb_sums: np.ndarray):
+    """The float nearest sum_k limb_sums[k] 2^(-LIMB_BITS (k + 1)), for
+    (LIMBS,) or (LIMBS, m) int64 limb sums: joined into Python ints, which
+    true division rounds correctly."""
+    total = 0
+    for row in limb_sums.astype(object):
+        total = (total << LIMB_BITS) + row
+    quotient = total / (1 << LIMB_BITS * LIMBS)
+    return quotient if limb_sums.ndim == 1 else quotient.astype(float)
+
+
+class Binned:
+    """The CLI's reducer: each chunk binned and summed in the process that
+    ran it, into an int64 accumulator of O(bins) words, whatever the trial
+    count. In order: the chunks covered, the failures, the count of |delta
+    E| below half a delta bin, the limb sums of E_0 and of delta E, the
+    delta E counts, the E_0 counts, and the limb sums of E_F per E_0 bin,
+    one row of e0_bins per limb. Every entry is an exact integer, so the
+    accumulators of any split of the chunks add up to the same words."""
+
+    def __init__(self, delta_bins: int, e0_bins: int):
+        require_integer("bin_count", delta_bins, 2, MAX_BINS)
+        require_integer("bin_count", e0_bins, 2, MAX_BINS)
+        self.delta_bins, self.e0_bins = delta_bins, e0_bins
+        self.delta_edges, self.e0_edges = np.linspace(-1.0, 1.0, delta_bins + 1), np.linspace(0.0, 1.0, e0_bins + 1)
+        self.delta_counts = slice(_HEAD, _HEAD + delta_bins)
+        self.e0_counts = slice(self.delta_counts.stop, self.delta_counts.stop + e0_bins)
+        self.ef_sums = slice(self.e0_counts.stop, self.e0_counts.stop + LIMBS * e0_bins)
+        self.words = self.ef_sums.stop
+
+    def add(self, acc: np.ndarray, start: int, e0: np.ndarray, ef: np.ndarray, failures: int) -> None:
+        """Fold one chunk, trials start.., into `acc`, and count it in acc[0]."""
+        delta = ef - e0
+        if not all(np.all(np.abs(x) < 2.0) for x in (e0, ef, delta)):
+            raise UsageError(f"cannot bin a non-finite value, or sum one of magnitude 2 or more, "
+                             f"among trials {start}..{start + len(delta) - 1}")
+        at = _bin_indices(delta, self.delta_edges)
+        np.add.at(acc, at + self.delta_counts.start, 1)  # O(chunk), where a bincount would cost O(bins) per chunk
+        at = _bin_indices(e0, self.e0_edges)
+        np.add.at(acc, at + self.e0_counts.start, 1)
+        for k, limb in enumerate(_limbs(ef)):
+            np.add.at(acc, at + (self.ef_sums.start + k * self.e0_bins), limb.astype(np.int64))
+        near_zero = np.count_nonzero(np.abs(delta) < 2.0 / self.delta_bins / 2.0)  # bin_width / 2
+        head = np.concatenate(([failures, near_zero], _limbs(e0).sum(axis=1), _limbs(delta).sum(axis=1)))
+        acc[1:_HEAD] += head.astype(np.int64)
+        acc[0] += 1
+
+    def result(self, acc: np.ndarray, processes: int) -> EnsembleResult:
+        return EnsembleResult(np.empty(0), np.empty(0), int(acc[1]), processes, binned=(self, acc))
+
+
+class Histogram(Frozen):
+    """Fixed-range binned counts over [lo, hi], the mean of the binned
+    values, and, where some were binned, per-bin sums of the weights and the
+    mean weight; density = count / (total * bin width). `bin_count` and
+    `total` are what the counts fix: every value is binned, so `total` is
+    the number of values. The E_0 histogram weighted by E_F is the
+    conditional-mean profile: `mean_ef` is the mean weight of each bin, NaN
+    in a bin with fewer than MIN_OCCUPANCY samples, which `occupied` leaves
+    out. Sums and means are exact sums rounded once, then divided."""
+
+    def __init__(self, lo: float, hi: float, counts: np.ndarray, mean: float, sums: np.ndarray | None = None,
+                 mean_weight: float | None = None):
+        self._set(lo=lo, hi=hi, counts=counts, mean=mean, sums=sums, mean_weight=mean_weight,
+                  bin_count=len(counts), total=int(counts.sum()))
 
     @property
     def bin_width(self) -> float:
@@ -255,11 +389,11 @@ class Histogram(Frozen):
 
 class DeltaHistogram(Histogram):
     """The delta E histogram over [-1, 1], with the mean of delta E and the
-    fraction of |delta E| < bin_width / 2, both taken in the same pass."""
+    fraction of |delta E| < bin_width / 2."""
 
     def __init__(self, counts: np.ndarray, mean: float, zero_fraction: float):
-        super().__init__(-1.0, 1.0, counts)
-        self._set(mean=mean, zero_fraction=zero_fraction)
+        super().__init__(-1.0, 1.0, counts, mean)
+        self._set(zero_fraction=zero_fraction)
 
 
 def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -276,52 +410,44 @@ def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, last, out=idx)
 
 
-def _histogram(total: int, part, lo: float, hi: float, bin_count: int, weighted: bool = False) -> Histogram:
-    """Bin `total` values over [lo, hi] in CHUNK_SIZE slices: part(s) returns
-    the values of slice s and their weights (None unless `weighted`). The
-    per-bin weight sums are added in trial order, so they equal one
-    `bincount` over all the values bit for bit; no temporary is longer
-    than a slice."""
-    require_integer("bin_count", bin_count, 2, MAX_BINS)
-    if total < 1:  # every density would be 0 / 0
+def _binned(result: EnsembleResult, delta_bins: int | None = None, e0_bins: int | None = None):
+    """(reducer, accumulator) of `result`: a reduced run's own, whose bin
+    counts a request must match, or a `Binned` run over an array result's
+    CHUNK_SIZE slices now, the bin count not asked for at 2."""
+    if result.binned is not None:
+        reducer, _ = result.binned
+        if delta_bins not in (None, reducer.delta_bins) or e0_bins not in (None, reducer.e0_bins):
+            raise UsageError(f"this result was binned into {reducer.delta_bins} delta E and {reducer.e0_bins} E_0 bins")
+        return result.binned
+    if len(result) < 1:  # every density would be 0 / 0
         raise UsageError("cannot bin an empty result")
-    edges = np.linspace(lo, hi, bin_count + 1)
-    counts = np.zeros(bin_count, np.int64)
-    sums = np.zeros(bin_count) if weighted else None
-    for start in range(0, total, CHUNK_SIZE):
-        values, weights = part(slice(start, start + CHUNK_SIZE))
-        if not np.isfinite(values).all() or (weighted and not np.isfinite(weights).all()):
-            raise UsageError(f"cannot bin a non-finite value among trials {start}..{start + len(values) - 1}")
-        idx = _bin_indices(values, edges)
-        np.add.at(counts, idx, 1)  # O(slice), where a bincount would cost O(bin_count) per slice
-        if weighted:
-            np.add.at(sums, idx, weights)
-    return Histogram(lo, hi, counts, sums)
+    reducer = Binned(2 if delta_bins is None else delta_bins, 2 if e0_bins is None else e0_bins)
+    acc = np.zeros(reducer.words, np.int64)
+    for start in range(0, len(result), CHUNK_SIZE):
+        reducer.add(acc, start, result.e0[start : start + CHUNK_SIZE], result.ef[start : start + CHUNK_SIZE], 0)
+    return reducer, acc
 
 
 def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
-    """P(delta E) histogram over the fixed range [-1, 1], with the sum of
-    delta E and its count within half a bin of 0. Delta E is formed one
-    slice at a time, never as a whole array."""
-    delta_sum, near_zero = 0.0, 0
-
-    def delta(s: slice):
-        nonlocal delta_sum, near_zero
-        d = result.ef[s] - result.e0[s]
-        delta_sum += float(d.sum())
-        near_zero += int(np.count_nonzero(np.abs(d) < 2.0 / bin_count / 2.0))  # bin_width / 2
-        return d, None
-
-    counts = _histogram(len(result), delta, -1.0, 1.0, bin_count).counts
-    return DeltaHistogram(counts, delta_sum / len(result), near_zero / len(result))
+    """P(delta E) histogram over the fixed range [-1, 1], with the mean of
+    delta E and its count within half a bin of 0."""
+    reducer, acc = _binned(result, delta_bins=bin_count)
+    n = len(result)
+    return DeltaHistogram(acc[reducer.delta_counts].copy(), _exact_sum(acc[_DELTA_SUM]) / n, int(acc[2]) / n)
 
 
 def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
     """P(E_0) histogram over [0, 1], the optional companion output."""
-    return _histogram(len(result), lambda s: (result.e0[s], None), 0.0, 1.0, bin_count)
+    hist = conditional_mean(result, bin_count)
+    return Histogram(hist.lo, hist.hi, hist.counts, hist.mean)
 
 
 def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
     """The E_0 histogram over [0, 1] weighted by E_F: its per-bin sums of
-    E_F, and their means where a bin is occupied (`Histogram.mean_ef`)."""
-    return _histogram(len(result), lambda s: (result.e0[s], result.ef[s]), 0.0, 1.0, bin_count, weighted=True)
+    E_F, and their means where a bin is occupied (`Histogram.mean_ef`); its
+    `mean` is the mean of E_0, and `mean_weight` that of E_F."""
+    reducer, acc = _binned(result, e0_bins=bin_count)
+    n, counts, limb_sums = len(result), acc[reducer.e0_counts].copy(), acc[reducer.ef_sums].reshape(LIMBS, bin_count)
+    sums = np.zeros(bin_count)
+    sums[counts > 0] = _exact_sum(limb_sums[:, counts > 0])  # Python ints for the occupied bins only
+    return Histogram(0.0, 1.0, counts, _exact_sum(acc[_E0_SUM]) / n, sums, _exact_sum(limb_sums.sum(axis=1)) / n)

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 
@@ -84,6 +85,17 @@ def fail_at(monkeypatch, errors):
         return task(kind, seed, first, count)
 
     monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
+
+
+def run_outputs(out) -> dict:
+    """The outputs of the CLI run in directory `out`, less what depends on
+    how it ran rather than on its configuration: each CSV's text, and
+    summary.json without `wall_time_s`, `workers_used` and the config
+    echo's `workers` and `output_dir`."""
+    outputs = {p.name: p.read_text() for p in out.iterdir() if p.suffix == ".csv"}
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_time_s"], summary["workers_used"], summary["config"]["workers"], summary["config"]["output_dir"]
+    return {**outputs, "summary.json": summary}
 
 
 def assert_no_children():

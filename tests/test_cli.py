@@ -22,7 +22,7 @@ from entlab.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_RE
 from entlab.errors import NumericError, UsageError
 from entlab.experiment import CHUNK_SIZE, MAX_RETRIES, MAX_TRIALS, RETRY_STRIDE
 
-from conftest import assert_no_children, fail_at, in_children, poison_draws, sigkill
+from conftest import assert_no_children, fail_at, in_children, poison_draws, run_outputs, sigkill
 
 
 def test_help_shows_flags_and_statuses_only(capsys):
@@ -201,13 +201,17 @@ class TestExecute:
         for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_worker_count_byte_identical(self, tmp_path):
-        cfg_a = small_config(tmp_path, trials=10_000, output_dir=str(tmp_path / "a"), workers=1)
-        cfg_b = small_config(tmp_path, trials=10_000, output_dir=str(tmp_path / "b"), workers=2)
-        execute(cfg_a)
-        execute(cfg_b)
-        for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_worker_count_byte_identical(self, tmp_path, monkeypatch):
+        """Every CSV, and summary.json but for how the run ran, at 1, 2 and 3
+        processes over four chunks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / str(workers)
+            assert execute(small_config(tmp_path, trials=3 * CHUNK_SIZE + 5, output_dir=str(out), workers=workers)) == EXIT_OK
+            assert json.loads((out / "summary.json").read_text())["workers_used"] == workers
+            outputs.append(run_outputs(out))
+        assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0]) == 4
 
     def test_twelve_significant_digits(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -262,15 +266,15 @@ def test_golden_csv_bytes(tmp_path, ensemble):
 
 
 def test_one_reduction_per_axis(tmp_path, monkeypatch):
-    """A CLI run bins delta E once and E_0 once (the profile is the E_0
-    histogram with E_F sums), and forms delta E = E_F - E_0 once, one slice
-    at a time: `EnsembleResult.delta` is never read."""
-    binned, sizes, formed = [], [], []  # bin count and value count of each binning pass; one entry per delta E formed
-    bin_indices = experiment._bin_indices
+    """A CLI run bins each chunk once per axis, delta E and E_0 (the profile
+    is the E_0 histogram with E_F sums), where the chunk ran, and forms
+    delta E = E_F - E_0 once per chunk. The result it keeps holds no
+    per-trial array, and its reductions bin nothing more."""
+    binned, formed, results = [], [], []  # (bin count, value count) of each binning pass; one entry per delta E formed
+    bin_indices, task, run = experiment._bin_indices, experiment._chunk_task, cli.run_ensemble
 
     def counted_bin_indices(values, edges):
-        binned.append(len(edges) - 1)
-        sizes.append((len(edges) - 1, len(values)))
+        binned.append((len(edges) - 1, len(values)))
         return bin_indices(values, edges)
 
     class FinalEoF(np.ndarray):
@@ -278,28 +282,85 @@ def test_one_reduction_per_axis(tmp_path, monkeypatch):
             formed.append(other.shape)
             return np.asarray(self) - other
 
-    run = cli.run_ensemble
+    def marked_task(*args):
+        e0, ef, failures = task(*args)
+        return e0, ef.view(FinalEoF), failures
 
-    def counted_run(spec, workers):
-        res = run(spec, workers=workers)
-        return experiment.EnsembleResult(res.e0, res.ef.view(FinalEoF), res.failures, res.processes)
+    def kept_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(experiment, "_bin_indices", counted_bin_indices)
-    monkeypatch.setattr(cli, "run_ensemble", counted_run)
+    monkeypatch.setattr(experiment, "_chunk_task", marked_task)
+    monkeypatch.setattr(cli, "run_ensemble", kept_run)
     argv = ["--trials", "2000", "--delta-bins", "20", "--e0-bins", "10", "--workers", "1", "--output-dir", str(tmp_path)]
     assert main(argv) == EXIT_OK
-    assert binned == [20, 10]
+    assert binned == [(20, 2000), (10, 2000)]
     assert formed == [(2000,)]
 
-    trials = 2 * CHUNK_SIZE + 17  # three slices, the last one short
-    sizes.clear()
+    trials = 2 * CHUNK_SIZE + 17  # three chunks, the last one short
+    binned.clear()
     formed.clear()
     argv[1] = str(trials)
     assert main(argv) == EXIT_OK
-    assert sum(n for (n,) in formed) == trials and max(formed) == (CHUNK_SIZE,)
-    for bins in (20, 10):
-        assert sum(n for b, n in sizes if b == bins) == trials
-        assert max(n for b, n in sizes if b == bins) == CHUNK_SIZE
+    assert binned == [(20, CHUNK_SIZE), (10, CHUNK_SIZE)] * 2 + [(20, 17), (10, 17)]
+    assert formed == [(CHUNK_SIZE,), (CHUNK_SIZE,), (17,)]
+    assert [(len(r), r.e0.size, r.ef.size, r.delta.size) for r in results] == [(2000, 0, 0, 0), (trials, 0, 0, 0)]
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    """Each output file's bytes, summary.json without its `wall_time_s` line."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["summary.json"] = b"".join(line for line in files["summary.json"].splitlines(keepends=True)
+                                     if not line.lstrip().startswith(b'"wall_time_s"'))
+    return files
+
+
+@pytest.mark.parametrize("ensemble", ["pure", "mixed"])
+def test_outputs_independent_of_chunk_size(tmp_path, monkeypatch, ensemble):
+    """The golden configurations write the same bytes, every CSV and every
+    summary.json key but `wall_time_s`, at chunks of 1000 and 3001 trials as
+    at CHUNK_SIZE: every count is an integer and every sum exact."""
+    out = tmp_path / "run"
+    assert main(golden_argv(ensemble, out)) == EXIT_OK
+    reference = output_bytes(out)
+    assert sorted(reference) == ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv", "summary.json"]
+    for size in (1000, 3001):
+        monkeypatch.setattr(experiment, "CHUNK_SIZE", size)
+        assert main(golden_argv(ensemble, out)) == EXIT_OK
+        assert output_bytes(out) == reference, size
+
+
+# Starts the CLI with the arguments it is given and prints the max RSS of
+# it and its workers, as `os.wait4` reports it. The CLI is started from this
+# small process: a child's max RSS includes the size of the process it was
+# forked from until it execs, which for a test runner exceeds the CLI's own.
+MAX_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "entlab.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def max_rss_mib(argv: list[str]) -> float:
+    """The largest max RSS, in MiB, of a CLI run in a subprocess and the
+    workers it forked; the run must succeed."""
+    done = subprocess.run([sys.executable, "-c", MAX_RSS, *argv], env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
+    status, kib = map(int, done.stdout.split())
+    assert status == EXIT_OK, done.stderr
+    return kib / 1024.0  # KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_memory_stays_flat(tmp_path):
+    """A run's peak memory does not grow with its trials: 2^21 pure trials
+    on two processes peak within 2 MiB of 2^17, where keeping E_0 and E_F
+    of every trial took ~30 MiB more."""
+    peaks = [max_rss_mib(["--trials", str(trials), "--workers", "2", "--output-dir", str(tmp_path / str(trials))])
+             for trials in (1 << 17, 1 << 21)]
+    assert abs(peaks[1] - peaks[0]) < 2.0, peaks
 
 
 def test_writers_linear_in_bins(tmp_path):
@@ -853,7 +914,8 @@ def test_terminated_run_exit_code(tmp_path):
 def test_worker_terminated_alone_costs_time(tmp_path):
     """SIGTERM to a worker alone, through the handler it inherits from the
     program entry, ends that worker without a word, and the CLI process runs
-    its chunks: the run exits 0 with the CSV bytes of a serial run."""
+    its chunks: the run exits 0 with the outputs of a serial run, the
+    summary means and counts included."""
     code = (
         "import os, signal, sys\n"
         "from entlab import cli, experiment\n"
@@ -872,8 +934,36 @@ def test_worker_terminated_alone_costs_time(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr[-2000:]
     assert done.stderr == ""
     assert main([*argv, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == EXIT_OK
-    for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
-        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+    # every CSV and summary.json key as the serial run's: no chunk of the worker's was counted twice or lost
+    assert run_outputs(tmp_path / "par") == run_outputs(tmp_path / "serial")
+    assert len(run_outputs(tmp_path / "par")) == 4
+    assert json.loads((tmp_path / "par" / "summary.json").read_text())["workers_used"] == 2
+
+
+def test_worker_terminated_inside_a_fold_costs_time(tmp_path):
+    """SIGTERM to a worker alone while it folds its first chunk into its
+    accumulator, after the delta E counts and before the rest: the worker
+    leaves its row as it was, so the CLI process reruns that chunk and no
+    count of it is kept twice. The outputs are a serial run's."""
+    code = (
+        "import os, signal, sys\n"
+        "from entlab import cli, experiment\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "limbs, parent = experiment._limbs, os.getpid()\n"
+        "def interrupted(x):\n"
+        "    if os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    return limbs(x)\n"
+        "experiment._limbs = interrupted\n"
+        "sys.exit(cli.run())\n"
+    )
+    argv = ["--trials", str(3 * CHUNK_SIZE), "--seed", "3"]
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--workers", "2", "--output-dir", str(tmp_path / "par")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr[-2000:]
+    assert done.stderr == ""
+    assert main([*argv, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == EXIT_OK
+    assert run_outputs(tmp_path / "par") == run_outputs(tmp_path / "serial")
     assert json.loads((tmp_path / "par" / "summary.json").read_text())["workers_used"] == 2
 
 
@@ -912,20 +1002,27 @@ def test_failed_run_kills_workers_that_ignore_sigterm(tmp_path):
     assert children == "no child"
 
 
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="no /proc to read a process's size from")
 def test_unmappable_results_exit_code(tmp_path):
-    """A run whose result mapping exceeds the address-space limit exits 4
-    with one line on stderr, and leaves neither a temporary directory nor
-    the output directories it made."""
+    """A run whose accumulator mapping exceeds the address-space limit exits
+    4 with one line on stderr, and leaves neither a temporary directory nor
+    the output directories it made. The accumulators grow with the bin
+    counts, not the trials: here the largest bin counts, ~46 MiB per process,
+    beyond a limit 40 MiB above what the process holds once numpy is imported."""
     code = (
         "import resource, runpy, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (600000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-        f"sys.argv = ['entlab', '--trials', '{MAX_TRIALS}', '--workers', '1', '--output-dir', 'new/out']\n"
+        "import numpy\n"
+        "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (held + (40 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        f"sys.argv = ['entlab', '--trials', '1', '--delta-bins', '{MAX_BINS}', '--e0-bins', '{MAX_BINS}', '--workers', '1',"
+        " '--output-dir', 'new/out']\n"
         "runpy.run_module('entlab.cli', run_name='__main__', alter_sys=True)\n"
     )
     env = subprocess_env(OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == EXIT_RESOURCES, done.stderr
-    assert done.stderr.startswith("resources exhausted: ") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("resources exhausted: could not map the accumulators"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
     assert list(tmp_path.iterdir()) == []
 
 

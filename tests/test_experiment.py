@@ -1,26 +1,32 @@
 import errno
+import json
+import math
 import os
+import shutil
 import signal
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entlab import experiment, sampling
-from entlab.cli import RunConfig
+from entlab.cli import RunConfig, main
 from entlab.entanglement import eof_from_concurrence
 from entlab.errors import NumericError, ResourceError, UsageError
 from entlab.experiment import (
     CHUNK_SIZE,
     MIN_OCCUPANCY,
     RETRY_STRIDE,
+    Binned,
     EnsembleResult,
     EnsembleSpec,
     Histogram,
     _bin_indices,
     _chunk_task,
-    _histogram,
+    _exact_sum,
+    _limbs,
     conditional_mean,
     entanglement_histogram,
     histogram_delta,
@@ -37,6 +43,7 @@ from conftest import (
     fail_at,
     in_children,
     poison_draws,
+    run_outputs,
     sigkill,
 )
 
@@ -323,13 +330,18 @@ class TestWorkers:
         its own unfinished chunks once more and leaves the child running, so
         each process finishes the chunks in `finished` (the caller's, then
         the child's), though the child is slow enough that the caller fails
-        long before the child's share is done."""
+        long before the child's share is done. The same failure in a CLI
+        run, whose processes fold their chunks into sums, leaves every
+        output as a serial run's: no chunk counted twice or lost."""
         monkeypatch.setattr(experiment, "MAX_FAILURE_RATE", 1.0)
         poison_draws(monkeypatch, {c * CHUNK_SIZE + c for c in range(6)})  # one redraw per chunk
         spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 7, 8)
         serial = run_ensemble(spec, workers=1)
+        argv = ["--trials", str(spec.trials), "--seed", "8", "--delta-bins", "20", "--e0-bins", "10"]
+        assert main([*argv, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == 0
         second = {"a child": 3, "the caller": 2}[where] * CHUNK_SIZE  # of the child's chunks 1, 3, 5 or the caller's 0, 2, 4
         task, caller, raised = experiment._chunk_task, os.getpid(), []
+        logs = tmp_path / "logs"
 
         def exhausted(kind, seed, start, count):
             in_caller = os.getpid() == caller
@@ -339,17 +351,28 @@ class TestWorkers:
                 raised.append(start)
                 raise MemoryError
             out = task(kind, seed, start, count)
-            with open(tmp_path / ("caller" if in_caller else "child"), "a") as log:
+            with open(logs / ("caller" if in_caller else "child"), "a") as log:
                 log.write(f"{start // CHUNK_SIZE}\n")
             return out
 
+        def finished_chunks():
+            return tuple([int(c) for c in (logs / name).read_text().split()] for name in ("caller", "child"))
+
         monkeypatch.setattr(experiment, "_chunk_task", exhausted)
+        logs.mkdir()
         par = run_ensemble(spec, workers=2)
         assert par.processes == 2
         assert serial.failures == par.failures == 6
         assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
-        logs = tuple([int(c) for c in (tmp_path / name).read_text().split()] for name in ("caller", "child"))
-        assert logs == finished
+        assert finished_chunks() == finished
+
+        raised.clear()
+        shutil.rmtree(logs)
+        logs.mkdir()
+        assert main([*argv, "--workers", "2", "--output-dir", str(tmp_path / "par")]) == 0
+        assert finished_chunks() == finished
+        assert run_outputs(tmp_path / "par") == run_outputs(tmp_path / "serial")
+        assert json.loads((tmp_path / "par" / "summary.json").read_text())["failures"] == 6
 
     def test_no_pipe(self, monkeypatch):
         """A worker reports through the shared mapping alone."""
@@ -581,11 +604,12 @@ class TestStreamedReduction:
         values = rng.uniform(-0.1, 1.1, n)  # some beyond either end
         values[::7] = np.round(values[::7] * 50) / 50  # some on the edges
         weights = rng.random(n)
-        h = _histogram(n, lambda s: (values[s], weights[s]), 0.0, 1.0, 50, weighted=True)
+        h = conditional_mean(result(values, weights), 50)
         idx = _bin_indices(values, np.linspace(0.0, 1.0, 51))
         assert h.total == n
         assert np.array_equal(h.counts, np.bincount(idx, minlength=50))
-        assert h.sums.tobytes() == np.bincount(idx, weights=weights, minlength=50).tobytes()
+        # each bin's sum is exact, rounded once
+        assert h.sums.tolist() == [math.fsum(weights[idx == i]) for i in range(50)]
 
     def test_delta_statistics_match_whole_arrays(self):
         rng = np.random.default_rng(3)
@@ -654,6 +678,93 @@ class TestStreamedReduction:
             histogram_delta(rec, 2.5)
         with pytest.raises(UsageError, match="bin_count"):
             entanglement_histogram(rec, 4.0)
+
+
+SPECIAL_VALUES = (0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0)))
+
+
+def trials(min_magnitude: float = 0.0):
+    """(E_0, E_F) arrays of 1 to 60 trials, floats in [0, 1] with the
+    special values among them; at min_magnitude > 0, none below it but 0."""
+    value = (st.sampled_from(SPECIAL_VALUES) | st.floats(0.0, 1.0)).filter(lambda x: x == 0.0 or x >= min_magnitude)
+    return st.lists(st.tuples(value, value), min_size=1, max_size=60).map(lambda rows: np.array(rows).T)
+
+
+class TestExactSums:
+    """`Binned` sums E_0, E_F and delta E as int64 limb sums, exact
+    integers, so any split of the trials into chunks, folded into any
+    number of accumulators and added in any order, gives the same words;
+    and each finished sum is the exact sum rounded once."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(trials(), st.data())
+    def test_any_split_and_merge_order(self, energies, data):
+        (e0, ef), n = energies, energies.shape[1]
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=5))) if n > 1 else []
+        reducer = Binned(7, 5)
+        whole = np.zeros(reducer.words, np.int64)
+        reducer.add(whole, 0, e0, ef, 0)
+        parts = []
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            parts.append(np.zeros(reducer.words, np.int64))
+            reducer.add(parts[-1], lo, e0[lo:hi], ef[lo:hi], 0)
+        merged = sum(data.draw(st.permutations(parts)))
+        assert merged[0] == len(parts)
+        assert merged[1:].tolist() == whole[1:].tolist()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(trials(2.0**-68))
+    def test_finished_sums_are_fsum(self, energies):
+        """For values of 2^-68 or more (and 0), whose last bit the limbs hold."""
+        (e0, ef), n = energies, energies.shape[1]
+        delta = ef - e0
+        prof, hist = conditional_mean(result(e0, ef), 5), histogram_delta(result(e0, ef), 7)
+        idx = _bin_indices(e0, prof.edges)
+        assert prof.sums.tolist() == [math.fsum(ef[idx == i]) for i in range(5)]
+        assert (prof.mean, prof.mean_weight, hist.mean) == (math.fsum(e0) / n, math.fsum(ef) / n, math.fsum(delta) / n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([x * s for x in SPECIAL_VALUES for s in (1, -1)]) | st.floats(-1.0, 1.0),
+                    min_size=1, max_size=60))
+    def test_signed_limbs(self, values):
+        """Delta E in [-1, 1]: each limb takes the value's sign, and the limb
+        sums of values of 2^-68 or more in magnitude give fsum."""
+        x = np.array(values)
+        limbs = _limbs(x)
+        assert np.all((limbs == np.trunc(limbs)) & (np.abs(limbs) <= 2.0**30) & (limbs * x >= 0))
+        kept = x[(x == 0) | (np.abs(x) >= 2.0**-68)]
+        assert _exact_sum(_limbs(kept).sum(axis=1).astype(np.int64)) == math.fsum(kept)
+
+    def test_reduced_run_equals_array_run(self, monkeypatch):
+        """A run folded by `Binned`, at any worker count, more processes than
+        this machine may have cores included, gives the words an array run's
+        slices give, and the same finished histograms: each of the 6 chunks
+        is counted once."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        spec = EnsembleSpec("pure", 5 * CHUNK_SIZE + 5, 4)
+        arrays = run_ensemble(spec)
+        for workers in (1, 2, 6):
+            binned = run_ensemble(spec, workers, Binned(20, 10))
+            assert binned.processes == workers and len(binned) == spec.trials and binned.e0.size == binned.ef.size == 0
+            reducer, acc = binned.binned
+            assert acc[0] == 6 and acc[1:].tolist() == experiment._binned(arrays, 20, 10)[1][1:].tolist()
+            for reduce, bins in ((histogram_delta, 20), (conditional_mean, 10)):
+                a, b = reduce(arrays, bins), reduce(binned, bins)
+                assert vars(a).keys() == vars(b).keys()
+                assert all(np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+                           for x, y in zip(vars(a).values(), vars(b).values()))
+
+    def test_reduced_run_refuses_other_bins(self):
+        res = run_ensemble(EnsembleSpec("pure", 100, 4), reducer=Binned(20, 10))
+        with pytest.raises(UsageError, match="binned into 20 delta E and 10 E_0 bins"):
+            histogram_delta(res, 21)
+        with pytest.raises(UsageError, match="binned into 20"):
+            conditional_mean(res, 11)
+
+    @pytest.mark.parametrize("value", [2.0, -2.0, 1e300])
+    def test_refuses_values_the_limbs_cannot_hold(self, value):
+        with pytest.raises(UsageError, match="magnitude 2 or more"):
+            conditional_mean(result([0.5, value], [0.5, 0.5]), 4)
 
 
 def edge_values(lo: float, bins: int) -> np.ndarray:
