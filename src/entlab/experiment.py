@@ -262,17 +262,17 @@ class _Arrays:
         return EnsembleResult(self._out[0], self._out[1], int(acc[1]), processes)
 
 
-# E_0, E_F and delta E are summed as fixed-point numbers of LIMBS limbs of
-# LIMB_BITS bits, each limb summed exactly in int64 (Neal, arXiv:1505.05571):
-# the sums are exact integers, the same in any order, so they do not depend on
-# the worker count or CHUNK_SIZE. A value below 2 in magnitude makes limbs
-# below 2^31, so 2^32 values per sum stay below 2^63; MAX_TRIALS is that.
+# E_0 and E_F are summed as fixed-point numbers of LIMBS limbs of LIMB_BITS
+# bits, each limb summed exactly in int64 (Neal, arXiv:1505.05571): the sums
+# are exact integers, the same in any order, so they do not depend on the
+# worker count or CHUNK_SIZE. A value below 2 in magnitude makes limbs below
+# 2^31, so 2^32 values per sum stay below 2^63; MAX_TRIALS is that.
 LIMB_BITS = 30
 LIMBS = 4  # to 2^-120: exact for every float of magnitude 2^-68 or more, whose last bit is 2^-120 or above
 # a `Binned` accumulator's head: chunks covered, failures, the count of |delta E|
-# below half a bin, then the limb sums of E_0 and of delta E
-_E0_SUM, _DELTA_SUM = slice(3, 3 + LIMBS), slice(3 + LIMBS, 3 + 2 * LIMBS)
-_HEAD = _DELTA_SUM.stop
+# below half a bin, then the limb sums of E_0
+_E0_SUM = slice(3, 3 + LIMBS)
+_HEAD = _E0_SUM.stop
 
 
 def _limbs(x: np.ndarray) -> np.ndarray:
@@ -292,8 +292,8 @@ def _limbs(x: np.ndarray) -> np.ndarray:
 
 def _exact_sum(limb_sums: np.ndarray):
     """The float nearest sum_k limb_sums[k] 2^(-LIMB_BITS (k + 1)), for
-    (LIMBS,) or (LIMBS, m) int64 limb sums: joined into Python ints, which
-    true division rounds correctly."""
+    (LIMBS,) or (LIMBS, m) limb sums, int64 or Python ints: joined into
+    Python ints, which true division rounds correctly."""
     total = 0
     for row in limb_sums.astype(object):
         total = (total << LIMB_BITS) + row
@@ -305,10 +305,11 @@ class Binned:
     """The CLI's reducer: each chunk binned and summed in the process that
     ran it, into an int64 accumulator of O(bins) words, whatever the trial
     count. In order: the chunks covered, the failures, the count of |delta
-    E| below half a delta bin, the limb sums of E_0 and of delta E, the
-    delta E counts, the E_0 counts, and the limb sums of E_F per E_0 bin,
-    one row of e0_bins per limb. Every entry is an exact integer, so the
-    accumulators of any split of the chunks add up to the same words."""
+    E| below half a delta bin, the limb sums of E_0, the delta E counts, the
+    E_0 counts, and the limb sums of E_F per E_0 bin, one row of e0_bins per
+    limb. Every entry is an exact integer, so the accumulators of any split
+    of the chunks add up to the same words. Delta E has no sum of its own:
+    its total is that of E_F less that of E_0."""
 
     def __init__(self, delta_bins: int, e0_bins: int):
         require_integer("bin_count", delta_bins, 2, MAX_BINS)
@@ -322,19 +323,20 @@ class Binned:
 
     def add(self, acc: np.ndarray, start: int, e0: np.ndarray, ef: np.ndarray, failures: int) -> None:
         """Fold one chunk, trials start.., into `acc`, and count it in acc[0]."""
-        delta = ef - e0
-        if not all(np.all(np.abs(x) < 2.0) for x in (e0, ef, delta)):
+        if not (np.all(np.abs(e0) < 2.0) and np.all(np.abs(ef) < 2.0)):
             raise UsageError(f"cannot bin a non-finite value, or sum one of magnitude 2 or more, "
-                             f"among trials {start}..{start + len(delta) - 1}")
+                             f"among trials {start}..{start + len(e0) - 1}")
+        delta = ef - e0
         at = _bin_indices(delta, self.delta_edges)
         np.add.at(acc, at + self.delta_counts.start, 1)  # O(chunk), where a bincount would cost O(bins) per chunk
         at = _bin_indices(e0, self.e0_edges)
         np.add.at(acc, at + self.e0_counts.start, 1)
-        for k, limb in enumerate(_limbs(ef)):
-            np.add.at(acc, at + (self.ef_sums.start + k * self.e0_bins), limb.astype(np.int64))
+        # E_F's limb k of a trial in E_0 bin i goes to ef_sums word k * e0_bins + i, in one scatter
+        # over a flat index: numpy's fast path takes a 1-D index, and a 2-D one is ~5x slower
+        rows = np.arange(self.ef_sums.start, self.ef_sums.stop, self.e0_bins)
+        np.add.at(acc, (rows[:, None] + at).ravel(), _limbs(ef).astype(np.int64).ravel())
         near_zero = np.count_nonzero(np.abs(delta) < 2.0 / self.delta_bins / 2.0)  # bin_width / 2
-        head = np.concatenate(([failures, near_zero], _limbs(e0).sum(axis=1), _limbs(delta).sum(axis=1)))
-        acc[1:_HEAD] += head.astype(np.int64)
+        acc[1:_HEAD] += np.concatenate(([failures, near_zero], _limbs(e0).sum(axis=1))).astype(np.int64)
         acc[0] += 1
 
     def result(self, acc: np.ndarray, processes: int) -> EnsembleResult:
@@ -430,16 +432,13 @@ def _binned(result: EnsembleResult, delta_bins: int | None = None, e0_bins: int 
 
 def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
     """P(delta E) histogram over the fixed range [-1, 1], with the mean of
-    delta E and its count within half a bin of 0."""
+    delta E and its count within half a bin of 0. The mean is the exact E_F
+    total less the exact E_0 total, rounded once, over the trial count."""
     reducer, acc = _binned(result, delta_bins=bin_count)
     n = len(result)
-    return DeltaHistogram(acc[reducer.delta_counts].copy(), _exact_sum(acc[_DELTA_SUM]) / n, int(acc[2]) / n)
-
-
-def entanglement_histogram(result: EnsembleResult, bin_count: int) -> Histogram:
-    """P(E_0) histogram over [0, 1], the optional companion output."""
-    hist = conditional_mean(result, bin_count)
-    return Histogram(hist.lo, hist.hi, hist.counts, hist.mean)
+    # in Python ints: an int64 difference of two limb sums can overflow
+    total = acc[reducer.ef_sums].reshape(LIMBS, -1).sum(axis=1).astype(object) - acc[_E0_SUM].astype(object)
+    return DeltaHistogram(acc[reducer.delta_counts].copy(), _exact_sum(total) / n, int(acc[2]) / n)
 
 
 def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:

@@ -363,6 +363,16 @@ def test_memory_stays_flat(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 2.0, peaks
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_writers_hold_no_whole_file(tmp_path):
+    """10^6 delta E bins, an 8 MB accumulator, peak within 64 MiB of 100
+    bins; building each CSV's lines in one list and joining them peaked
+    ~165 MiB above."""
+    peaks = [max_rss_mib(["--trials", "16384", "--delta-bins", str(bins), "--e0-bins", "50", "--workers", "1",
+                          "--output-dir", str(tmp_path / str(bins))]) for bins in (100, 10**6)]
+    assert peaks[1] - peaks[0] < 64.0, peaks
+
+
 def test_writers_linear_in_bins(tmp_path):
     """200000 bins per output are written in seconds; a writer quadratic in
     the bin count would take minutes."""

@@ -24,7 +24,8 @@ def test_same_tree_gives_identical_outputs(tool, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all("CSVs identical" in line for line in lines)
     assert all("; other summary keys identical; " in line for line in lines)  # the config echo included
-    assert all(line.endswith("at most 0 (relative)") for line in lines)
+    assert all(line.endswith("relative differences of the summary means: mean_e0 0, mean_ef 0, mean_delta 0")
+               for line in lines)
     for line in lines:  # each run's cost, parent first
         usage = re.search(r"max RSS (\S+) -> (\S+) MiB, minor faults (\d+) -> (\d+);", line)
         assert usage, line
@@ -49,12 +50,14 @@ def test_differing_csv_and_means_are_reported(tool, tmp_path):
     (a / "summary.json").write_text('{"config": {"trials": 10}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25, '
                                     '"failures": 0, "wall_time_s": 1.0}')
     shutil.copytree(a, b)
-    assert tool.compare(a, b) == ([], 0.0, [])
+    assert tool.compare(a, b) == ([], {"mean_e0": 0.0, "mean_ef": 0.0, "mean_delta": 0.0}, [])
     (b / "e0_hist.csv").write_text("x,2\n")
     (b / "summary.json").write_text('{"config": {"trials": 10}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.2500001, '
                                     '"failures": 1, "wall_time_s": 2.0}')
     differ, rel, keys = tool.compare(a, b)
-    assert differ == ["e0_hist.csv"] and rel == pytest.approx(4e-7, rel=1e-6) and keys == ["failures"]
+    assert differ == ["e0_hist.csv"] and keys == ["failures"]
+    # each mean's difference by name: only mean_delta moved
+    assert rel == {"mean_e0": 0.0, "mean_ef": 0.0, "mean_delta": pytest.approx(4e-7, rel=1e-6)}
     # a config echo that differs in one field, or lacks one, is reported by that field
     (b / "summary.json").write_text('{"config": {"trials": 20}, "mean_e0": 0.5, "mean_ef": 0.25, "mean_delta": -0.25, '
                                     '"failures": 0, "wall_time_s": 2.0}')

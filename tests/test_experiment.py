@@ -28,7 +28,6 @@ from entlab.experiment import (
     _exact_sum,
     _limbs,
     conditional_mean,
-    entanglement_histogram,
     histogram_delta,
     run_ensemble,
 )
@@ -664,11 +663,11 @@ class TestStreamedReduction:
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_bin_index_rejects_non_finite_values(self, x):
         with pytest.raises(UsageError, match="non-finite"):
-            entanglement_histogram(result([0.5], [0.5]), 4).bin_index(x)
+            conditional_mean(result([0.5], [0.5]), 4).bin_index(x)
 
     def test_rejects_empty_result(self):
         rec = result([], [])
-        for reduce in (histogram_delta, entanglement_histogram, conditional_mean):
+        for reduce in (histogram_delta, conditional_mean):
             with pytest.raises(UsageError, match="empty"):
                 reduce(rec, 4)
 
@@ -677,7 +676,7 @@ class TestStreamedReduction:
         with pytest.raises(UsageError, match="bin_count"):
             histogram_delta(rec, 2.5)
         with pytest.raises(UsageError, match="bin_count"):
-            entanglement_histogram(rec, 4.0)
+            conditional_mean(rec, 4.0)
 
 
 SPECIAL_VALUES = (0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0)))
@@ -691,10 +690,11 @@ def trials(min_magnitude: float = 0.0):
 
 
 class TestExactSums:
-    """`Binned` sums E_0, E_F and delta E as int64 limb sums, exact
-    integers, so any split of the trials into chunks, folded into any
-    number of accumulators and added in any order, gives the same words;
-    and each finished sum is the exact sum rounded once."""
+    """`Binned` sums E_0 and E_F as int64 limb sums, exact integers, so any
+    split of the trials into chunks, folded into any number of accumulators
+    and added in any order, gives the same words; and each finished sum is
+    the exact sum rounded once: delta E's is the exact E_F total less the
+    exact E_0 total, with no sum of its own."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(trials(), st.data())
@@ -717,11 +717,20 @@ class TestExactSums:
     def test_finished_sums_are_fsum(self, energies):
         """For values of 2^-68 or more (and 0), whose last bit the limbs hold."""
         (e0, ef), n = energies, energies.shape[1]
-        delta = ef - e0
         prof, hist = conditional_mean(result(e0, ef), 5), histogram_delta(result(e0, ef), 7)
         idx = _bin_indices(e0, prof.edges)
         assert prof.sums.tolist() == [math.fsum(ef[idx == i]) for i in range(5)]
-        assert (prof.mean, prof.mean_weight, hist.mean) == (math.fsum(e0) / n, math.fsum(ef) / n, math.fsum(delta) / n)
+        assert (prof.mean, prof.mean_weight, hist.mean) == (math.fsum(e0) / n, math.fsum(ef) / n,
+                                                            math.fsum([*ef, *-e0]) / n)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_run_delta_mean_is_the_exact_difference(self, kind):
+        """A reduced run's mean delta E is the exact sum of E_F - E_0 over the
+        trials, rounded once, not the sum of the rounded differences."""
+        spec = EnsembleSpec(kind, 50_000, 11)
+        arrays = run_ensemble(spec)
+        exact = math.fsum([*arrays.ef, *-arrays.e0]) / spec.trials
+        assert histogram_delta(run_ensemble(spec, reducer=Binned(100, 50)), 100).mean == exact
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.sampled_from([x * s for x in SPECIAL_VALUES for s in (1, -1)]) | st.floats(-1.0, 1.0),
@@ -788,10 +797,8 @@ class TestBinRule:
     def test_e0_histogram_and_conditional_mean(self):
         for bins in self.BINS:
             for x in edge_values(0.0, bins):
-                rec = result([x], [x])
-                h = entanglement_histogram(rec, bins)
+                h = conditional_mean(result([x], [x]), bins)
                 assert h.counts[h.bin_index(x)] == 1, (bins, x)
-                assert conditional_mean(rec, bins).counts[h.bin_index(x)] == 1, (bins, x)
 
 
 @pytest.mark.parametrize("lo", [0.0, -1.0])
@@ -818,12 +825,12 @@ def test_bin_indices_match_searchsorted(lo, bins):
 class TestEntanglementHistogram:
     def test_mixed_mode_in_first_bin(self):
         res = run_ensemble(EnsembleSpec("mixed", 20_000, 11))
-        h = entanglement_histogram(res, 50)
+        h = conditional_mean(res, 50)
         assert int(np.argmax(h.counts)) == 0
 
     def test_pure_mode_interior(self):
         res = run_ensemble(EnsembleSpec("pure", 20_000, 12))
-        h = entanglement_histogram(res, 50)
+        h = conditional_mean(res, 50)
         mode = int(np.argmax(h.counts))
         assert 0 < mode < 49
 
@@ -834,11 +841,8 @@ class TestConditionalMean:
         """The profile is the E_0 histogram itself, with the per-bin E_F
         means read from its sums where a bin is occupied and NaN elsewhere."""
         res = run_ensemble(EnsembleSpec("mixed", 3000, 5))
-        prof, hist = conditional_mean(res, bins), entanglement_histogram(res, bins)
+        prof = conditional_mean(res, bins)
         assert type(prof) is Histogram and prof.total == len(res)
-        for name in ("counts", "edges"):
-            assert getattr(prof, name).tobytes() == getattr(hist, name).tobytes(), name
-        assert prof.densities().tobytes() == hist.densities().tobytes()
         occupied = prof.counts >= MIN_OCCUPANCY
         assert np.array_equal(prof.occupied, occupied) and occupied.any()
         assert np.array_equal(prof.mean_ef[occupied], prof.sums[occupied] / prof.counts[occupied])

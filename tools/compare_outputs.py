@@ -18,13 +18,15 @@ both runs echo the same `output_dir`). The script prints, per
 configuration, whether each CSV is byte-identical; which `summary.json`
 keys differ, of all but the three means and `wall_time_s` (the config
 echo, `zero_delta_fraction`, `failures` and `workers_used`), naming a
-field of the config echo as `config.<field>`; and the largest relative
-difference between the means in the two files (each mean is an exact sum
-rounded once, so they move only when an E value does, as with the kernels'
-rounding). It also prints each run's peak memory (max RSS) and minor page
-faults, parent first, as `os.wait4` reports them for the CLI process and
-the workers it forked. The summary keys and the costs are for reading
-only: the script exits 1 if any CSV differs and 2 if a run fails.
+field of the config echo as `config.<field>`; and the relative difference
+between the two files' values of each mean, by name. `mean_e0` and
+`mean_ef` are exact sums rounded once, and `mean_delta` their exact
+difference rounded once, so a mean moves only when an E value does, as with
+the kernels' rounding, or when a change redefines it. It also prints each
+run's peak memory (max RSS) and minor page faults, parent first, as
+`os.wait4` reports them for the CLI process and the workers it forked. The
+summary keys and the costs are for reading only: the script exits 1 if any
+CSV differs and 2 if a run fails.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ def differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
     return keys
 
 
-def compare(a: Path, b: Path) -> tuple[list[str], float, list[str]]:
+def compare(a: Path, b: Path) -> tuple[list[str], dict[str, float], list[str]]:
     """The CSVs whose bytes differ between output directories a and b, the
-    largest relative difference between their summary means, and the other
-    summary keys, bar `wall_time_s`, whose values differ."""
+    relative difference between their values of each summary mean, by name,
+    and the other summary keys, bar `wall_time_s`, whose values differ."""
     differ = [name for name in CSV_FILES if (a / name).read_bytes() != (b / name).read_bytes()]
     sa, sb = (json.loads((d / "summary.json").read_text()) for d in (a, b))
-    rel = max(abs(sa[k] - sb[k]) / max(abs(sa[k]), abs(sb[k]), 1e-300) for k in MEANS)
+    rel = {k: abs(sa[k] - sb[k]) / max(abs(sa[k]), abs(sb[k]), 1e-300) for k in MEANS}
     return differ, rel, [k for k in differing_keys(sa, sb) if k not in UNCOMPARED]
 
 
@@ -139,10 +141,11 @@ def main(argv: list[str] | None = None) -> int:
             differing += len(differ)
             csvs = "CSVs identical" if not differ else "CSVs DIFFER: " + ", ".join(differ)
             others = "other summary keys identical" if not keys else "other summary keys DIFFER: " + ", ".join(keys)
+            means = ", ".join(f"{k} {r:.3g}" for k, r in rel.items())
             print(f"{ensemble} {trials} trials, {delta_bins}/{e0_bins} bins (seed {args.seed}, {args.workers} workers): "
                   f"max RSS {parent.max_rss_mib:.1f} -> {change.max_rss_mib:.1f} MiB, "
                   f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; {others}; "
-                  f"summary means differ by at most {rel:.3g} (relative)")
+                  f"relative differences of the summary means: {means}")
     return 1 if differing else 0
 
 
