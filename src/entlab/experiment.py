@@ -27,11 +27,11 @@ while the workers go on, and kills them only if that raises too; a killed
 worker's row is cleared. A worker reports through its row alone: it never
 prints, and leaves by `os._exit`. The calling process reaps each worker by
 pid, so it never reaps a child it did not fork, then runs every chunk no
-row covers itself, in chunk order, into one more accumulator, and adds up
-all of them. A trial is a function of (seed, t) alone, so the lowest
-failing chunk raises its error there, as in a serial run, whichever process
-met it first; a failure only one process met costs time, not the run, and
-no chunk is counted twice or lost. A worker killed by a signal is a
+row covers itself, in chunk order, into its own row, and adds up the rows.
+A trial is a function of (seed, t) alone, so the lowest failing chunk
+raises its error there, as in a serial run, whichever process met it
+first; a failure only one process met costs time, not the run, and no
+chunk is counted twice or lost. A worker killed by a signal is a
 ResourceError. A worker stops before its next chunk once the process that
 forked it is gone, as when the CLI process is killed by SIGKILL. Where `os`
 has no `fork`, the run is serial.
@@ -147,7 +147,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> Ensemble
             _run_share(spec, own, rows[0], reducer)
         except Exception:  # this process's own failure: one more try at its uncovered chunks, as the workers run on
             try:
-                _run_share(spec, own, rows[0], reducer)
+                _run_share(spec, own[int(rows[0, 0]):], rows[0], reducer)
             except Exception:  # again: the chunk is rerun below, in order with the workers'
                 _stop(children, rows)
         for pid in list(children):
@@ -159,28 +159,27 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> Ensemble
         _stop(children, rows)
     # every chunk no row covers, in chunk order: the lowest failing chunk raises, as in a serial run
     rest = sorted(c for p in range(processes) for c in range(p + int(rows[p, 0]) * processes, chunks, processes))
-    rerun = np.zeros(reducer.words, np.int64)
-    _run_share(spec, rest, rerun, reducer)
-    acc = rows.sum(axis=0) + rerun
+    _run_share(spec, rest, rows[0], reducer)
+    acc = rows.sum(axis=0)
     if acc[1] > MAX_FAILURE_RATE * spec.trials:
         raise NumericError(f"{acc[1]} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
     return reducer.result(acc, processes)
 
 
 def _run_share(spec: EnsembleSpec, share, row: np.ndarray, reducer, parent: int | None = None) -> None:
-    """Run the chunks of `share` (chunk indices, in order) past the first
-    row[0], folding each into a copy of `row` with `reducer.add`, which
-    counts it in entry 0. The copy goes back into `row` in one assignment
-    when the share ends, by an exception too, unless the exception came
-    inside an `add`: then `row` keeps what it held, and the chunks since
-    are rerun, never counted twice. So `row` always covers the first row[0]
-    chunks of the share and no other. The first chunk that raises ends the
-    share. A worker passes the pid of the process that forked it as
-    `parent`, and stops before its next chunk once that process is gone:
-    no one would read its results."""
+    """Run the chunks of `share` (chunk indices, in order), folding each
+    into a copy of `row` with `reducer.add`, which counts it in entry 0.
+    The copy goes back into `row` in one assignment when the share ends, by
+    an exception too, unless the exception came inside an `add`: then `row`
+    keeps what it held, and the chunks since are rerun, never counted
+    twice. So `row` gains the first chunks of the share, as many as entry 0
+    grew by, and no other. The first chunk that raises ends the share. A
+    worker passes the pid of the process that forked it as `parent`, and
+    stops before its next chunk once that process is gone: no one would
+    read its results."""
     acc, adding = row.copy(), False
     try:
-        for chunk in share[acc[0]:]:
+        for chunk in share:
             if parent is not None and os.getppid() != parent:
                 return
             start = chunk * CHUNK_SIZE
@@ -344,27 +343,24 @@ class Binned:
 
 
 class Histogram(Frozen):
-    """Fixed-range binned counts over [lo, hi], the mean of the binned
-    values, and, where some were binned, per-bin sums of the weights and the
-    mean weight; density = count / (total * bin width). `bin_count` and
-    `total` are what the counts fix: every value is binned, so `total` is
-    the number of values. The E_0 histogram weighted by E_F is the
+    """Binned counts over the equal bins between `edges`, the mean of the
+    binned values, and, where some were binned, per-bin sums of the weights
+    and the mean weight; density = count / (total * bin width). The edges
+    are the reducer's, and the counts a view of its accumulator. `bin_count`
+    and `total` are what the counts fix: every value is binned, so `total`
+    is the number of values. The E_0 histogram weighted by E_F is the
     conditional-mean profile: `mean_ef` is the mean weight of each bin, NaN
     in a bin with fewer than MIN_OCCUPANCY samples, which `occupied` leaves
     out. Sums and means are exact sums rounded once, then divided."""
 
-    def __init__(self, lo: float, hi: float, counts: np.ndarray, mean: float, sums: np.ndarray | None = None,
+    def __init__(self, edges: np.ndarray, counts: np.ndarray, mean: float, sums: np.ndarray | None = None,
                  mean_weight: float | None = None):
-        self._set(lo=lo, hi=hi, counts=counts, mean=mean, sums=sums, mean_weight=mean_weight,
+        self._set(edges=edges, counts=counts, mean=mean, sums=sums, mean_weight=mean_weight,
                   bin_count=len(counts), total=int(counts.sum()))
 
     @property
     def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.bin_count
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bin_count + 1)
+        return (self.edges[-1] - self.edges[0]) / self.bin_count
 
     @property
     def centers(self) -> np.ndarray:
@@ -393,8 +389,8 @@ class DeltaHistogram(Histogram):
     """The delta E histogram over [-1, 1], with the mean of delta E and the
     fraction of |delta E| < bin_width / 2."""
 
-    def __init__(self, counts: np.ndarray, mean: float, zero_fraction: float):
-        super().__init__(-1.0, 1.0, counts, mean)
+    def __init__(self, edges: np.ndarray, counts: np.ndarray, mean: float, zero_fraction: float):
+        super().__init__(edges, counts, mean)
         self._set(zero_fraction=zero_fraction)
 
 
@@ -438,7 +434,7 @@ def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
     n = len(result)
     # in Python ints: an int64 difference of two limb sums can overflow
     total = acc[reducer.ef_sums].reshape(LIMBS, -1).sum(axis=1).astype(object) - acc[_E0_SUM].astype(object)
-    return DeltaHistogram(acc[reducer.delta_counts].copy(), _exact_sum(total) / n, int(acc[2]) / n)
+    return DeltaHistogram(reducer.delta_edges, acc[reducer.delta_counts], _exact_sum(total) / n, int(acc[2]) / n)
 
 
 def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -446,7 +442,7 @@ def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
     E_F, and their means where a bin is occupied (`Histogram.mean_ef`); its
     `mean` is the mean of E_0, and `mean_weight` that of E_F."""
     reducer, acc = _binned(result, e0_bins=bin_count)
-    n, counts, limb_sums = len(result), acc[reducer.e0_counts].copy(), acc[reducer.ef_sums].reshape(LIMBS, bin_count)
+    n, counts, limb_sums = len(result), acc[reducer.e0_counts], acc[reducer.ef_sums].reshape(LIMBS, bin_count)
     sums = np.zeros(bin_count)
     sums[counts > 0] = _exact_sum(limb_sums[:, counts > 0])  # Python ints for the occupied bins only
-    return Histogram(0.0, 1.0, counts, _exact_sum(acc[_E0_SUM]) / n, sums, _exact_sum(limb_sums.sum(axis=1)) / n)
+    return Histogram(reducer.e0_edges, counts, _exact_sum(acc[_E0_SUM]) / n, sums, _exact_sum(limb_sums.sum(axis=1)) / n)

@@ -373,6 +373,17 @@ def test_writers_hold_no_whole_file(tmp_path):
     assert peaks[1] - peaks[0] < 64.0, peaks
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_large_bin_run_holds_each_array_once(tmp_path):
+    """10^6 delta E bins peak within 28 MiB of 100 bins: the edges, the
+    accumulator row and its working copy, 8 MB each. A spare rerun row, the
+    sum of the rows plus it, and a histogram's own edges and copied counts
+    peaked ~36.5 MiB above."""
+    peaks = [max_rss_mib(["--trials", "16384", "--delta-bins", str(bins), "--e0-bins", "50", "--workers", "1",
+                          "--output-dir", str(tmp_path / str(bins))]) for bins in (100, 10**6)]
+    assert peaks[1] - peaks[0] < 28.0, peaks
+
+
 def test_writers_linear_in_bins(tmp_path):
     """200000 bins per output are written in seconds; a writer quadratic in
     the bin count would take minutes."""

@@ -9,24 +9,26 @@ PARENT_SRC and CHANGE_SRC are checkouts of the repository or their `src`
 directories. For each configuration in CONFIGS (both ensembles at 50000
 and 200000 trials, `mixed` at 10^6 and `pure` at 524288, the benchmark's
 peak-memory run, and `pure` at 10^7, whose peak memory should equal that
-of the smaller runs, with the default 100 delta-E and 50 E_0 bins; and
+of the smaller runs, with the default 100 delta-E and 50 E_0 bins;
 `mixed` at 200000 trials with 7 and 3 bins, for uneven delta-E edges, an
-E_0 bin that sums ~2e5 values and a NaN mean), the CLI runs once from each
-tree, as `python3 -m entlab.cli` with that tree on PYTHONPATH, into a
-temporary directory (named relative to the run's working directory, so
-both runs echo the same `output_dir`). The script prints, per
-configuration, whether each CSV is byte-identical; which `summary.json`
-keys differ, of all but the three means and `wall_time_s` (the config
-echo, `zero_delta_fraction`, `failures` and `workers_used`), naming a
-field of the config echo as `config.<field>`; and the relative difference
-between the two files' values of each mean, by name. `mean_e0` and
-`mean_ef` are exact sums rounded once, and `mean_delta` their exact
-difference rounded once, so a mean moves only when an E value does, as with
-the kernels' rounding, or when a change redefines it. It also prints each
-run's peak memory (max RSS) and minor page faults, parent first, as
-`os.wait4` reports them for the CLI process and the workers it forked. The
-summary keys and the costs are for reading only: the script exits 1 if any
-CSV differs and 2 if a run fails.
+E_0 bin that sums ~2e5 values and a NaN mean; and `pure` at 16384 trials
+with 10^6 delta-E and 50 E_0 bins, whose peak memory its O(bins) arrays
+set), the CLI runs once from each tree, as `python3 -m entlab.cli` with
+that tree on PYTHONPATH, into a temporary directory (named relative to
+the run's working directory, so both runs echo the same `output_dir`).
+The script prints, per configuration, whether each CSV is
+byte-identical; which `summary.json` keys differ, of all but the three
+means and `wall_time_s` (the config echo, `zero_delta_fraction`,
+`failures` and `workers_used`), naming a field of the config echo as
+`config.<field>`; and the relative difference between the two files'
+values of each mean, by name. `mean_e0` and `mean_ef` are exact sums
+rounded once, and `mean_delta` their exact difference rounded once, so a
+mean moves only when an E value does, as with the kernels' rounding, or
+when a change redefines it. It also prints each run's peak memory (max
+RSS) and minor page faults, parent first, as `os.wait4` reports them for
+the CLI process and the workers it forked. The summary keys and the
+costs are for reading only: the script exits 1 if any CSV differs and 2
+if a run fails.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ CONFIGS = (
     ("pure", 524_288, 100, 50),
     ("pure", 10_000_000, 100, 50),
     ("mixed", 200_000, 7, 3),
+    ("pure", 16_384, 10**6, 50),
 )
 CSV_FILES = ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv")
 MEANS = ("mean_e0", "mean_ef", "mean_delta")
