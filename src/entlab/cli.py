@@ -9,8 +9,13 @@ process killed, as by the kernel's out-of-memory killer), 130 interrupted
 
 The files are written in a temporary directory inside the output directory,
 so only the output directory must be writable. Once all are written they
-are moved in, summary.json last. A run first removes the temporary
-directories of earlier runs killed there by SIGKILL.
+are moved in, summary.json last. A run first takes an exclusive `flock` on
+the output directory, held until it returns, and then removes the temporary
+directories of earlier runs killed there by SIGKILL. A second run into that
+directory meanwhile exits 2 ("output directory in use") before any trial,
+so two runs cannot mix their files. The forked workers inherit the lock,
+which goes with the last process holding it, even one killed by SIGKILL;
+where `fcntl` is missing, as on Windows, none is taken.
 
 Before a run, the CLI process asks glibc's malloc to keep the memory it
 frees: arrays up to 32 MiB come from the heap, whose top goes back to the
@@ -21,22 +26,38 @@ in page by page and unmapped again. The run's workers, forked with
 Where malloc is not glibc's, it is left as it is; importing the package
 changes nothing. No output byte depends on it.
 
-The program entry, `run`, freezes the objects the imports made
-(`gc.freeze`) before the run, so neither the run's collections nor the
-interpreter's exit walk and free them; the system reclaims that memory with
-the process. The forked workers inherit the frozen heap, and leave by
-`os._exit`, with no interpreter teardown at all. `run` also makes SIGTERM
-end the run as SIGINT does, with the same cleanup. `main` leaves the
-collector and the signal handlers alone, for in-process callers.
+Run as the program (`python -m entlab.cli`), the module pauses the cyclic
+collector before its imports, which make no garbage, so loading argparse,
+numpy and the engine costs no collection. The program entry, `run`, then
+freezes the objects the imports made (`gc.freeze`) and turns the collector
+back on, before the run and before any worker is forked, so neither the
+run's collections nor the workers' walk those objects. Once `main` has
+returned, `run` runs the atexit handlers, flushes stdout and stderr, and
+leaves by `os._exit` with main's status, as the forked workers do: the
+interpreter's module teardown is skipped, and the system reclaims that
+memory with the process. Under a tracer or profiler (`sys.gettrace`,
+`sys.getprofile`: cProfile, trace, pdb), or where a flush fails, `run`
+returns the status for a normal shutdown instead. The `entlab` console
+script imports this module before it calls `run`, so it gets the exit but
+not the paused imports. `run` also makes SIGTERM end the run as SIGINT
+does, with the same cleanup. Importing the module, `parse_args` and `main`
+leave the collector, the exit and the signal handlers alone, for
+in-process callers.
 """
 
 from __future__ import annotations
 
+import gc
+
+PROGRAM = __name__ == "__main__"
+if PROGRAM:  # `run` freezes what the imports below make and turns the collector back on
+    gc.disable()
+
 import _signal  # loaded at interpreter start-up, where `import signal` would cost ~1 ms
 import argparse
+import atexit
 import contextlib
 import ctypes  # already imported by numpy
-import gc
 import json
 import math
 import os
@@ -58,6 +79,11 @@ from .experiment import (
     run_ensemble,
 )
 from .experiment import conditional_mean as entanglement_histogram  # noqa: F401 - bench/tracer.py wraps it here
+
+try:
+    import fcntl
+except ImportError:  # no flock, as on Windows: runs into one directory are not kept apart
+    fcntl = None
 
 OUTPUT_DIR_ENV = "ENTLAB_OUTPUT_DIR"
 
@@ -200,11 +226,18 @@ def execute(config: RunConfig) -> int:
     spec = EnsembleSpec(kind=config.ensemble, trials=config.trials, seed=config.seed)
     out = Path(config.output_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    tmp = None
+    tmp = lock = None
     try:
         # both directories exist before the run, so an unusable output
         # directory fails at once, not after the whole ensemble
         out.mkdir(parents=True, exist_ok=True)
+        if fcntl is not None:
+            lock = os.open(out, os.O_RDONLY)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                created = []  # the run that holds the lock may have made them
+                raise OSError("output directory in use") from None
         if hasattr(os, "fork"):  # elsewhere, as on Windows, os.kill(pid, 0) would end that process
             _remove_orphans(out)
         # the files are written inside `out`, on its filesystem, and then moved
@@ -237,6 +270,8 @@ def execute(config: RunConfig) -> int:
         for d in created:  # a failed run removes the directories it made, if they are still empty
             with contextlib.suppress(OSError):
                 d.rmdir()
+        if lock is not None:
+            os.close(lock)
     return EXIT_OK
 
 
@@ -270,13 +305,26 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """The program entry (`python -m entlab.cli` and the `entlab` script):
-    `main` on sys.argv, with the import-time heap frozen first and SIGTERM
-    raising `Terminated`. A forked worker inherits the handler: SIGTERM sent
-    to it alone ends it by `os._exit(0)`, and the calling process reruns
-    its chunks."""
+    `main` on sys.argv, with the import-time heap frozen and the collector
+    on, and SIGTERM raising `Terminated`. A forked worker inherits the
+    handler: SIGTERM sent to it alone ends it by `os._exit(0)`, and the
+    calling process reruns its chunks. After `main`, the atexit handlers run
+    and the process leaves by `os._exit` with main's status; it returns the
+    status instead under a tracer or profiler, or where a flush fails, for
+    the interpreter's own shutdown (see the module docstring)."""
     gc.freeze()
+    gc.enable()
     _signal.signal(_signal.SIGTERM, _terminate)
-    return main()
+    status = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()  # runs each handler once: none is left for a later shutdown
+        try:
+            for stream in filter(None, (sys.stdout, sys.stderr)):  # None where the process started with it closed
+                stream.flush()
+        except OSError:  # the shutdown reports it, and exits 120, as it would without `os._exit`
+            return status
+        os._exit(status)
+    return status
 
 
 if __name__ == "__main__":

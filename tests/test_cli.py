@@ -3,6 +3,7 @@ import contextlib
 import csv
 import ctypes
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -896,6 +897,70 @@ def test_no_sweep_without_fork(tmp_path, monkeypatch):
     assert leftover.is_dir()
 
 
+OUTPUT_NAMES = ["conditional_mean.csv", "delta_hist.csv", "e0_hist.csv", "summary.json"]  # sorted
+
+
+@pytest.mark.skipif(importlib.util.find_spec("fcntl") is None, reason="no fcntl to lock the output directory with")
+@pytest.mark.parametrize("second, status, err", [("run", EXIT_IO, "I/O error: output directory in use\n"),
+                                                 ("sibling", EXIT_OK, "")], ids=["same", "sibling"])
+def test_run_in_progress_keeps_its_directory(tmp_path, second, status, err):
+    """A second run started while a first is moving its files in, between
+    its CSVs and summary.json, exits 2 before any trial if it writes into the
+    same directory, which leaves the first run's set whole: without the lock,
+    its four files would go in between and be left under the first run's
+    summary. A run into a sibling directory is not held up."""
+    out = tmp_path / "run"
+    second_argv = ["--trials", "100", "--seed", "2", "--workers", "1", "--output-dir", str(tmp_path / second)]
+    code = (
+        "import os, subprocess, sys\n"
+        "from entlab import cli\n"
+        "replace = os.replace\n"
+        "def staged(src, dst):\n"
+        "    if os.path.basename(src) == 'summary.json':\n"
+        f"        argv = [sys.executable, '-m', 'entlab.cli', *{second_argv!r}]\n"
+        "        done = subprocess.run(argv, capture_output=True, text=True)\n"
+        "        print(done.returncode, done.stderr, end='')\n"
+        "    replace(src, dst)\n"
+        "os.replace = staged\n"
+        f"sys.exit(cli.main(['--trials', '100', '--seed', '1', '--workers', '1', '--output-dir', {str(out)!r}]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    alone = ["--trials", "100", "--seed", "1", "--workers", "1", "--output-dir", str(tmp_path / "alone")]
+    assert main(alone) == EXIT_OK
+    assert run_outputs(out) == run_outputs(tmp_path / "alone")
+    assert done.stdout == f"{status} {err}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"run", "alone", second})
+
+
+def test_finished_run_leaves_its_directory_free(tmp_path):
+    """A run into the directory of one that has finished is not refused:
+    twice in one process, where the first run and its forked worker have
+    closed the lock's descriptor, and then from a new process."""
+    out = tmp_path / "run"
+    code = (
+        "import os\n"
+        "from entlab import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"argv = ['--trials', '20000', '--workers', '2', '--output-dir', {str(out)!r}]\n"
+        "print(cli.main(argv), cli.main(argv))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == f"{EXIT_OK} {EXIT_OK}\n"
+    cli_run(out)
+
+
+def test_no_lock_without_fcntl(tmp_path, monkeypatch):
+    """Where `fcntl` is missing, as on Windows, a run takes no lock and
+    writes its files as before."""
+    monkeypatch.setattr(cli, "fcntl", None)
+    assert main(["--trials", "100", "--workers", "1", "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == OUTPUT_NAMES
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read a process's state from")
 def test_interrupted_run_exit_code(tmp_path):
     """SIGINT to the CLI process of a two-worker run, once its worker has
@@ -1136,7 +1201,7 @@ def test_library_calls_leave_the_collector_alone(tmp_path):
                          ids=["run", "bad-flag"])
 def test_program_entry_freezes_and_passes_the_status(tmp_path, argv, status):
     """`python -m entlab.cli` freezes the import-time heap before the run,
-    and exits with main's status through a normal shutdown (atexit runs)."""
+    and exits with main's status; atexit handlers run."""
     code = (
         "import atexit, gc, runpy, sys\n"
         "atexit.register(lambda: print(gc.get_freeze_count()))\n"
@@ -1146,6 +1211,93 @@ def test_program_entry_freezes_and_passes_the_status(tmp_path, argv, status):
     done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
     assert done.returncode == status, done.stderr
     assert int(done.stdout) > 0
+
+
+def entry_code(argv: list[str], before: str = "") -> str:
+    """Python source that runs `python -m entlab.cli` on `argv` through
+    `runpy`, after the statements `before`."""
+    return (
+        f"import runpy, sys\n{before}"
+        f"sys.argv = ['entlab', *{argv!r}]\n"
+        "runpy.run_module('entlab.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+
+def test_program_collects_at_most_twice(tmp_path):
+    """The program's imports make no collection, as the collector is paused
+    until `run` has frozen what they made: a pure run of 16384 trials on one
+    worker collects at most twice in the whole process (32 times with the
+    collector on through the imports)."""
+    before = (
+        "import atexit, gc\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(phase))\n"
+        "atexit.register(lambda: print(len(starts)))\n"
+    )
+    argv = ["--trials", "16384", "--workers", "1", "--output-dir", str(tmp_path / "run")]
+    done = subprocess.run([sys.executable, "-c", entry_code(argv, before)], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert int(done.stdout) <= 2
+
+
+def test_profiled_program_prints_its_profile(tmp_path):
+    """Under `python -m cProfile`, the program entry returns its status for a
+    normal shutdown, which lets cProfile print the profile, in place of
+    leaving by `os._exit`; the run writes its four files."""
+    out = tmp_path / "run"
+    argv = ["-m", "cProfile", "-m", "entlab.cli", "--trials", "100", "--workers", "1", "--output-dir", str(out)]
+    done = subprocess.run([sys.executable, *argv], env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert " function calls " in done.stdout
+    assert sorted(p.name for p in out.iterdir()) == OUTPUT_NAMES
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_program_entry_returns_under_a_tracer(hook):
+    """With a trace or profile function set, as by pdb, trace or a profiler,
+    `run` returns main's status to its caller."""
+    code = (
+        "import runpy, sys\n"
+        f"sys.{hook}(lambda *args: None)\n"
+        "sys.argv = ['entlab', '--frobnicate']\n"
+        "try:\n"
+        "    runpy.run_module('entlab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == f"{EXIT_USAGE}\n"
+
+
+def test_program_flushes_before_its_exit():
+    """`--help` on a block-buffered stdout (a pipe, PYTHONUNBUFFERED unset)
+    prints the usage text and exits 0: `run` flushes stdout before
+    `os._exit`, which would drop what is buffered."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "entlab.cli", "--help"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("usage: entlab ")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to fail a write on")
+def test_failed_flush_is_left_to_the_shutdown(tmp_path):
+    """Where flushing stdout fails, here on /dev/full, `run` returns, and the
+    interpreter's shutdown reports the error and exits 120, as without the
+    early exit."""
+    before = "import atexit\natexit.register(print, 'buffered')\n"
+    code = entry_code(["--trials", "100", "--workers", "1", "--output-dir", str(tmp_path / "run")], before)
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-c", code], env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert done.returncode == 120, done.stderr
+    assert "No space left on device" in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -28,10 +28,20 @@ def test_kernel_concurrence_against_40_digits(tool):
         assert np.max(tool.abs_errors(c, exact_c)) <= 1e-15, name
 
 
+def test_pure_concurrence_against_40_digits(tool):
+    """The closed form 2|ad - bc| of 300 pure states, and of their 300
+    circuit images, is within 1e-15 of the same form taken at 40 digits
+    from the same float64 amplitudes."""
+    for name, w in tool.pure_states(11, 300).items():
+        exact_c, _ = tool.reference(w)
+        assert np.max(tool.abs_errors(tool.factor_concurrence(w), exact_c)) <= 1e-15, name
+
+
 def test_smoke(tool, capsys):
     assert tool.main(["--states", "5", "--seed", "11"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line[:10] for line in lines] == ["W   kernel", "W   oracle", "C W kernel", "C W oracle"]
+    prefixes = ["W   kernel", "W   oracle", "C W kernel", "C W oracle", "W   pure  ", "C W pure  "]
+    assert [line[:10] for line in lines] == prefixes
     number = r"\d\.\d\de[-+]\d\d"
     stats = rf"max {number} median {number} p99 {number}"
     assert all(re.fullmatch(rf".{{11}}C: {stats} \| E: {stats}", line) for line in lines), lines

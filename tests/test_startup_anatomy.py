@@ -1,0 +1,25 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("startup_anatomy", ROOT / "tools" / "startup_anatomy.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_smoke(tool, capsys):
+    """One process per workload: a header, then one row of medians per
+    workload, each a non-negative number and the collections a count."""
+    assert tool.main(["--runs", "1"]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["workload", *tool.COLUMNS]
+    assert [row[0] for row in rows] == ["pure-serial", "mixed-serial", "pure-parallel"]
+    assert all(float(value) >= 0 for row in rows for value in row[1:])
+    assert all(row[1 + tool.COLUMNS.index("gcs")].isdecimal() for row in rows)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Absolute error of the mixed-state entanglement kernel against a 40-digit reference.
+"""Absolute error of the entanglement kernel against a 40-digit reference.
 
 Usage (from the repository root):
 
@@ -10,12 +10,15 @@ separability screen leaves to the SVD (set "W"), and the first N of their
 circuit images C W that it leaves (set "C W"). Each state is scored twice in
 float64: by the kernel (`factor_concurrence`, `factor_eof`) and by the SVD
 oracle, LAPACK's complex SVD of M = W^T (sigma_y x sigma_y) W formed by
-matmul, the route the kernel replaced. The reference forms M from the same
-float64 entries in mpmath at 40 significant digits, takes its singular
-values by `mp.svd_c`, and C = max(0, l1 - l2 - l3 - l4) and
+matmul, the route the kernel replaced. The pure route scores the first N
+unit vectors (a, b, c, d) of `sample_chunk("pure", S, ...)` ("W") and their
+circuit images ("C W") by the kernel's closed form 2|ad - bc|. The
+reference forms M from the same float64 entries in mpmath at 40 significant
+digits (for a unit vector M is the 1x1 matrix 2(bc - ad)), takes its
+singular values by `mp.svd_c`, and C = max(0, l1 - l2 - l3 - l4) and
 E = h((1 + sqrt(1 - C^2)) / 2) in the same precision. One line per set and
 route gives the max, median and 99th percentile of |C - C_ref| and
-|E - E_ref|. Needs mpmath (in the `test` extra); ~5 ms per state.
+|E - E_ref|. Needs mpmath (in the `test` extra); ~5 ms per mixed state.
 """
 
 from __future__ import annotations
@@ -55,9 +58,17 @@ def screened_states(seed: int, count: int) -> dict[str, np.ndarray]:
     return sets
 
 
+def pure_states(seed: int, count: int) -> dict[str, np.ndarray]:
+    """The first `count` pure states of the seed's draws, as (count, 4, 1)
+    factors, and their circuit images, keyed "W" and "C W"."""
+    w = sample_chunk("pure", seed, np.arange(count))
+    return {"W": w, "C W": apply_to_factors(circuit(), w)}
+
+
 def reference(w: np.ndarray) -> tuple[list, list]:
-    """C and E of each factor in an (n, 4, 4) stack, as mpmath numbers at
-    DIGITS significant digits, from the float64 entries taken exactly."""
+    """C and E of each factor in an (n, 4, k) stack, k = 4 or 1, as mpmath
+    numbers at DIGITS significant digits, from the float64 entries taken
+    exactly."""
 
     def h(x):
         return -sum(t * mp.log(t, 2) for t in (x, 1 - x) if t > 0)
@@ -68,7 +79,7 @@ def reference(w: np.ndarray) -> tuple[list, list]:
         for f in w:
             wm = mp.matrix([[mp.mpc(z) for z in row] for row in f.tolist()])
             lam = sorted(mp.svd_c(wm.T * yy * wm, compute_uv=False), reverse=True)
-            c = max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+            c = max(mp.mpf(0), lam[0] - sum(lam[1:]))
             cs.append(c)
             es.append(h((1 + mp.sqrt(1 - c * c)) / 2))
     return cs, es
@@ -91,9 +102,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--states", type=int, default=1000, help="states per set (default 1000)")
     parser.add_argument("--seed", type=int, default=11, help="sampling seed (default 11)")
     args = parser.parse_args(argv)
-    for name, w in screened_states(args.seed, args.states).items():
+    sets = [(name, w, routes(w)) for name, w in screened_states(args.seed, args.states).items()]
+    for name, w in pure_states(args.seed, args.states).items():
+        c = factor_concurrence(w)
+        sets.append((name, w, {"pure": (c, eof_from_concurrence(c))}))
+    for name, w, scored in sets:
         exact_c, exact_e = reference(w)
-        for route, (c, e) in routes(w).items():
+        for route, (c, e) in scored.items():
             parts = []
             for label, err in (("C", abs_errors(c, exact_c)), ("E", abs_errors(e, exact_e))):
                 q50, q99 = np.percentile(err, [50, 99])
