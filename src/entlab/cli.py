@@ -10,12 +10,14 @@ process killed, as by the kernel's out-of-memory killer), 130 interrupted
 The files are written in a temporary directory inside the output directory,
 so only the output directory must be writable. Once all are written they
 are moved in, summary.json last. A run first takes an exclusive `flock` on
-the output directory, held until it returns, and then removes the temporary
-directories of earlier runs killed there by SIGKILL. A second run into that
-directory meanwhile exits 2 ("output directory in use") before any trial,
-so two runs cannot mix their files. The forked workers inherit the lock,
-which goes with the last process holding it, even one killed by SIGKILL;
-where `fcntl` is missing, as on Windows, none is taken.
+the output directory, held until it returns, and then removes every
+temporary directory `.entlab-<pid>-*` there: a run makes its own only
+under the lock, so any other is left by a run killed by SIGKILL. A second
+run into that directory meanwhile exits 2 ("output directory in use")
+before any trial, so two runs cannot mix their files. The forked workers
+inherit the lock, which goes with the last process holding it, even one
+killed by SIGKILL; where `fcntl` is missing, as on Windows, none is taken
+and no directory is removed.
 
 Before a run, the CLI process asks glibc's malloc to keep the memory it
 frees: arrays up to 32 MiB come from the heap, whose top goes back to the
@@ -206,18 +208,13 @@ def _keep_freed_memory() -> None:
 
 
 def _remove_orphans(out: Path) -> None:
-    """Remove each temporary directory `.entlab-<pid>-*` in `out` whose run's
-    process is gone, as a run killed by SIGKILL leaves it. A live pid, or one
-    this process may not signal, keeps its directory; other names are left alone."""
+    """Remove each temporary directory `.entlab-<pid>-*` in `out`, called with
+    `out`'s lock held: a run makes its directory only under the lock and
+    removes it before the lock goes, so each one seen is a dead run's, as a
+    run killed by SIGKILL leaves it. Other names are left alone."""
     for tmp in out.glob(".entlab-*-*"):
-        pid = tmp.name.split("-")[1]
-        try:
-            if pid.isdecimal():
-                os.kill(int(pid), 0)
-        except ProcessLookupError:
+        if tmp.name.split("-")[1].isdecimal():
             shutil.rmtree(tmp, ignore_errors=True)
-        except (OverflowError, PermissionError):  # no such pid value, or a live process this one may not signal
-            pass
 
 
 def execute(config: RunConfig) -> int:
@@ -238,7 +235,6 @@ def execute(config: RunConfig) -> int:
             except BlockingIOError:
                 created = []  # the run that holds the lock may have made them
                 raise OSError("output directory in use") from None
-        if hasattr(os, "fork"):  # elsewhere, as on Windows, os.kill(pid, 0) would end that process
             _remove_orphans(out)
         # the files are written inside `out`, on its filesystem, and then moved
         # in one by one, summary.json last, so a failed write leaves the previous set whole

@@ -74,8 +74,11 @@ def binary_entropy(x):
 
 
 def eof_from_concurrence(c):
-    """Entanglement of formation as a function of concurrence, elementwise."""
-    return binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)
+    """Entanglement of formation as a function of concurrence, elementwise:
+    h(x) at x = (1 + sqrt(1 - C^2)) / 2, taken as h(1 - x), its small side
+    C^2 / (2 (1 + sqrt(1 - C^2))) formed without the cancellation of 1 - x."""
+    c2 = c * c
+    return binary_entropy(c2 / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c2)))))
 
 
 def concurrence_from_lambdas(lam: np.ndarray):

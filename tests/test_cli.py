@@ -793,8 +793,9 @@ def start_parallel_run(tmp_path, output_dir: Path, entry: str = "main", **popen)
     worker."""
     pid_file = tmp_path / "worker.pid"
     code = (
-        "import os, sys\n"
+        "import os, signal, sys\n"
         "from entlab import cli, experiment\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)  # not ignored, as under a shell's background job\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"task, parent, pid_file = experiment._chunk_task, os.getpid(), {str(pid_file)!r}\n"
         "def chunk_task(*args):\n"
@@ -871,27 +872,30 @@ def test_later_run_removes_a_killed_runs_temporary_directory(tmp_path):
     assert not list(tmp_path.glob("**/.entlab-*"))
 
 
-def test_live_or_unknown_temporary_directories_are_kept(tmp_path):
-    """A `.entlab-<pid>-*` directory whose pid is alive, here this test's,
-    and a `.entlab-*` of any other name are left alone."""
+@pytest.mark.skipif(importlib.util.find_spec("fcntl") is None, reason="no fcntl to lock the output directory with")
+def test_temporary_directories_under_the_lock_are_orphans(tmp_path):
+    """A `.entlab-<pid>-*` directory is removed even when its pid is alive,
+    here this test's, standing for a pid the system has reused: the run
+    that made it no longer holds the output directory's lock. A `.entlab-*`
+    of any other name is left alone."""
     out = tmp_path / "run"
-    kept = [out / f".entlab-{os.getpid()}-x", out / ".entlab-other"]
-    for d in kept:
+    for d in (out / f".entlab-{os.getpid()}-x", out / ".entlab-other"):
         d.mkdir(parents=True)
     cli_run(out)
-    assert sorted(out.glob(".entlab-*")) == sorted(kept)
+    assert list(out.glob(".entlab-*")) == [out / ".entlab-other"]
 
 
-def test_no_sweep_without_fork(tmp_path, monkeypatch):
-    """Where `os` has no `fork`, as on Windows, whose `os.kill(pid, 0)` ends
-    that process, a run signals no process and removes no directory."""
+def test_no_sweep_without_a_lock(tmp_path, monkeypatch):
+    """Where `fcntl` is missing, as on Windows, a run takes no lock, so it
+    cannot tell a leftover from a running run's directory: it removes none,
+    and signals no process."""
     leftover = tmp_path / "run" / ".entlab-1-x"
     leftover.mkdir(parents=True)
 
     def refused(*args):
         raise AssertionError("os.kill was called")
 
-    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "fcntl", None)
     monkeypatch.setattr(os, "kill", refused)
     assert main(["--trials", "100", "--workers", "1", "--output-dir", str(tmp_path / "run")]) == EXIT_OK
     assert leftover.is_dir()

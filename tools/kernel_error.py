@@ -18,7 +18,11 @@ digits (for a unit vector M is the 1x1 matrix 2(bc - ad)), takes its
 singular values by `mp.svd_c`, and C = max(0, l1 - l2 - l3 - l4) and
 E = h((1 + sqrt(1 - C^2)) / 2) in the same precision. One line per set and
 route gives the max, median and 99th percentile of |C - C_ref| and
-|E - E_ref|. Needs mpmath (in the `test` extra); ~5 ms per mixed state.
+|E - E_ref|. A last line ("C   h") scores the entropy alone,
+`eof_from_concurrence`, on 2N concurrences, N uniform on [0, 1) and N
+log-uniform on [1e-8, 1], against the same E formed at 40 digits from each
+float64 C: |E - E_ref| and |E - E_ref| / E_ref. Needs mpmath (in the
+`test` extra); ~5 ms per mixed state.
 """
 
 from __future__ import annotations
@@ -65,24 +69,36 @@ def pure_states(seed: int, count: int) -> dict[str, np.ndarray]:
     return {"W": w, "C W": apply_to_factors(circuit(), w)}
 
 
-def reference(w: np.ndarray) -> tuple[list, list]:
-    """C and E of each factor in an (n, 4, k) stack, k = 4 or 1, as mpmath
-    numbers at DIGITS significant digits, from the float64 entries taken
-    exactly."""
+def concurrence_spread(seed: int, count: int) -> np.ndarray:
+    """`count` concurrences uniform on [0, 1), then `count` log-uniform on
+    [1e-8, 1], where E is small and 1 - x cancels."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.random(count), 10.0 ** rng.uniform(-8.0, 0.0, count)])
+
+
+def eof_reference(c) -> list:
+    """E = h((1 + sqrt(1 - C^2)) / 2) of each concurrence, as mpmath numbers at
+    DIGITS significant digits, C taken exactly."""
 
     def h(x):
         return -sum(t * mp.log(t, 2) for t in (x, 1 - x) if t > 0)
 
-    cs, es = [], []
+    with mp.workdps(DIGITS):
+        return [h((1 + mp.sqrt(1 - mp.mpf(x) ** 2)) / 2) for x in c]
+
+
+def reference(w: np.ndarray) -> tuple[list, list]:
+    """C and E of each factor in an (n, 4, k) stack, k = 4 or 1, as mpmath
+    numbers at DIGITS significant digits, from the float64 entries taken
+    exactly."""
+    cs = []
     with mp.workdps(DIGITS):
         yy = mp.matrix(YY.tolist())
         for f in w:
             wm = mp.matrix([[mp.mpc(z) for z in row] for row in f.tolist()])
             lam = sorted(mp.svd_c(wm.T * yy * wm, compute_uv=False), reverse=True)
-            c = max(mp.mpf(0), lam[0] - sum(lam[1:]))
-            cs.append(c)
-            es.append(h((1 + mp.sqrt(1 - c * c)) / 2))
-    return cs, es
+            cs.append(max(mp.mpf(0), lam[0] - sum(lam[1:])))
+        return cs, eof_reference(cs)
 
 
 def routes(w: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -97,6 +113,11 @@ def abs_errors(values: np.ndarray, exact: list) -> np.ndarray:
     return np.array([float(abs(v - x)) for v, x in zip(values.tolist(), exact)])
 
 
+def quantiles(label: str, err: np.ndarray) -> str:
+    q50, q99 = np.percentile(err, [50, 99])
+    return f"{label}: max {err.max():.2e} median {q50:.2e} p99 {q99:.2e}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--states", type=int, default=1000, help="states per set (default 1000)")
@@ -109,11 +130,13 @@ def main(argv: list[str] | None = None) -> int:
     for name, w, scored in sets:
         exact_c, exact_e = reference(w)
         for route, (c, e) in scored.items():
-            parts = []
-            for label, err in (("C", abs_errors(c, exact_c)), ("E", abs_errors(e, exact_e))):
-                q50, q99 = np.percentile(err, [50, 99])
-                parts.append(f"{label}: max {err.max():.2e} median {q50:.2e} p99 {q99:.2e}")
-            print(f"{name:<3} {route:<6} " + " | ".join(parts))
+            stats = quantiles("C", abs_errors(c, exact_c)), quantiles("E", abs_errors(e, exact_e))
+            print(f"{name:<3} {route:<6} " + " | ".join(stats))
+    c = concurrence_spread(args.seed, args.states)
+    exact = eof_reference(c)
+    err = abs_errors(eof_from_concurrence(c), exact)
+    relative = err / np.array(exact, dtype=float)
+    print(f"C   h      {quantiles('E', err)} | {quantiles('rel', relative)}")
     return 0
 
 
