@@ -18,23 +18,26 @@ default `_Arrays`, which keeps E_0 and E_F of every trial; the CLI's
 does not grow with its trials. A run uses at most min(workers, chunks, CPUs
 it may run on) processes, counting its own. Process p runs chunks p, p +
 processes, ... in order into its own accumulator: process 0 is the calling
-process, the others are workers it forks with `os.fork`. When its share
-ends, normally or by an exception, a process copies its accumulator into
-its row of a shared anonymous mapping in one assignment, with entry 0 the
-number of chunks of its share it covers. A process stops at its first chunk
-that raises. The calling process then runs its uncovered chunks once more
-while the workers go on, and kills them only if that raises too; a killed
-worker's row is cleared. A worker reports through its row alone: it never
-prints, and leaves by `os._exit`. The calling process reaps each worker by
-pid, so it never reaps a child it did not fork, then runs every chunk no
-row covers itself, in chunk order, into its own row, and adds up the rows.
-A trial is a function of (seed, t) alone, so the lowest failing chunk
-raises its error there, as in a serial run, whichever process met it
-first; a failure only one process met costs time, not the run, and no
-chunk is counted twice or lost. A worker killed by a signal is a
-ResourceError. A worker stops before its next chunk once the process that
-forked it is gone, as when the CLI process is killed by SIGKILL. Where `os`
-has no `fork`, the run is serial.
+process, the others are workers it forks with `os.fork`. Before its first
+chunk (the calling process before it forks), process p moves onto the p-th
+CPU it may run on and then allows all of them again, so that a kernel that
+balances no load does not leave the processes on one CPU; a refused move is
+skipped. When its share ends, normally or by an exception, a process copies
+its accumulator into its row of a shared anonymous mapping in one
+assignment, with entry 0 the number of chunks of its share it covers. A
+process stops at its first chunk that raises. The calling process then runs
+its uncovered chunks once more while the workers go on, and kills them only
+if that raises too; a killed worker's row is cleared. A worker reports
+through its row alone: it never prints, and leaves by `os._exit`. The
+calling process reaps each worker by pid, so it never reaps a child it did
+not fork, then runs every chunk no row covers itself, in chunk order, into
+its own row, and adds up the rows. A trial is a function of (seed, t)
+alone, so the lowest failing chunk raises its error there, as in a serial
+run, whichever process met it first; a failure only one process met costs
+time, not the run, and no chunk is counted twice or lost. A worker killed
+by a signal is a ResourceError. A worker stops before its next chunk once
+the process that forked it is gone, as when the CLI process is killed by
+SIGKILL. Where `os` has no `fork`, the run is serial.
 
 The reductions, `histogram_delta` and `conditional_mean`, finalise a
 `Binned` run's sums, or run `Binned` over an array result's slices: one
@@ -138,9 +141,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> Ensemble
         raise ResourceError(f"could not map the accumulators of {processes} processes: {exc}") from exc
     rows = np.frombuffer(buf, np.int64).reshape(processes, reducer.words)
     children = {}  # pid: row, of the workers not yet reaped
+    cpus = sorted(os.sched_getaffinity(0)) if processes > 1 and hasattr(os, "sched_setaffinity") else None
     try:
+        _place(cpus, 0)  # before the forks, so no worker starts on a CPU another process is given
         for p in range(1, processes):  # the workers forked before a refused fork are in `children`, to be stopped
-            pid = _fork_worker(spec, range(p, chunks, processes), rows[p], reducer)
+            pid = _fork_worker(spec, range(p, chunks, processes), rows[p], reducer, cpus, p)
             children[pid] = p
         own = range(0, chunks, processes)
         try:
@@ -192,12 +197,13 @@ def _run_share(spec: EnsembleSpec, share, row: np.ndarray, reducer, parent: int 
             row[:] = acc
 
 
-def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer) -> int:
-    """Fork a worker to run `share` into `row`; returns its pid. The worker
-    never returns into the caller's frames and never prints: it leaves by
-    `os._exit(0)`, which flushes nothing this process buffered, once its
-    share is done, at the first chunk that raises, or once this process is
-    gone. Only a signal that kills it makes its exit status tell."""
+def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer, cpus, p: int) -> int:
+    """Fork worker p to run `share` into `row`, placed on its CPU of `cpus`
+    first; returns its pid. The worker never returns into the caller's
+    frames and never prints: it leaves by `os._exit(0)`, which flushes
+    nothing this process buffered, once its share is done, at the first
+    chunk that raises, or once this process is gone. Only a signal that
+    kills it makes its exit status tell."""
     parent = os.getpid()
     try:
         pid = os.fork()
@@ -206,6 +212,7 @@ def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer) -> int:
     if pid:
         return pid
     try:
+        _place(cpus, p)
         # `multiprocessing.util.Finalize` hooks, run at a worker's exit as
         # multiprocessing's own workers do, for bench/tracer.py's spans; drop
         # this once the tracer reads summary.json (ROADMAP item 2)
@@ -219,6 +226,20 @@ def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer) -> int:
                 hooks._run_finalizers()
     finally:
         os._exit(0)
+
+
+def _place(cpus: list[int] | None, p: int) -> None:
+    """Move this process onto the p-th of `cpus`, then let it run on all of
+    them again, where `cpus` is given. A kernel that does not balance load
+    between CPUs leaves a forked worker that never sleeps on its parent's
+    CPU, to share it. Best effort: a CPU the system refuses, as one gone
+    offline, leaves the process where it is."""
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(0, (cpus[p],))
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
 def _stop(children: dict, rows: np.ndarray) -> None:

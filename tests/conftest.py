@@ -16,6 +16,21 @@ KS_COEFF_1PC = 1.628
 SEPARABLE_FRACTION = 0.632
 
 
+# this process's own CPU-mask calls, whatever a test patches into `os`
+GET_AFFINITY, SET_AFFINITY = getattr(os, "sched_getaffinity", None), getattr(os, "sched_setaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def own_cpus():
+    """Give this process back its CPU mask after each test: a parallel run
+    places its processes on the CPUs `os.sched_getaffinity` names, and tests
+    patch in sets this machine may not have."""
+    mask = GET_AFFINITY(0) if SET_AFFINITY else None
+    yield
+    if mask is not None:
+        SET_AFFINITY(0, mask)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -27,10 +27,12 @@ def test_same_tree_gives_identical_outputs(tool, monkeypatch, capsys):
     assert all(line.endswith("relative differences of the summary means: mean_e0 0, mean_ef 0, mean_delta 0")
                for line in lines)
     for line in lines:  # each run's cost, parent first
-        usage = re.search(r"max RSS (\S+) -> (\S+) MiB, minor faults (\d+) -> (\d+);", line)
+        usage = re.search(r"wall (\d+\.\d\d) -> (\d+\.\d\d) s, CPU (\d+\.\d\d) -> (\d+\.\d\d) s, "
+                          r"max RSS (\S+) -> (\S+) MiB, minor faults (\d+) -> (\d+);", line)
         assert usage, line
-        assert all(float(mib) > 10 for mib in usage.group(1, 2))  # at least the interpreter and numpy
-        assert all(int(faults) > 0 for faults in usage.group(3, 4))
+        assert all(float(s) > 0 for s in usage.group(1, 2, 3, 4))  # a process start takes tens of ms
+        assert all(float(mib) > 10 for mib in usage.group(5, 6))  # at least the interpreter and numpy
+        assert all(int(faults) > 0 for faults in usage.group(7, 8))
 
 
 @pytest.mark.skipif(available_cpus() < 2, reason="a run forks workers only where it may use 2 CPUs")

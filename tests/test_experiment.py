@@ -451,6 +451,128 @@ class TestWorkers:
         assert time.monotonic() - t0 < 30
 
 
+def this_cpu() -> int:
+    """The CPU this process last ran on: field 39 of /proc/self/stat."""
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
+
+
+class TestPlacement:
+    """A run of P processes moves process p onto the p-th CPU it may run on,
+    then lets it run on all of them again: the caller before it forks, each
+    worker before its first chunk. A one-process run places nothing, and a
+    refused placement costs nothing."""
+
+    @pytest.fixture
+    def log(self, monkeypatch, tmp_path):
+        """`log(record=False)` logs each process's chunks from then on, and
+        its `os.sched_setaffinity` calls (made or, with `record`, only
+        recorded), as `pid kind values` lines; it returns a reader of {pid:
+        {kind: [values, ...]}}."""
+        path = tmp_path / "log"
+        task, setaffinity = experiment._chunk_task, getattr(os, "sched_setaffinity", None)
+
+        def write(kind, values):
+            with open(path, "a") as out:
+                out.write(f"{os.getpid()} {kind} {' '.join(map(str, values))}\n")
+
+        def chunk_task(kind, seed, start, count):
+            write("chunk", [start // CHUNK_SIZE])
+            return task(kind, seed, start, count)
+
+        def placed(pid, cpus, record=False):
+            write("set", sorted(cpus))
+            if not record:
+                setaffinity(pid, cpus)
+
+        def start(record=False):
+            monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
+            if record or setaffinity is not None:
+                monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed(pid, cpus, record), raising=False)
+            return lambda: entries(path)
+
+        return start
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+    def test_each_process_placed_then_widened(self, monkeypatch, log, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        read = log(record=True)
+        spec = EnsembleSpec("pure", 2 * len(cpus) * CHUNK_SIZE, 5)
+        assert run_ensemble(spec, workers=len(cpus)).processes == len(cpus)
+        calls = read()
+        assert len(calls) == len(cpus)
+        for pid, entry in calls.items():
+            p = entry["chunk"][0][0]  # process p's first chunk is chunk p
+            assert entry["set"] == [[p], sorted(cpus)], pid
+        assert next(iter(calls)) == str(os.getpid())  # the caller placed itself before it forked
+
+    def refused(self, pid, cpus):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    @pytest.mark.parametrize("where", ["refused", "invented CPU"])
+    def test_refused_placement_costs_nothing(self, monkeypatch, log, where):
+        """Each process runs exactly its own chunks when its placement is
+        refused: by a patched `os.sched_setaffinity`, or, on a machine with
+        fewer than 3 CPUs, by the kernel, for a CPU the patched affinity
+        invents."""
+        spec = EnsembleSpec("pure", 6 * CHUNK_SIZE, 5)
+        serial = run_ensemble(spec, workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        read = log()
+        if where == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", self.refused, raising=False)
+        par = run_ensemble(spec, workers=3)
+        assert par.processes == 3
+        assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
+        shares = sorted(sum(entry.get("chunk", []), []) for entry in read().values())
+        assert shares == [[0, 3], [1, 4], [2, 5]]
+
+    @pytest.mark.parametrize("workers, trials", [(1, 3 * CHUNK_SIZE), (2, CHUNK_SIZE)])
+    def test_one_process_places_nothing(self, monkeypatch, log, workers, trials):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        read = log(record=True)
+        assert run_ensemble(EnsembleSpec("pure", trials, 5), workers=workers).processes == 1
+        assert [entry.get("set") for entry in read().values()] == [None]
+
+    def test_without_setaffinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        spec = EnsembleSpec("pure", 2 * CHUNK_SIZE + 5, 5)
+        serial = run_ensemble(spec, workers=1)
+        par = run_ensemble(spec, workers=2)
+        assert par.processes == 2
+        assert np.array_equal(serial.e0, par.e0) and np.array_equal(serial.ef, par.ef)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or experiment.available_cpus() < 2
+                        or not os.path.exists("/proc/self/stat"), reason="needs Linux and 2 CPUs to place on")
+    def test_processes_start_on_different_cpus(self, monkeypatch, tmp_path):
+        """On this machine's own CPUs: the two processes' first chunks start
+        on different CPUs, and the caller's mask is as it was."""
+        mask, path, task = os.sched_getaffinity(0), tmp_path / "cpus", experiment._chunk_task
+
+        def chunk_task(kind, seed, start, count):
+            with open(path, "a") as out:
+                out.write(f"{os.getpid()} chunk {this_cpu()}\n")
+            return task(kind, seed, start, count)
+
+        monkeypatch.setattr(experiment, "_chunk_task", chunk_task)
+        assert run_ensemble(EnsembleSpec("pure", 4 * CHUNK_SIZE, 5), workers=2).processes == 2
+        assert os.sched_getaffinity(0) == mask
+        first = [entry["chunk"][0][0] for entry in entries(path).values()]
+        assert len(first) == 2 and first[0] != first[1]
+        assert_no_children()
+
+
+def entries(path) -> dict:
+    """{pid: {kind: [[int, ...], ...]}} of a log of `pid kind values` lines,
+    pids in the order they first appear."""
+    out = {}
+    for line in path.read_text().splitlines():
+        pid, kind, *values = line.split()
+        out.setdefault(pid, {}).setdefault(kind, []).append([int(v) for v in values])
+    return out
+
+
 class TestSampleChunk:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_matches_fresh_streams(self, monkeypatch, kind):

@@ -24,8 +24,9 @@ means and `wall_time_s` (the config echo, `zero_delta_fraction`,
 values of each mean, by name. `mean_e0` and `mean_ef` are exact sums
 rounded once, and `mean_delta` their exact difference rounded once, so a
 mean moves only when an E value does, as with the kernels' rounding, or
-when a change redefines it. It also prints each run's peak memory (max
-RSS) and minor page faults, parent first, as `os.wait4` reports them for
+when a change redefines it. It also prints each run's wall time, CPU
+seconds (user + system), peak memory (max RSS) and minor page faults,
+parent first; all but the wall time are as `os.wait4` reports them for
 the CLI process and the workers it forked. The summary keys and the
 costs are for reading only: the script exits 1 if any CSV differs and 2
 if a run fails.
@@ -39,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,6 +72,8 @@ def source_dir(tree: Path) -> Path:
 class Usage(NamedTuple):
     """What one CLI run cost, with the workers it forked."""
 
+    wall_s: float
+    cpu_s: float
     max_rss_mib: float
     minor_faults: int
 
@@ -80,9 +84,11 @@ def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers
             "--delta-bins", str(delta_bins), "--e0-bins", str(e0_bins),
             "--seed", str(seed), "--workers", str(workers), "--output-dir", out.name]
     with tempfile.TemporaryFile() as log:  # a file, not a pipe: the child never blocks on a full pipe
+        start = time.monotonic()
         proc = subprocess.Popen(argv, cwd=out.parent, env=dict(os.environ, PYTHONPATH=str(src)), stdout=log, stderr=log)
         try:
             _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.monotonic() - start
         except BaseException:
             proc.kill()
             proc.wait()
@@ -92,7 +98,8 @@ def run_cli(src: Path, out: Path, ensemble: str, trials: int, seed: int, workers
             log.seek(0)
             stderr = log.read().decode(errors="replace").strip()
             raise RuntimeError(f"{' '.join(argv)} from {src} exited {proc.returncode}: {stderr}")
-    return Usage(usage.ru_maxrss / 1024.0, usage.ru_minflt)  # Linux reports ru_maxrss in KiB
+    # Linux reports ru_maxrss in KiB
+    return Usage(wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, usage.ru_minflt)
 
 
 def differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
@@ -146,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             others = "other summary keys identical" if not keys else "other summary keys DIFFER: " + ", ".join(keys)
             means = ", ".join(f"{k} {r:.3g}" for k, r in rel.items())
             print(f"{ensemble} {trials} trials, {delta_bins}/{e0_bins} bins (seed {args.seed}, {args.workers} workers): "
+                  f"wall {parent.wall_s:.2f} -> {change.wall_s:.2f} s, CPU {parent.cpu_s:.2f} -> {change.cpu_s:.2f} s, "
                   f"max RSS {parent.max_rss_mib:.1f} -> {change.max_rss_mib:.1f} MiB, "
                   f"minor faults {parent.minor_faults} -> {change.minor_faults}; {csvs}; {others}; "
                   f"relative differences of the summary means: {means}")
