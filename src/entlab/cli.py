@@ -7,6 +7,22 @@ numeric-quality breach, 4 resources exhausted (out of memory, or a worker
 process killed, as by the kernel's out-of-memory killer), 130 interrupted
 (SIGINT, as by Ctrl-C), 143 terminated (SIGTERM).
 
+Options, each given as `--name value` or `--name=value`; the last of a
+repeated flag wins, and a value is taken as written unless it is a flag:
+  -h, --help             print this text and exit
+  --ensemble pure|mixed  which population of initial states to survey
+                         (default pure)
+  --trials N             number of Monte Carlo trials (default 1000000)
+  --seed N               64-bit decimal seed (default 42)
+  --delta-bins N         bins for the delta-E histogram over [-1, 1]
+                         (default 100)
+  --e0-bins N            bins over initial EoF in [0, 1] (default 50)
+  --workers N|auto       process count, this one included, capped at the
+                         CPU and chunk counts; auto, the default, is the
+                         CPUs this process may run on
+  --output-dir DIR       output directory (default $ENTLAB_OUTPUT_DIR if
+                         set and non-empty, else ./out)
+
 The files are written in a temporary directory inside the output directory,
 so only the output directory must be writable. Once all are written they
 are moved in, summary.json last. A run first takes an exclusive `flock` on
@@ -29,11 +45,11 @@ Where malloc is not glibc's, it is left as it is; importing the package
 changes nothing. No output byte depends on it.
 
 Run as the program (`python -m entlab.cli`), the module pauses the cyclic
-collector before its imports, which make no garbage, so loading argparse,
-numpy and the engine costs no collection. The program entry, `run`, then
-freezes the objects the imports made (`gc.freeze`) and turns the collector
-back on, before the run and before any worker is forked, so neither the
-run's collections nor the workers' walk those objects. Once `main` has
+collector before its imports, which make no garbage, so loading numpy and
+the engine costs no collection. The program entry, `run`, then freezes the
+objects the imports made (`gc.freeze`) and turns the collector back on,
+before the run and before any worker is forked, so neither the run's
+collections nor the workers' walk those objects. Once `main` has
 returned, `run` runs the atexit handlers, flushes stdout and stderr, and
 leaves by `os._exit` with main's status, as the forked workers do: the
 interpreter's module teardown is skipped, and the system reclaims that
@@ -56,7 +72,6 @@ if PROGRAM:  # `run` freezes what the imports below make and turns the collector
     gc.disable()
 
 import _signal  # loaded at interpreter start-up, where `import signal` would cost ~1 ms
-import argparse
 import atexit
 import contextlib
 import ctypes  # already imported by numpy
@@ -132,37 +147,36 @@ class RunConfig(Frozen):
                   e0_bins=int(e0_bins), workers=int(workers), output_dir=output_dir)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    # the docstring's first two paragraphs, what a run writes and its exit statuses (none under -OO)
-    p = _Parser(prog="entlab", description="\n\n".join((__doc__ or "").split("\n\n")[:2]), add_help=True)
-    p.add_argument("--ensemble", choices=["pure", "mixed"], default="pure",
-                   help="which population of initial states to survey")
-    p.add_argument("--trials", type=int, default=1_000_000, help="number of Monte Carlo trials")
-    p.add_argument("--seed", type=int, default=42, help="64-bit decimal seed")
-    p.add_argument("--delta-bins", type=int, default=100, help="bins for the delta-E histogram over [-1, 1]")
-    p.add_argument("--e0-bins", type=int, default=50, help="bins over initial EoF in [0, 1]")
-    p.add_argument("--workers", default="auto",
-                   help="process count, this one included (capped at the CPU and chunk counts), or 'auto'")
-    p.add_argument("--output-dir", default=None,
-                   help=f"output directory (default ./out, overridable via ${OUTPUT_DIR_ENV})")
-    return p
+USAGE = """usage: entlab [-h] [--ensemble pure|mixed] [--trials N] [--seed N]
+              [--delta-bins N] [--e0-bins N] [--workers N|auto]
+              [--output-dir DIR]"""
+DEFAULTS = {"--ensemble": "pure", "--trials": 1_000_000, "--seed": 42, "--delta-bins": 100, "--e0-bins": 50,
+            "--workers": "auto", "--output-dir": "out"}  # in RunConfig's parameter order
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Turn flags into a RunConfig, which checks them; raises UsageError on bad input."""
-    ns = _build_parser().parse_args(argv)
-    try:
-        workers = available_cpus() if ns.workers == "auto" else int(ns.workers)
-    except ValueError:
-        raise UsageError(f"--workers must be an integer or 'auto', got {ns.workers!r}") from None
-    # an explicit --output-dir, even an empty one, beats the variable; an empty variable counts as unset
-    output_dir = ns.output_dir if ns.output_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or "out"
-    return RunConfig(ns.ensemble, ns.trials, ns.seed, ns.delta_bins, ns.e0_bins, workers, output_dir)
+    """Turn flags into a RunConfig, which checks them; raises UsageError on
+    bad input, and prints the help and raises SystemExit(0) on -h/--help."""
+    # an empty variable counts as unset
+    values = {**DEFAULTS, "--output-dir": os.environ.get(OUTPUT_DIR_ENV) or DEFAULTS["--output-dir"]}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):  # the usage line and the docstring's first three paragraphs (none under -OO)
+            print("\n\n".join(filter(None, (USAGE, *(__doc__ or "").split("\n\n")[:3]))))
+            raise SystemExit(EXIT_OK)
+        flag, eq, text = arg.partition("=")
+        if flag not in values:  # a positional, an abbreviation or `--`
+            raise UsageError(f"unrecognized argument: {arg}")
+        if not eq:
+            text = next(args, None)
+            if text is None or text in ("-h", "--help") or text.partition("=")[0] in values:
+                raise UsageError(f"{flag} expects a value")
+        if flag not in ("--ensemble", "--output-dir"):
+            with contextlib.suppress(ValueError):  # text that int refuses goes on, for RunConfig to refuse by name
+                text = int(text)
+        values[flag] = text  # the last of a repeated flag wins; an explicit --output-dir, even "", beats the variable
+    values["--workers"] = available_cpus() if values["--workers"] == "auto" else values["--workers"]
+    return RunConfig(*values.values())
 
 
 def _fmt(x: float) -> str:

@@ -76,7 +76,7 @@ class EnsembleSpec(Frozen):
 
     def __init__(self, kind: Kind, trials: int, seed: int):
         if kind not in ("pure", "mixed"):
-            raise UsageError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+            raise UsageError(f"ensemble kind must be 'pure' or 'mixed', got {kind!r}")
         require_integer("trials", trials, 1, MAX_TRIALS)
         require_integer("seed", seed, 0, (1 << 64) - 1)
         self._set(kind=kind, trials=trials, seed=seed)

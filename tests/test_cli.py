@@ -30,7 +30,7 @@ def test_help_shows_flags_and_statuses_only(capsys):
     """`entlab --help` names every flag and every exit status, and none of
     the module's implementation notes."""
     assert main(["--help"]) == EXIT_OK
-    text = " ".join(capsys.readouterr().out.split())  # as argparse wrapped it, on one line
+    text = " ".join(capsys.readouterr().out.split())  # on one line, whatever the wrapping
     flags = ("--help", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir")
     statuses = ("0 success", "1 usage", "2 I/O failure", "3 numeric-quality breach", "4 resources exhausted",
                 "130 interrupted", "143 terminated")
@@ -98,6 +98,69 @@ class TestParseArgs:
     def test_empty_env_var_counts_as_unset(self, monkeypatch):
         monkeypatch.setenv("ENTLAB_OUTPUT_DIR", "")
         assert parse_args([]).output_dir == "out"
+
+    def test_equals_form(self):
+        cfg = parse_args(["--ensemble=mixed", "--trials=1000", "--seed=7", "--workers=1", "--output-dir=x"])
+        assert (cfg.ensemble, cfg.trials, cfg.seed, cfg.workers, cfg.output_dir) == ("mixed", 1000, 7, 1, "x")
+
+    def test_last_repeated_flag_wins(self):
+        assert parse_args(["--trials", "5", "--seed=1", "--trials=6", "--seed", "2"]).trials == 6
+        assert parse_args(["--seed", "1", "--seed", "2"]).seed == 2
+
+    def test_value_may_begin_with_a_dash(self):
+        """Only a flag is refused as a value: other text is taken as written."""
+        assert parse_args(["--output-dir", "-x"]).output_dir == "-x"
+
+    @pytest.mark.parametrize("argv", [["--trials"], ["--trials", "--seed", "5"], ["--trials", "--seed=5"],
+                                      ["--trials", "-h"]], ids=["at-the-end", "before-a-flag", "before-a-joined-flag",
+                                                                "before-help"])
+    def test_flag_without_a_value(self, capsys, argv):
+        """A flag followed by nothing, or by another flag, exits 1 naming it."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--trials" in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("arg", ["--tri", "5", "--", "-t"])
+    def test_refuses_other_tokens(self, capsys, arg):
+        """An abbreviation such as `--tri`, a positional or `--` exits 1, naming it."""
+        assert main([arg, "5"]) == EXIT_USAGE
+        assert arg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text, name", [("--seed", "1.5", "seed"), ("--delta-bins", "x", "delta-bins"),
+                                                  ("--trials", "abc", "trials"), ("--ensemble", "thermal", "ensemble")])
+    def test_bad_value_names_its_flag(self, flag, text, name):
+        with pytest.raises(UsageError, match=f"{name} .*{text!r}"):
+            parse_args([flag, text])
+
+    def test_short_help_is_the_help(self, capsys):
+        assert main(["-h"]) == EXIT_OK
+        short = capsys.readouterr().out
+        assert main(["--help"]) == EXIT_OK
+        assert short == capsys.readouterr().out
+        assert short.startswith("usage: entlab ")
+
+    def test_help_defaults_are_the_defaults(self, capsys, monkeypatch):
+        """Each default the help text states is the one `parse_args([])` takes."""
+        monkeypatch.delenv("ENTLAB_OUTPUT_DIR", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        cfg = parse_args([])
+        for shown in (f"(default {cfg.ensemble})", f"(default {cfg.trials})", f"(default {cfg.seed})",
+                      f"(default {cfg.delta_bins})", f"(default {cfg.e0_bins})", f"else ./{cfg.output_dir})"):
+            assert shown in text, shown
+        assert cfg.workers == 3 and "auto, the default" in text
+
+    def test_parsing_loads_no_argparse(self):
+        """A fresh interpreter that imports the CLI and parses a run's flags
+        has loaded none of argparse, gettext or locale."""
+        code = ("import sys, entlab.cli as cli\n"
+                "cli.parse_args(['--ensemble', 'pure', '--workers', '1', '--trials', '16384', '--seed', '5'])\n"
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 def small_config(tmp_path, **overrides) -> RunConfig:
@@ -1288,6 +1351,18 @@ def test_program_flushes_before_its_exit():
     assert done.stdout.startswith("usage: entlab ")
 
 
+def test_help_without_docstrings():
+    """Under `python -OO`, which strips the docstring, `--help` still prints
+    the usage line, with every flag, and exits 0."""
+    done = subprocess.run([sys.executable, "-OO", "-m", "entlab.cli", "--help"], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("usage: entlab ")
+    assert "Exit statuses" not in done.stdout
+    for flag in ("-h", "--ensemble", "--trials", "--seed", "--delta-bins", "--e0-bins", "--workers", "--output-dir"):
+        assert flag in done.stdout, flag
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to fail a write on")
 def test_failed_flush_is_left_to_the_shutdown(tmp_path):
     """Where flushing stdout fails, here on /dev/full, `run` returns, and the
@@ -1340,19 +1415,22 @@ UNDER_A_FILE = "--output-dir under a file"
 @st.composite
 def argv_cases(draw):
     """(flag values, the one flag given a refused value, UNDER_A_FILE for an
-    output path under a file, or None), with the values drawn from ACCEPTED
-    elsewhere."""
+    output path under a file, or None, and whether each flag is given as
+    `--name=value` rather than `--name value`), with the values drawn from
+    ACCEPTED elsewhere."""
     broken = draw(st.sampled_from([None, *REFUSED, UNDER_A_FILE]))
     values = {flag: draw(st.sampled_from(ACCEPTED[flag])) for flag in ACCEPTED}
     if broken in REFUSED:
         values[broken] = draw(st.sampled_from(REFUSED[broken]))
     values["--ensemble"] = draw(st.sampled_from(["pure", "mixed"]))
-    return values, broken
+    return values, broken, draw(st.booleans())
 
 
-def run_main(values: dict, out: Path) -> tuple[int, str]:
-    """`main` with `out` as the output directory, unless `values` gives one (the last given wins)."""
-    argv = ["--output-dir", str(out)] + [str(x) for flag, value in values.items() for x in (flag, value)]
+def run_main(values: dict, out: Path, joined: bool = False) -> tuple[int, str]:
+    """`main` with `out` as the output directory, unless `values` gives one
+    (the last given wins); each flag as `--name=value` if `joined`."""
+    pairs = [("--output-dir", out), *values.items()]
+    argv = [f"{flag}={value}" for flag, value in pairs] if joined else [str(x) for pair in pairs for x in pair]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1372,12 +1450,12 @@ def test_argv_sweep(case):
     documented status, leaving no temporary or new output directory behind.
     The engine caps a pool at the CPUs this process may use, so `--workers 2`
     and `auto` start no more processes than that."""
-    values, broken = case
+    values, broken, joined = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "file").write_text("not a directory")
         out = root / ("file" if broken == UNDER_A_FILE else "run") / "out"
-        code, err = run_main(values, out)
+        code, err = run_main(values, out, joined)
         assert "Traceback" not in err
         assert not list(root.glob("**/.entlab-*"))
         if broken is not None:
@@ -1391,6 +1469,6 @@ def test_argv_sweep(case):
         assert read_csv_counts(out / "e0_hist.csv", 2) == trials
         assert read_csv_counts(out / "conditional_mean.csv", 3) == trials
         other = root / "other"
-        assert run_main({**values, "--workers": "2" if values["--workers"] == "1" else "1"}, other)[0] == EXIT_OK
+        assert run_main({**values, "--workers": "2" if values["--workers"] == "1" else "1"}, other, joined)[0] == EXIT_OK
         for name in ("delta_hist.csv", "e0_hist.csv", "conditional_mean.csv"):
             assert (out / name).read_bytes() == (other / name).read_bytes()

@@ -16,10 +16,13 @@ def tool():
 
 def test_smoke(tool, capsys):
     """One process per workload: a header, then one row of medians per
-    workload, each a non-negative number and the collections a count."""
+    workload, each a non-negative number, the collections a count and the
+    set-up probe's wall time positive."""
     assert tool.main(["--runs", "1"]) == 0
     header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert header == ["workload", *tool.COLUMNS]
     assert [row[0] for row in rows] == ["pure-serial", "mixed-serial", "pure-parallel"]
     assert all(float(value) >= 0 for row in rows for value in row[1:])
     assert all(row[1 + tool.COLUMNS.index("gcs")].isdecimal() for row in rows)
+    assert "setup_ms" in tool.COLUMNS
+    assert all(float(row[1 + tool.COLUMNS.index("setup_ms")]) > 0 for row in rows)

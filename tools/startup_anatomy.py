@@ -21,7 +21,12 @@ medians of:
   start-up and the program's imports;
 - gcs, gc_ms: the collections in the CLI process, and their time;
 - main: from `gc.freeze` to the atexit handler;
-- exit: from the atexit handler to the process reaped.
+- exit: from the atexit handler to the process reaped;
+- setup: the wall time of one more fresh process, run after each CLI
+  process, on the benchmark's set-up probe for the workload
+  (`bench/run.py`'s `setup_code`: import entlab.cli and parse the
+  workload's flags), so a start-up change can be read per workload without
+  `bench/run.py`, which times the same probe as `setup_s` (rescaled there).
 
 The process marks are `time.monotonic`, which on Linux is one clock for all
 processes. To compare two trees, delete `src/**/__pycache__` in both first:
@@ -62,7 +67,7 @@ atexit.register(report)
 sys.argv = ["entlab", *sys.argv[1:]]
 runpy.run_module("entlab.cli", run_name="__main__", alter_sys=True)
 """
-COLUMNS = ("wall_ms", "start_ms", "gcs", "gc_ms", "main_ms", "exit_ms")
+COLUMNS = ("wall_ms", "start_ms", "gcs", "gc_ms", "main_ms", "exit_ms", "setup_ms")
 
 
 def load_bench():
@@ -92,6 +97,16 @@ def anatomy(argv: list[str], env: dict[str, str], cwd: str) -> dict[str, float]:
     }
 
 
+def setup_ms(code: str, env: dict[str, str], cwd: str) -> float:
+    """The wall time of a fresh interpreter running `code`, in ms."""
+    t0 = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True)
+    reaped = time.monotonic()
+    if done.returncode != 0:
+        raise RuntimeError(f"the set-up probe exited with {done.returncode}: {done.stderr}")
+    return 1e3 * (reaped - t0)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree entlab is imported from")
@@ -105,7 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'workload':<14}" + "".join(f"{c:>10}" for c in COLUMNS))
     with tempfile.TemporaryDirectory() as cwd:
         for name, workload in bench.WORKLOADS.items():
-            rows = [anatomy(workload.argv(args.seed), env, cwd) for _ in range(args.runs)]
+            setup = bench.setup_code(workload, args.seed)
+            rows = [{**anatomy(workload.argv(args.seed), env, cwd), "setup_ms": setup_ms(setup, env, cwd)}
+                    for _ in range(args.runs)]
             medians = [statistics.median(row[c] for row in rows) for c in COLUMNS]
             print(f"{name:<14}" + "".join(f"{m:>10.4g}" for m in medians))
     return 0
