@@ -24,10 +24,10 @@ CPU it may run on and then allows all of them again, so that a kernel that
 balances no load does not leave the processes on one CPU; a refused move is
 skipped. When its share ends, normally or by an exception, a process copies
 its accumulator into its row of a shared anonymous mapping in one
-assignment, with entry 0 the number of chunks of its share it covers. A
-process stops at its first chunk that raises. The calling process then runs
-its uncovered chunks once more while the workers go on, and kills them only
-if that raises too; a killed worker's row is cleared. A worker reports
+assignment, with the `chunks` field the number of chunks of its share it
+covers. A process stops at its first chunk that raises. The calling process
+then runs its uncovered chunks once more while the workers go on, and kills
+them only if that raises too; a killed worker's row is cleared. A worker reports
 through its row alone: it never prints, and leaves by `os._exit`. The
 calling process reaps each worker by pid, so it never reaps a child it did
 not fork, then runs every chunk no row covers itself, in chunk order, into
@@ -98,8 +98,7 @@ class EnsembleResult(Frozen):
     def __len__(self) -> int:
         if self.binned is None:
             return self.e0.shape[0]
-        reducer, acc = self.binned
-        return int(acc[reducer.e0_counts].sum())
+        return int(self.binned[1]["e0_counts"].sum())
 
 
 def _chunk_task(kind: Kind, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -136,23 +135,23 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> Ensemble
     chunks = -(-spec.trials // CHUNK_SIZE)
     processes = max(1, min(workers, chunks, available_cpus())) if hasattr(os, "fork") else 1
     try:  # one accumulator row per process
-        buf = mmap.mmap(-1, 8 * reducer.words * processes)
+        buf = mmap.mmap(-1, reducer.layout.itemsize * processes)
     except OSError as exc:  # out of memory, or over the process's address-space limit
         raise ResourceError(f"could not map the accumulators of {processes} processes: {exc}") from exc
-    rows = np.frombuffer(buf, np.int64).reshape(processes, reducer.words)
+    rows = np.frombuffer(buf, reducer.layout)
     children = {}  # pid: row, of the workers not yet reaped
     cpus = sorted(os.sched_getaffinity(0)) if processes > 1 and hasattr(os, "sched_setaffinity") else None
     try:
         _place(cpus, 0)  # before the forks, so no worker starts on a CPU another process is given
         for p in range(1, processes):  # the workers forked before a refused fork are in `children`, to be stopped
-            pid = _fork_worker(spec, range(p, chunks, processes), rows[p], reducer, cpus, p)
+            pid = _fork_worker(spec, range(p, chunks, processes), rows[p, ...], reducer, cpus, p)
             children[pid] = p
         own = range(0, chunks, processes)
         try:
-            _run_share(spec, own, rows[0], reducer)
+            _run_share(spec, own, rows[0, ...], reducer)
         except Exception:  # this process's own failure: one more try at its uncovered chunks, as the workers run on
             try:
-                _run_share(spec, own[int(rows[0, 0]):], rows[0], reducer)
+                _run_share(spec, own[int(rows[0]["chunks"]):], rows[0, ...], reducer)
             except Exception:  # again: the chunk is rerun below, in order with the workers'
                 _stop(children, rows)
         for pid in list(children):
@@ -163,23 +162,24 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, reducer=None) -> Ensemble
     finally:
         _stop(children, rows)
     # every chunk no row covers, in chunk order: the lowest failing chunk raises, as in a serial run
-    rest = sorted(c for p in range(processes) for c in range(p + int(rows[p, 0]) * processes, chunks, processes))
-    _run_share(spec, rest, rows[0], reducer)
-    acc = rows.sum(axis=0)
-    if acc[1] > MAX_FAILURE_RATE * spec.trials:
-        raise NumericError(f"{acc[1]} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
+    rest = sorted(c for p in range(processes) for c in range(p + int(rows[p]["chunks"]) * processes, chunks, processes))
+    _run_share(spec, rest, rows[0, ...], reducer)
+    # every field is int64, so the rows add up word by word
+    acc = rows.view(np.int64).reshape(processes, -1).sum(axis=0).view(reducer.layout).reshape(())
+    if acc["failures"] > MAX_FAILURE_RATE * spec.trials:
+        raise NumericError(f"{acc['failures']} numeric failures in {spec.trials} trials exceeds the {MAX_FAILURE_RATE} budget")
     return reducer.result(acc, processes)
 
 
 def _run_share(spec: EnsembleSpec, share, row: np.ndarray, reducer, parent: int | None = None) -> None:
     """Run the chunks of `share` (chunk indices, in order), folding each
-    into a copy of `row` with `reducer.add`, which counts it in entry 0.
-    The copy goes back into `row` in one assignment when the share ends, by
-    an exception too, unless the exception came inside an `add`: then `row`
-    keeps what it held, and the chunks since are rerun, never counted
-    twice. So `row` gains the first chunks of the share, as many as entry 0
-    grew by, and no other. The first chunk that raises ends the share. A
-    worker passes the pid of the process that forked it as `parent`, and
+    into a copy of `row` with `reducer.add`, which counts it in the
+    `chunks` field. The copy goes back into `row` in one assignment when
+    the share ends, by an exception too, unless the exception came inside an
+    `add`: then `row` keeps what it held, and the chunks since are rerun,
+    never counted twice. So `row` gains the first chunks of the share, as
+    many as `chunks` grew by, and no other. The first chunk that raises
+    ends the share. A worker passes the pid of the process that forked it as `parent`, and
     stops before its next chunk once that process is gone: no one would
     read its results."""
     acc, adding = row.copy(), False
@@ -194,7 +194,7 @@ def _run_share(spec: EnsembleSpec, share, row: np.ndarray, reducer, parent: int 
             adding = False
     finally:
         if not adding:
-            row[:] = acc
+            row[...] = acc
 
 
 def _fork_worker(spec: EnsembleSpec, share, row: np.ndarray, reducer, cpus, p: int) -> int:
@@ -265,7 +265,7 @@ class _Arrays:
     slices of one mapping that the run's processes share, as the chunks
     finish. Its accumulator holds the chunks covered and the failures."""
 
-    words = 2
+    layout = np.dtype([("chunks", np.int64), ("failures", np.int64)])
 
     def __init__(self, trials: int):
         try:
@@ -276,10 +276,11 @@ class _Arrays:
     def add(self, acc: np.ndarray, start: int, e0: np.ndarray, ef: np.ndarray, failures: int) -> None:
         self._out[0, start : start + len(e0)] = e0
         self._out[1, start : start + len(e0)] = ef
-        acc += 1, failures
+        acc["chunks"] += 1
+        acc["failures"] += failures
 
     def result(self, acc: np.ndarray, processes: int) -> EnsembleResult:
-        return EnsembleResult(self._out[0], self._out[1], int(acc[1]), processes)
+        return EnsembleResult(self._out[0], self._out[1], int(acc["failures"]), processes)
 
 
 # E_0 and E_F are summed as fixed-point numbers of LIMBS limbs of LIMB_BITS
@@ -289,10 +290,6 @@ class _Arrays:
 # 2^31, so 2^32 values per sum stay below 2^63; MAX_TRIALS is that.
 LIMB_BITS = 30
 LIMBS = 4  # to 2^-120: exact for every float of magnitude 2^-68 or more, whose last bit is 2^-120 or above
-# a `Binned` accumulator's head: chunks covered, failures, the count of |delta E|
-# below half a bin, then the limb sums of E_0
-_E0_SUM = slice(3, 3 + LIMBS)
-_HEAD = _E0_SUM.stop
 
 
 def _limbs(x: np.ndarray) -> np.ndarray:
@@ -324,10 +321,7 @@ def _exact_sum(limb_sums: np.ndarray):
 class Binned:
     """The CLI's reducer: each chunk binned and summed in the process that
     ran it, into an int64 accumulator of O(bins) words, whatever the trial
-    count. In order: the chunks covered, the failures, the count of |delta
-    E| below half a delta bin, the limb sums of E_0, the delta E counts, the
-    E_0 counts, and the limb sums of E_F per E_0 bin, one row of e0_bins per
-    limb. Every entry is an exact integer, so the accumulators of any split
+    count. Every entry is an exact integer, so the accumulators of any split
     of the chunks add up to the same words. Delta E has no sum of its own:
     its total is that of E_F less that of E_0."""
 
@@ -336,31 +330,33 @@ class Binned:
         require_integer("bin_count", e0_bins, 2, MAX_BINS)
         self.delta_bins, self.e0_bins = delta_bins, e0_bins
         self.delta_edges, self.e0_edges = np.linspace(-1.0, 1.0, delta_bins + 1), np.linspace(0.0, 1.0, e0_bins + 1)
-        self.delta_counts = slice(_HEAD, _HEAD + delta_bins)
-        self.e0_counts = slice(self.delta_counts.stop, self.delta_counts.stop + e0_bins)
-        self.ef_sums = slice(self.e0_counts.stop, self.e0_counts.stop + LIMBS * e0_bins)
-        self.words = self.ef_sums.stop
+        # near_zero counts |delta E| below half a delta bin; ef_sums holds one row of E_0 bins per limb
+        self.layout = np.dtype([("chunks", np.int64), ("failures", np.int64), ("near_zero", np.int64),
+                                ("e0_sums", np.int64, LIMBS), ("delta_counts", np.int64, delta_bins),
+                                ("e0_counts", np.int64, e0_bins), ("ef_sums", np.int64, (LIMBS, e0_bins))])
 
     def add(self, acc: np.ndarray, start: int, e0: np.ndarray, ef: np.ndarray, failures: int) -> None:
-        """Fold one chunk, trials start.., into `acc`, and count it in acc[0]."""
+        """Fold one chunk, trials start.., into `acc`, and count it in its
+        `chunks` field."""
         if not (np.all(np.abs(e0) < 2.0) and np.all(np.abs(ef) < 2.0)):
             raise UsageError(f"cannot bin a non-finite value, or sum one of magnitude 2 or more, "
                              f"among trials {start}..{start + len(e0) - 1}")
         delta = ef - e0
-        at = _bin_indices(delta, self.delta_edges)
-        np.add.at(acc, at + self.delta_counts.start, 1)  # O(chunk), where a bincount would cost O(bins) per chunk
+        # O(chunk), where a bincount would cost O(bins) per chunk
+        np.add.at(acc["delta_counts"], _bin_indices(delta, self.delta_edges), 1)
         at = _bin_indices(e0, self.e0_edges)
-        np.add.at(acc, at + self.e0_counts.start, 1)
-        # E_F's limb k of a trial in E_0 bin i goes to ef_sums word k * e0_bins + i, in one scatter
-        # over a flat index: numpy's fast path takes a 1-D index, and a 2-D one is ~5x slower
-        rows = np.arange(self.ef_sums.start, self.ef_sums.stop, self.e0_bins)
-        np.add.at(acc, (rows[:, None] + at).ravel(), _limbs(ef).astype(np.int64).ravel())
-        near_zero = np.count_nonzero(np.abs(delta) < 2.0 / self.delta_bins / 2.0)  # bin_width / 2
-        acc[1:_HEAD] += np.concatenate(([failures, near_zero], _limbs(e0).sum(axis=1))).astype(np.int64)
-        acc[0] += 1
+        np.add.at(acc["e0_counts"], at, 1)
+        # E_F's limb k of a trial in E_0 bin i goes to ef_sums[k, i], in one scatter over a
+        # flat index: numpy's fast path takes a 1-D index, and a 2-D one is ~5x slower
+        rows = np.arange(0, LIMBS * self.e0_bins, self.e0_bins)
+        np.add.at(acc["ef_sums"].reshape(-1), (rows[:, None] + at).ravel(), _limbs(ef).astype(np.int64).ravel())
+        acc["near_zero"] += np.count_nonzero(np.abs(delta) < 2.0 / self.delta_bins / 2.0)  # bin_width / 2
+        acc["e0_sums"] += _limbs(e0).sum(axis=1).astype(np.int64)
+        acc["failures"] += failures
+        acc["chunks"] += 1
 
     def result(self, acc: np.ndarray, processes: int) -> EnsembleResult:
-        return EnsembleResult(np.empty(0), np.empty(0), int(acc[1]), processes, binned=(self, acc))
+        return EnsembleResult(np.empty(0), np.empty(0), int(acc["failures"]), processes, binned=(self, acc))
 
 
 class Histogram(Frozen):
@@ -441,7 +437,7 @@ def _binned(result: EnsembleResult, delta_bins: int | None = None, e0_bins: int 
     if len(result) < 1:  # every density would be 0 / 0
         raise UsageError("cannot bin an empty result")
     reducer = Binned(2 if delta_bins is None else delta_bins, 2 if e0_bins is None else e0_bins)
-    acc = np.zeros(reducer.words, np.int64)
+    acc = np.zeros((), reducer.layout)
     for start in range(0, len(result), CHUNK_SIZE):
         reducer.add(acc, start, result.e0[start : start + CHUNK_SIZE], result.ef[start : start + CHUNK_SIZE], 0)
     return reducer, acc
@@ -454,8 +450,8 @@ def histogram_delta(result: EnsembleResult, bin_count: int) -> DeltaHistogram:
     reducer, acc = _binned(result, delta_bins=bin_count)
     n = len(result)
     # in Python ints: an int64 difference of two limb sums can overflow
-    total = acc[reducer.ef_sums].reshape(LIMBS, -1).sum(axis=1).astype(object) - acc[_E0_SUM].astype(object)
-    return DeltaHistogram(reducer.delta_edges, acc[reducer.delta_counts], _exact_sum(total) / n, int(acc[2]) / n)
+    total = acc["ef_sums"].sum(axis=1).astype(object) - acc["e0_sums"].astype(object)
+    return DeltaHistogram(reducer.delta_edges, acc["delta_counts"], _exact_sum(total) / n, int(acc["near_zero"]) / n)
 
 
 def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
@@ -463,7 +459,7 @@ def conditional_mean(result: EnsembleResult, bin_count: int) -> Histogram:
     E_F, and their means where a bin is occupied (`Histogram.mean_ef`); its
     `mean` is the mean of E_0, and `mean_weight` that of E_F."""
     reducer, acc = _binned(result, e0_bins=bin_count)
-    n, counts, limb_sums = len(result), acc[reducer.e0_counts], acc[reducer.ef_sums].reshape(LIMBS, bin_count)
+    n, counts, limb_sums = len(result), acc["e0_counts"], acc["ef_sums"]
     sums = np.zeros(bin_count)
     sums[counts > 0] = _exact_sum(limb_sums[:, counts > 0])  # Python ints for the occupied bins only
-    return Histogram(reducer.e0_edges, counts, _exact_sum(acc[_E0_SUM]) / n, sums, _exact_sum(limb_sums.sum(axis=1)) / n)
+    return Histogram(reducer.e0_edges, counts, _exact_sum(acc["e0_sums"]) / n, sums, _exact_sum(limb_sums.sum(axis=1)) / n)

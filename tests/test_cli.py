@@ -1396,8 +1396,8 @@ def test_console_script_is_the_main_block_entry():
 # value that runs, or one that must exit with the usage status
 ACCEPTED = {
     "--trials": [1, 8191, 8192, 8193],
-    "--delta-bins": [2],
-    "--e0-bins": [2],
+    "--delta-bins": [2, 3, 100],
+    "--e0-bins": [2, 3, 100],
     "--seed": [0, 2**64 - 1],
     "--workers": ["1", "2", "auto"],
 }
@@ -1417,8 +1417,9 @@ def argv_cases(draw):
     """(flag values, the one flag given a refused value, UNDER_A_FILE for an
     output path under a file, or None, and whether each flag is given as
     `--name=value` rather than `--name value`), with the values drawn from
-    ACCEPTED elsewhere."""
-    broken = draw(st.sampled_from([None, *REFUSED, UNDER_A_FILE]))
+    ACCEPTED elsewhere. None is weighted as all the others together, so that
+    most examples reach a run."""
+    broken = draw(st.sampled_from([None] * 8 + [*REFUSED, UNDER_A_FILE]))
     values = {flag: draw(st.sampled_from(ACCEPTED[flag])) for flag in ACCEPTED}
     if broken in REFUSED:
         values[broken] = draw(st.sampled_from(REFUSED[broken]))

@@ -23,6 +23,7 @@ from entlab.experiment import (
     EnsembleResult,
     EnsembleSpec,
     Histogram,
+    _Arrays,
     _bin_indices,
     _chunk_task,
     _exact_sum,
@@ -52,6 +53,12 @@ REFERENCE_TOL = {"pure": 1e-6, "mixed": 1e-10}
 
 def result(e0, ef) -> EnsembleResult:
     return EnsembleResult(e0=np.asarray(e0, dtype=float), ef=np.asarray(ef, dtype=float))
+
+
+def words(acc: np.ndarray) -> np.ndarray:
+    """The int64 words of a 0-d accumulator record, in layout order: a
+    record's `tolist()` gives arrays, whose `==` is ambiguous."""
+    return acc.reshape(1).view(np.int64)
 
 
 def forced_trial(monkeypatch, kind, draw) -> tuple[float, float]:
@@ -824,15 +831,16 @@ class TestExactSums:
         (e0, ef), n = energies, energies.shape[1]
         cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=5))) if n > 1 else []
         reducer = Binned(7, 5)
-        whole = np.zeros(reducer.words, np.int64)
+        whole = np.zeros((), reducer.layout)
         reducer.add(whole, 0, e0, ef, 0)
         parts = []
         for lo, hi in zip([0, *cuts], [*cuts, n]):
-            parts.append(np.zeros(reducer.words, np.int64))
+            parts.append(np.zeros((), reducer.layout))
             reducer.add(parts[-1], lo, e0[lo:hi], ef[lo:hi], 0)
-        merged = sum(data.draw(st.permutations(parts)))
-        assert merged[0] == len(parts)
-        assert merged[1:].tolist() == whole[1:].tolist()
+        merged = sum(words(part) for part in data.draw(st.permutations(parts))).view(reducer.layout).reshape(())
+        assert merged["chunks"] == len(parts)
+        merged["chunks"] = whole["chunks"]  # every other word must match as it stands
+        assert words(merged).tolist() == words(whole).tolist()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(trials(2.0**-68))
@@ -886,12 +894,30 @@ class TestExactSums:
             binned = run_ensemble(spec, workers, Binned(20, 10))
             assert binned.processes == workers and len(binned) == spec.trials and binned.e0.size == binned.ef.size == 0
             reducer, acc = binned.binned
-            assert acc[0] == 6 and acc[1:].tolist() == experiment._binned(arrays, 20, 10)[1][1:].tolist()
+            assert acc["chunks"] == 6 and words(acc).tolist() == words(experiment._binned(arrays, 20, 10)[1]).tolist()
             for reduce, bins in ((histogram_delta, 20), (conditional_mean, 10)):
                 a, b = reduce(arrays, bins), reduce(binned, bins)
                 assert vars(a).keys() == vars(b).keys()
                 assert all(np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
                            for x, y in zip(vars(a).values(), vars(b).values()))
+
+    @pytest.mark.parametrize("delta_bins, e0_bins", [(2, 2), (7, 5), (100, 50)])
+    def test_layout(self, delta_bins, e0_bins):
+        """`Binned`'s accumulator: its fields in the declared order, int64
+        only, so that rows add up through their int64 view, 7 + delta bins +
+        5 * E_0 bins words (357 at the CLI's default bins), and first the
+        fields of `_Arrays`' accumulator, which `run_ensemble` reads from
+        either reducer."""
+        layout = Binned(delta_bins, e0_bins).layout
+        assert layout.names == ("chunks", "failures", "near_zero", "e0_sums", "delta_counts", "e0_counts", "ef_sums")
+        assert [layout[name].shape for name in layout.names] == [(), (), (), (4,), (delta_bins,), (e0_bins,),
+                                                                 (4, e0_bins)]
+        assert all(layout[name].base == np.int64 for name in layout.names)
+        assert all(_Arrays.layout[name] == np.int64 for name in _Arrays.layout.names)
+        assert layout.itemsize == 8 * (7 + delta_bins + 5 * e0_bins)
+        head = _Arrays.layout.names
+        assert layout.names[: len(head)] == head
+        assert [layout.fields[name] for name in head] == [_Arrays.layout.fields[name] for name in head]
 
     def test_reduced_run_refuses_other_bins(self):
         res = run_ensemble(EnsembleSpec("pure", 100, 4), reducer=Binned(20, 10))

@@ -26,3 +26,16 @@ def test_smoke(tool, capsys):
     assert all(row[1 + tool.COLUMNS.index("gcs")].isdecimal() for row in rows)
     assert "setup_ms" in tool.COLUMNS
     assert all(float(row[1 + tool.COLUMNS.index("setup_ms")]) > 0 for row in rows)
+
+
+def test_two_trees(tool, capsys):
+    """Two trees in one invocation, here this tree twice: one row per
+    workload and tree, labelled by the tree's place among the `--src`
+    arguments, each a non-negative number."""
+    src = str(ROOT / "src")
+    assert tool.main(["--runs", "1", "--src", src, "--src", src]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["workload", *tool.COLUMNS]
+    assert [row[0] for row in rows] == [f"{name}:{k}" for name in ("pure-serial", "mixed-serial", "pure-parallel")
+                                        for k in (1, 2)]
+    assert all(len(row) == 1 + len(tool.COLUMNS) and float(value) >= 0 for row in rows for value in row[1:])

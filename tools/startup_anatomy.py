@@ -3,18 +3,22 @@
 
 Usage (from the repository root):
 
-    python3 tools/startup_anatomy.py [--src SRC] [--runs N] [--seed S]
+    python3 tools/startup_anatomy.py [--src SRC ...] [--runs N] [--seed S]
 
-For each workload of `bench/run.py`, starts N fresh processes (default 11),
-one at a time, each running `python -m entlab.cli` on the workload's flags
-through `runpy`, with entlab imported from SRC (default: this tree's
-`src/`) and BLAS threads pinned as the benchmark pins them. The wrapper
+For each workload of `bench/run.py`, starts N fresh processes (default 11)
+per tree, one at a time, each running `python -m entlab.cli` on the
+workload's flags through `runpy`, with entlab imported from SRC (default:
+this tree's `src/`) and BLAS threads pinned as the benchmark pins them.
+`--src` may be given more than once: the trees then take turns process by
+process within each workload, so that a change in the machine's load
+between them moves every tree alike. The wrapper
 around `runpy` counts and times the process's collections by `gc.callbacks`,
 marks `run`'s call of `gc.freeze`, which comes right before `main`, and
 registers an atexit handler before the CLI loads, which runs after `main`
 has returned. `bench/tracer.py` runs `main` in-process and sees neither
-the imports' collections nor the exit. One row per workload gives the
-medians of:
+the imports' collections nor the exit. One row per workload and tree,
+labelled `<workload>:<k>` for the k-th `--src` when there are several,
+gives the medians of:
 
 - wall: from before the process starts to after it is reaped;
 - start: from before the process starts to `gc.freeze`, i.e. interpreter
@@ -29,7 +33,8 @@ medians of:
   `bench/run.py`, which times the same probe as `setup_s` (rescaled there).
 
 The process marks are `time.monotonic`, which on Linux is one clock for all
-processes. To compare two trees, delete `src/**/__pycache__` in both first:
+processes. To compare two trees, give both in one invocation, and delete
+`src/**/__pycache__` in both first:
 a tree that holds compiled bytecode imports faster, even where
 PYTHONDONTWRITEBYTECODE keeps it from writing any, and the tool warns when
 it finds some.
@@ -109,22 +114,29 @@ def setup_ms(code: str, env: dict[str, str], cwd: str) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree entlab is imported from")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a tree entlab is imported from, one row per workload each (default: this tree's src/)")
     parser.add_argument("--runs", type=int, default=11, help="fresh processes per workload (default 11)")
     parser.add_argument("--seed", type=int, default=1, help="the workloads' seed (default 1)")
     args = parser.parse_args(argv)
-    if next(args.src.rglob("__pycache__"), None) is not None:
-        print(f"warning: {args.src} holds __pycache__, which speeds its imports", file=sys.stderr)
+    trees = args.src or [ROOT / "src"]
+    for src in trees:
+        if next(src.rglob("__pycache__"), None) is not None:
+            print(f"warning: {src} holds __pycache__, which speeds its imports", file=sys.stderr)
     bench = load_bench()
-    env = dict(os.environ, **bench.THREAD_PINNING, PYTHONPATH=str(args.src.resolve()))
-    print(f"{'workload':<14}" + "".join(f"{c:>10}" for c in COLUMNS))
+    envs = [dict(os.environ, **bench.THREAD_PINNING, PYTHONPATH=str(src.resolve())) for src in trees]
+    print(f"{'workload':<16}" + "".join(f"{c:>10}" for c in COLUMNS))
     with tempfile.TemporaryDirectory() as cwd:
         for name, workload in bench.WORKLOADS.items():
             setup = bench.setup_code(workload, args.seed)
-            rows = [{**anatomy(workload.argv(args.seed), env, cwd), "setup_ms": setup_ms(setup, env, cwd)}
-                    for _ in range(args.runs)]
-            medians = [statistics.median(row[c] for row in rows) for c in COLUMNS]
-            print(f"{name:<14}" + "".join(f"{m:>10.4g}" for m in medians))
+            rows = [[] for _ in trees]
+            for _ in range(args.runs):
+                for tree_rows, env in zip(rows, envs):
+                    tree_rows.append({**anatomy(workload.argv(args.seed), env, cwd), "setup_ms": setup_ms(setup, env, cwd)})
+            for k, tree_rows in enumerate(rows, 1):
+                medians = [statistics.median(row[c] for row in tree_rows) for c in COLUMNS]
+                label = f"{name}:{k}" if len(trees) > 1 else name
+                print(f"{label:<16}" + "".join(f"{m:>10.4g}" for m in medians))
     return 0
 
 
